@@ -24,10 +24,12 @@ cargo run --release -p bench --bin simperf -- --check 1
 cargo test --release -q -p bitspec --test profiler_equivalence
 cargo run --release -p bench --bin buildperf -- 2
 
-# Parallel & incremental build determinism: -j1 vs -j8 sweeps of the
-# suite (memory + disk store tiers), function-cache invalidation
-# precision, pool output ordering, and the fuzzer's seeded
+# Parallel & incremental build determinism: the single-flight memo's
+# contention tests, -j1 vs -j8 sweeps of the suite (identical outputs
+# and cache counters on the memory + disk store tiers), function-cache
+# invalidation precision, pool output ordering, and the fuzzer's seeded
 # serial/parallel/incremental agreement property.
+cargo test --release -q -p bitspec --lib memo
 cargo test --release -q -p bitspec --test parallel_determinism --test fn_cache
 cargo test --release -q -p bench --test pool_order
 cargo test --release -q -p fuzz --test parallel_incremental

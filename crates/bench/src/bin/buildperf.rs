@@ -226,11 +226,16 @@ fn main() {
         }
         jrows.push((j, secs, suite_fp, fn_hits, fn_total));
     }
-    let serial_suite_fp = jrows[0].2;
-    for (j, _, fp, _, _) in &jrows {
+    let (_, _, serial_suite_fp, serial_hits, serial_total) = jrows[0];
+    for (j, _, fp, hits, total) in &jrows {
         assert_eq!(
             *fp, serial_suite_fp,
             "-j{j} cold build diverged from the -j1 suite fingerprint"
+        );
+        assert_eq!(
+            (*hits, *total),
+            (serial_hits, serial_total),
+            "-j{j} cold build's fn cache accounting diverged from -j1"
         );
     }
     let cold_j1 = jrows[0].1;

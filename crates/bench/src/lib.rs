@@ -8,9 +8,10 @@
 //!
 //! This library holds the shared run/format helpers.
 
+use bitspec::memo::{Codec, Memo};
 use bitspec::{build, simulate_with, BuildConfig, Compiled, SimConfig, SimResult, Workload};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::convert::Infallible;
+use std::sync::Arc;
 
 pub use bitspec::pool;
 
@@ -38,43 +39,24 @@ pub fn run_with(w: &Workload, cfg: &BuildConfig, sim_cfg: &SimConfig) -> (Compil
 /// One build+simulate artifact, shared across harness call sites.
 pub type Cell = Arc<(Compiled, SimResult)>;
 
-fn cache() -> &'static Mutex<HashMap<String, Cell>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, Cell>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Cache key for one (workload, config) cell: the workload name (for
-/// debuggability of cache dumps) plus a structural FNV-1a fingerprint of
-/// the workload contents and every `BuildConfig` field
-/// ([`bitspec::fingerprint::cell_key`]). Keyed on explicit fields, not
-/// `Debug` output, so formatting changes can neither alias nor split
-/// cache cells.
-pub fn fingerprint(w: &Workload, cfg: &BuildConfig) -> String {
-    format!("{}#{:016x}", w.name, bitspec::fingerprint::cell_key(w, cfg))
-}
-
 /// Where a [`run_cached_traced`] cell came from — the provenance the
 /// serve layer streams back per request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellSource {
-    /// The process-wide memory cache.
-    Memory,
-    /// The persistent artifact store ([`bitspec::store`]).
-    Disk,
-    /// Built and simulated in this process (then published to both tiers).
-    Computed,
+pub use bitspec::memo::Source as CellSource;
+
+fn encode_cell(cell: &(Compiled, SimResult)) -> Vec<u8> {
+    bitspec::wire::encode_cell(&cell.0, &cell.1)
 }
 
-impl CellSource {
-    /// Stable lowercase label for JSONL output.
-    pub fn label(self) -> &'static str {
-        match self {
-            CellSource::Memory => "memory",
-            CellSource::Disk => "disk",
-            CellSource::Computed => "computed",
-        }
-    }
-}
+/// Whole cells, keyed by the structural [`bitspec::fingerprint::cell_key`]
+/// (workload contents plus every `BuildConfig` field) and stored under
+/// the `cell` kind.
+static CELLS: Memo<(Compiled, SimResult)> = Memo::new(
+    "cell",
+    Some(Codec {
+        enc: encode_cell,
+        dec: bitspec::wire::decode_cell,
+    }),
+);
 
 /// Like [`run`], but memoized in a process-wide artifact cache: a repeat
 /// of the same (workload, config) cell — common across harnesses and
@@ -88,52 +70,21 @@ pub fn run_cached(w: &Workload, cfg: &BuildConfig) -> Cell {
 }
 
 /// [`run_cached`] with hit/miss provenance, looked up memory → disk →
-/// compute. With an active persistent store ([`bitspec::store::active`])
-/// whole cells — the compiled artifact plus its evaluation-input sim
-/// result — round-trip through the store under the structural
-/// `cell_key`, so a fresh process re-sweeping a warmed store serves
-/// disk hits instead of rebuilding; computed cells are published for the
-/// next process. A corrupt or stale entry silently falls back to
-/// compute + republish.
+/// compute through a single-flight memo ([`bitspec::memo`]): concurrent
+/// requests for one cell compute it once. With an active persistent store
+/// ([`bitspec::store::active`]) whole cells — the compiled artifact plus
+/// its evaluation-input sim result — round-trip through the store, so a
+/// fresh process re-sweeping a warmed store serves disk hits instead of
+/// rebuilding; computed cells are published for the next process. A
+/// corrupt or undecodable entry is counted as corrupt, deleted, and
+/// recomputed + republished.
 ///
 /// # Panics
 /// Panics on build or simulation failure.
 pub fn run_cached_traced(w: &Workload, cfg: &BuildConfig) -> (Cell, CellSource) {
-    let key = fingerprint(w, cfg);
-    if let Some(hit) = cache().lock().expect("artifact cache").get(&key) {
-        return (Arc::clone(hit), CellSource::Memory);
-    }
-    let store = bitspec::store::active();
-    let cell_key = bitspec::fingerprint::cell_key(w, cfg);
-    if let Some(store) = &store {
-        if let Some(bytes) = store.get("cell", cell_key) {
-            if let Ok((c, r)) = bitspec::wire::decode_cell(&bytes) {
-                let cell = Arc::new((c, r));
-                let shared = cache()
-                    .lock()
-                    .expect("artifact cache")
-                    .entry(key)
-                    .or_insert(cell)
-                    .clone();
-                return (shared, CellSource::Disk);
-            }
-        }
-    }
-    let cell = Arc::new(run(w, cfg));
-    let shared = cache()
-        .lock()
-        .expect("artifact cache")
-        .entry(key)
-        .or_insert(cell)
-        .clone();
-    if let Some(store) = &store {
-        store.put(
-            "cell",
-            cell_key,
-            &bitspec::wire::encode_cell(&shared.0, &shared.1),
-        );
-    }
-    (shared, CellSource::Computed)
+    let key = bitspec::fingerprint::cell_key(w, cfg);
+    let Ok(cell) = CELLS.get(key, false, || Ok::<_, Infallible>(run(w, cfg)));
+    cell
 }
 
 /// The full evaluation matrix the sweep harnesses share: the fig09 pair
@@ -173,7 +124,7 @@ pub fn suite_configs() -> Vec<BuildConfig> {
 
 /// Drops every cached artifact (tests use this to force rebuilds).
 pub fn clear_cache() {
-    cache().lock().expect("artifact cache").clear();
+    CELLS.clear();
 }
 
 /// Runs every workload under one configuration across `workers` pool
@@ -186,21 +137,6 @@ pub fn run_suite(workloads: &[Workload], cfg: &BuildConfig, workers: usize) -> V
 /// threads. `out[wi][ci]` is workload `wi` under config `ci`; the cells
 /// are fanned out flat so a slow workload doesn't serialize a column.
 pub fn run_matrix(workloads: &[Workload], cfgs: &[BuildConfig], workers: usize) -> Vec<Vec<Cell>> {
-    if workers > 1 {
-        if let Some(first) = cfgs.first() {
-            // Pre-warm each workload's shared profile serially (the same
-            // idiom as `bitspec::build_matrix`) so concurrent cells of
-            // one workload don't race to compute — and so duplicate —
-            // the expensive profiling stage. Errors simply recur in the
-            // owning cell, where they are reported per config.
-            for w in workloads {
-                let mut tr =
-                    bitspec::pipeline::Tracer::new(bitspec::pipeline::policy(first.verify_each));
-                let _ =
-                    bitspec::stages::profile(w, &first.expander, first.reference_profiler, &mut tr);
-            }
-        }
-    }
     let n = workloads.len() * cfgs.len();
     let flat = pool::run_ordered(n, workers, |k| {
         run_cached(&workloads[k / cfgs.len()], &cfgs[k % cfgs.len()])
@@ -346,9 +282,10 @@ mod tests {
                 ..base.clone()
             },
         ];
-        let mut keys = vec![fingerprint(&w, &base)];
+        let key = bitspec::fingerprint::cell_key;
+        let mut keys = vec![key(&w, &base)];
         for v in &variants {
-            keys.push(fingerprint(&w, v));
+            keys.push(key(&w, v));
         }
         let mut sorted = keys.clone();
         sorted.sort();

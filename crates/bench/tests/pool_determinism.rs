@@ -2,7 +2,8 @@
 //! input order with identical contents for every worker count, and the
 //! artifact cache must serve repeats without changing them.
 
-use bench::{clear_cache, fingerprint, pool, run_matrix, run_suite};
+use bench::{clear_cache, pool, run_matrix, run_suite};
+use bitspec::fingerprint::cell_key;
 use bitspec::{BuildConfig, Workload};
 use std::sync::Mutex;
 
@@ -88,14 +89,14 @@ fn fingerprints_separate_configs_and_inputs() {
     let w = tiny_workloads().remove(0);
     let base = BuildConfig::baseline();
     let bs = BuildConfig::bitspec();
-    assert_ne!(fingerprint(&w, &base), fingerprint(&w, &bs));
+    assert_ne!(cell_key(&w, &base), cell_key(&w, &bs));
     let mut w2 = w.clone();
     w2.inputs.push(("data".into(), vec![1, 2, 3]));
-    assert_ne!(fingerprint(&w, &base), fingerprint(&w2, &base));
+    assert_ne!(cell_key(&w, &base), cell_key(&w2, &base));
     let mut w3 = w2.clone();
     w3.inputs[0].1[0] = 9;
-    assert_ne!(fingerprint(&w2, &base), fingerprint(&w3, &base));
-    assert_eq!(fingerprint(&w, &base), fingerprint(&w.clone(), &base));
+    assert_ne!(cell_key(&w2, &base), cell_key(&w3, &base));
+    assert_eq!(cell_key(&w, &base), cell_key(&w.clone(), &base));
 }
 
 #[test]

@@ -31,6 +31,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 pub mod fingerprint;
+pub mod memo;
 pub mod pipeline;
 pub mod pool;
 pub mod stages;
@@ -419,41 +420,22 @@ pub fn build(workload: &Workload, cfg: &BuildConfig) -> Result<Compiled, BuildEr
 }
 
 /// Builds one workload under every configuration in `cfgs`, fanning the
-/// per-config squeeze+codegen legs across `workers` pool threads.
+/// per-config builds across `workers` pool threads.
 ///
 /// Matrix sweeps (and the differential fuzzer's ~5-config oracle) stay
-/// cheap by design: stages 1–3 (frontend, expander, profiler) run
-/// **once** up front and every config leg then serves them from the
-/// process-wide stage cache ([`stages`]), so only the config-specific
-/// squeezer/backend/gate work fans out. Results are in `cfgs` order for
-/// any worker count, and the linked programs are bit-identical for any
-/// worker count — parallelism never changes outputs.
-///
-/// Configs whose expander knobs or verify flag differ from `cfgs[0]`
-/// still build correctly — they simply warm their own stage-cache cells.
+/// cheap by design: stages 1–3 (frontend, expander, profiler) are
+/// single-flight memos ([`stages`]), so the first leg to reach them
+/// computes them once while concurrent legs wait for the shared result,
+/// and only the config-specific squeezer/backend/gate work fans out.
+/// Results are in `cfgs` order, and the linked programs are
+/// bit-identical, for any worker count — parallelism never changes
+/// outputs.
 pub fn build_matrix(
     workload: &Workload,
     cfgs: &[BuildConfig],
     workers: usize,
 ) -> Vec<Result<Compiled, BuildError>> {
-    if let Some(first) = cfgs.first() {
-        // Pre-warm the shared stages serially so parallel legs don't race
-        // to compute the same profiling run. An error here simply recurs
-        // (uncached) in each leg, where it is reported per config.
-        let mut tr = Tracer::new(pipeline::policy(first.verify_each));
-        let _ = stages::profile(workload, &first.expander, first.reference_profiler, &mut tr);
-    }
     pool::run_ordered(cfgs.len(), workers, |i| build(workload, &cfgs[i]))
-}
-
-/// [`build_matrix`] under its historical name (the fuzzer's oracle was
-/// its first caller).
-pub fn build_for_fuzz(
-    workload: &Workload,
-    cfgs: &[BuildConfig],
-    workers: usize,
-) -> Vec<Result<Compiled, BuildError>> {
-    build_matrix(workload, cfgs, workers)
 }
 
 /// Runs `compiled` on the simulator with the workload's evaluation inputs.

@@ -30,19 +30,23 @@
 //! the caches: dump fidelity beats memoization in a debugging session,
 //! and dump-laden artifacts must not be published process-wide.
 //!
-//! Cached artifacts live behind `Arc` in process-wide maps; [`clear`]
-//! drops them and [`set_enabled`] bypasses the caches entirely (the
-//! `buildperf` harness uses both to measure cold vs warm builds).
+//! Every stage cache is a single-flight [`crate::memo::Memo`]: concurrent
+//! builds needing the same artifact compute it once, and [`stats`] reports
+//! one counter row per memo kind. [`clear`] drops the artifacts and
+//! [`set_enabled`] bypasses the memos entirely (the `buildperf` harness
+//! uses both to measure cold vs warm builds).
 
 use crate::fingerprint::{eat_inputs, Fnv};
+use crate::memo::{Codec, Memo};
 use crate::{BuildError, Workload};
 use interp::{Interpreter, Profile};
 use opt::ExpanderConfig;
 use sir::pass::{ir_fingerprint, IrStats, PassTrace, PrintAfter, TracePolicy, Tracer};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
+
+pub use crate::memo::{set_enabled, stats};
 
 /// Which stages of one build were served from the process-wide cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -107,104 +111,55 @@ pub struct GateRef {
     pub traces: Vec<PassTrace>,
 }
 
-/// Cumulative process-wide cache counters (hits/misses per stage).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub front_hits: u64,
-    pub front_misses: u64,
-    pub expand_hits: u64,
-    pub expand_misses: u64,
-    pub profile_hits: u64,
-    pub profile_misses: u64,
-    pub gate_hits: u64,
-    pub gate_misses: u64,
-    /// Function-level codegen cache: per-*function* (not per-stage)
-    /// hit/miss counts across every [`codegen`] call in the process.
-    pub fn_hits: u64,
-    pub fn_misses: u64,
-    /// Stage artifacts served from the persistent store ([`crate::store`])
-    /// after a memory miss; these also count toward the per-stage hit
-    /// counters above (the stage's work was saved either way).
-    pub disk_hits: u64,
-    /// Memory misses that consulted an active store and found nothing
-    /// usable (recompute followed, then a publish).
-    pub disk_misses: u64,
-}
-
-struct Caches {
-    enabled: AtomicBool,
-    front: Mutex<HashMap<u64, Arc<SirStage>>>,
-    expand: Mutex<HashMap<u64, Arc<SirStage>>>,
-    profile: Mutex<HashMap<u64, Arc<ProfileData>>>,
-    gate: Mutex<HashMap<u64, Arc<GateRef>>>,
-    fns: Mutex<HashMap<u64, Arc<backend::FnArtifact>>>,
-    /// Pre-backend verification verdicts: content fingerprints of modules
-    /// that already passed [`sir::verify::verify_module`], mapped to the
-    /// wall time of the run that proved them (replayed on hits).
-    verified: Mutex<HashMap<u64, u64>>,
-    front_hits: AtomicU64,
-    front_misses: AtomicU64,
-    expand_hits: AtomicU64,
-    expand_misses: AtomicU64,
-    profile_hits: AtomicU64,
-    profile_misses: AtomicU64,
-    gate_hits: AtomicU64,
-    gate_misses: AtomicU64,
-    fn_hits: AtomicU64,
-    fn_misses: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
-    codegen_workers: AtomicUsize,
-}
-
-fn caches() -> &'static Caches {
-    static CACHES: OnceLock<Caches> = OnceLock::new();
-    CACHES.get_or_init(|| Caches {
-        enabled: AtomicBool::new(true),
-        front: Mutex::new(HashMap::new()),
-        expand: Mutex::new(HashMap::new()),
-        profile: Mutex::new(HashMap::new()),
-        gate: Mutex::new(HashMap::new()),
-        fns: Mutex::new(HashMap::new()),
-        verified: Mutex::new(HashMap::new()),
-        front_hits: AtomicU64::new(0),
-        front_misses: AtomicU64::new(0),
-        expand_hits: AtomicU64::new(0),
-        expand_misses: AtomicU64::new(0),
-        profile_hits: AtomicU64::new(0),
-        profile_misses: AtomicU64::new(0),
-        gate_hits: AtomicU64::new(0),
-        gate_misses: AtomicU64::new(0),
-        fn_hits: AtomicU64::new(0),
-        fn_misses: AtomicU64::new(0),
-        disk_hits: AtomicU64::new(0),
-        disk_misses: AtomicU64::new(0),
-        codegen_workers: AtomicUsize::new(1),
-    })
-}
-
-/// Enables or disables the stage caches process-wide (disabled = every
-/// stage recomputes; counters stop moving). Used by `buildperf` to time
-/// the uncached pipeline in the same process.
-pub fn set_enabled(enabled: bool) {
-    caches().enabled.store(enabled, Ordering::SeqCst);
-}
+static FRONT: Memo<SirStage> = Memo::new("front", None);
+static EXPAND: Memo<SirStage> = Memo::new(
+    "expand",
+    Some(Codec {
+        enc: crate::wire::encode_sir_stage,
+        dec: crate::wire::decode_sir_stage,
+    }),
+);
+static PROFILE: Memo<ProfileData> = Memo::new(
+    "profile",
+    Some(Codec {
+        enc: crate::wire::encode_profile_data,
+        dec: crate::wire::decode_profile_data,
+    }),
+);
+static GATE: Memo<GateRef> = Memo::new(
+    "gate",
+    Some(Codec {
+        enc: crate::wire::encode_gate_ref,
+        dec: crate::wire::decode_gate_ref,
+    }),
+);
+static FNS: Memo<backend::FnArtifact> = Memo::new(
+    "fnmir",
+    Some(Codec {
+        enc: crate::wire::encode_fn_artifact,
+        dec: crate::wire::decode_fn_artifact,
+    }),
+);
+/// Pre-backend verification verdicts: content fingerprints of modules
+/// that passed [`sir::verify::verify_module`], mapped to the wall time of
+/// the run that proved them (replayed on hits).
+static VERIFIED: Memo<u64> = Memo::new("verify", None);
+static CODEGEN_WORKERS: AtomicUsize = AtomicUsize::new(1);
 
 /// Drops every cached stage artifact (counters are preserved).
 pub fn clear() {
-    let c = caches();
-    c.front.lock().expect("front cache").clear();
-    c.expand.lock().expect("expand cache").clear();
-    c.profile.lock().expect("profile cache").clear();
-    c.gate.lock().expect("gate cache").clear();
-    c.fns.lock().expect("fn cache").clear();
-    c.verified.lock().expect("verify cache").clear();
+    FRONT.clear();
+    EXPAND.clear();
+    PROFILE.clear();
+    GATE.clear();
+    FNS.clear();
+    VERIFIED.clear();
 }
 
 /// Drops only the function-level codegen artifacts (the incremental
 /// benchmark uses this to isolate the backend share of a warm rebuild).
 pub fn clear_fns() {
-    caches().fns.lock().expect("fn cache").clear();
+    FNS.clear();
 }
 
 /// Pre-backend module verification, memoized by content fingerprint:
@@ -212,62 +167,34 @@ pub fn clear_fns() {
 /// (the cached `expanded` module is byte-identical across every config
 /// that hits it, so re-verifying it per build is pure overhead). Hits
 /// replay a `verify` pass entry carrying the proving run's wall time,
-/// marked `cached`; misses run the verifier and publish the verdict.
+/// marked `cached`; misses run the verifier and record its entry.
 /// Only successes are memoized — a failing module re-verifies (and
 /// re-reports) every time.
 ///
 /// # Errors
 /// Propagates the verifier's rejection.
 pub fn check_module(m: &sir::Module, tr: &mut Tracer) -> Result<(), sir::verify::VerifyError> {
-    let c = caches();
-    if !c.enabled.load(Ordering::SeqCst) {
-        return tr.run_check("verify", || sir::verify::verify_module(m));
+    let (wall, src) = VERIFIED.get(ir_fingerprint(m), false, || {
+        tr.run_check("verify", || sir::verify::verify_module(m))?;
+        Ok(tr.entries().last().map_or(0, |e| e.wall_ns))
+    })?;
+    if src.hit() {
+        tr.replay(&[PassTrace::new("verify", *wall).verified(true)], true);
     }
-    let fp = ir_fingerprint(m);
-    if let Some(&wall) = c.verified.lock().expect("verify cache").get(&fp) {
-        tr.replay(&[PassTrace::new("verify", wall).verified(true)], true);
-        return Ok(());
-    }
-    let t = Instant::now();
-    let r = sir::verify::verify_module(m);
-    let wall = t.elapsed().as_nanos() as u64;
-    tr.record(PassTrace::new("verify", wall).verified(r.is_ok()));
-    if r.is_ok() {
-        c.verified.lock().expect("verify cache").insert(fp, wall);
-    }
-    r
+    Ok(())
 }
 
-/// Sets the worker count [`codegen`] fans uncached functions across
-/// (process-wide; default 1 = serial). The parallel/serial split never
-/// changes outputs — results are merged in function order — only wall
-/// time, so this is a tuning knob, not a semantic one.
+/// Sets the worker count [`codegen`] fans functions across (process-wide;
+/// default 1 = serial). The parallel/serial split never changes outputs
+/// — results are merged in function order — only wall time, so this is
+/// a tuning knob, not a semantic one.
 pub fn set_codegen_workers(n: usize) {
-    caches().codegen_workers.store(n.max(1), Ordering::SeqCst);
+    CODEGEN_WORKERS.store(n.max(1), Ordering::SeqCst);
 }
 
 /// The current [`codegen`] worker count.
 pub fn codegen_workers() -> usize {
-    caches().codegen_workers.load(Ordering::SeqCst).max(1)
-}
-
-/// Snapshot of the cumulative hit/miss counters.
-pub fn stats() -> CacheStats {
-    let c = caches();
-    CacheStats {
-        front_hits: c.front_hits.load(Ordering::SeqCst),
-        front_misses: c.front_misses.load(Ordering::SeqCst),
-        expand_hits: c.expand_hits.load(Ordering::SeqCst),
-        expand_misses: c.expand_misses.load(Ordering::SeqCst),
-        profile_hits: c.profile_hits.load(Ordering::SeqCst),
-        profile_misses: c.profile_misses.load(Ordering::SeqCst),
-        gate_hits: c.gate_hits.load(Ordering::SeqCst),
-        gate_misses: c.gate_misses.load(Ordering::SeqCst),
-        fn_hits: c.fn_hits.load(Ordering::SeqCst),
-        fn_misses: c.fn_misses.load(Ordering::SeqCst),
-        disk_hits: c.disk_hits.load(Ordering::SeqCst),
-        disk_misses: c.disk_misses.load(Ordering::SeqCst),
-    }
+    CODEGEN_WORKERS.load(Ordering::SeqCst).max(1)
 }
 
 fn front_key(w: &Workload, verify: bool) -> u64 {
@@ -329,102 +256,31 @@ fn bypass(policy: &TracePolicy) -> bool {
     policy.print_after != PrintAfter::None
 }
 
-/// How a stage artifact round-trips through the persistent store: the
-/// entry kind (store subdirectory) plus the [`crate::wire`] codec pair.
-struct DiskCodec<T> {
-    kind: &'static str,
-    enc: fn(&T) -> Vec<u8>,
-    dec: fn(&[u8]) -> Result<T, crate::wire::WireError>,
-}
-
-/// Looks up `key` in `map` (when the caches are enabled and the caller
-/// does not bypass them), then — for stages with a `disk` codec and an
-/// active persistent store — on disk, else computes via `make` and
-/// publishes the result to both tiers. Lookup order is memory → disk →
-/// compute; a disk hit is adopted into the memory map so repeats within
-/// the process stay at memory speed. Concurrent misses on the same key
-/// compute independently; the first to publish wins and the rest adopt
-/// it. Bypass and disabled modes skip *both* tiers (print-after dumps
-/// must come from real runs and must not be published anywhere).
-fn memo<T, E>(
-    map: &Mutex<HashMap<u64, Arc<T>>>,
-    hits: &AtomicU64,
-    misses: &AtomicU64,
-    key: u64,
-    bypass: bool,
-    disk: Option<DiskCodec<T>>,
-    make: impl FnOnce() -> Result<T, E>,
-) -> Result<(Arc<T>, bool), E> {
-    if bypass || !caches().enabled.load(Ordering::SeqCst) {
-        return Ok((Arc::new(make()?), false));
-    }
-    if let Some(hit) = map.lock().expect("stage cache").get(&key) {
-        hits.fetch_add(1, Ordering::SeqCst);
-        return Ok((Arc::clone(hit), true));
-    }
-    let store = disk.as_ref().and_then(|_| crate::store::active());
-    if let (Some(dc), Some(store)) = (&disk, &store) {
-        if let Some(art) = crate::store::get_decoded(store, dc.kind, key, dc.dec) {
-            caches().disk_hits.fetch_add(1, Ordering::SeqCst);
-            hits.fetch_add(1, Ordering::SeqCst);
-            let shared = map
-                .lock()
-                .expect("stage cache")
-                .entry(key)
-                .or_insert_with(|| Arc::new(art))
-                .clone();
-            return Ok((shared, true));
-        }
-        caches().disk_misses.fetch_add(1, Ordering::SeqCst);
-    }
-    let made = Arc::new(make()?);
-    misses.fetch_add(1, Ordering::SeqCst);
-    let shared = map
-        .lock()
-        .expect("stage cache")
-        .entry(key)
-        .or_insert(made)
-        .clone();
-    if let (Some(dc), Some(store)) = (&disk, &store) {
-        store.put(dc.kind, key, &(dc.enc)(&shared));
-    }
-    Ok((shared, false))
-}
-
 /// Stage 1 worker: compiles the workload source to SIR and records the
-/// `front` pass entry (plus the verify-each check).
+/// `front` pass entry (plus the verify-each check). Memory-only: the
+/// frontend is cheap enough that a disk round-trip wouldn't pay.
 fn front_art(w: &Workload, policy: &TracePolicy) -> Result<(Arc<SirStage>, bool), BuildError> {
-    let c = caches();
     let verify = policy.verify_each;
-    memo(
-        &c.front,
-        &c.front_hits,
-        &c.front_misses,
-        front_key(w, verify),
-        bypass(policy),
-        // The frontend is cheap enough that a disk round-trip wouldn't
-        // pay; it stays memory-only.
-        None,
-        || {
-            let t = Instant::now();
-            let module = lang::compile(&w.name, &w.source).map_err(BuildError::Compile)?;
-            let wall = t.elapsed().as_nanos() as u64;
-            let mut entry = PassTrace::new("front", wall)
-                .stats(IrStats::default(), IrStats::of_module(&module))
-                .fingerprinted(ir_fingerprint(&module));
-            if verify {
-                sir::verify::verify_module(&module).map_err(BuildError::Verify)?;
-                entry.verified = true;
-            }
-            if policy.print_after.matches("front") {
-                entry.dump = Some(sir::print::print_module(&module));
-            }
-            Ok(SirStage {
-                module: Arc::new(module),
-                traces: vec![entry],
-            })
-        },
-    )
+    let (art, src) = FRONT.get(front_key(w, verify), bypass(policy), || {
+        let t = Instant::now();
+        let module = lang::compile(&w.name, &w.source).map_err(BuildError::Compile)?;
+        let wall = t.elapsed().as_nanos() as u64;
+        let mut entry = PassTrace::new("front", wall)
+            .stats(IrStats::default(), IrStats::of_module(&module))
+            .fingerprinted(ir_fingerprint(&module));
+        if verify {
+            sir::verify::verify_module(&module).map_err(BuildError::Verify)?;
+            entry.verified = true;
+        }
+        if policy.print_after.matches("front") {
+            entry.dump = Some(sir::print::print_module(&module));
+        }
+        Ok(SirStage {
+            module: Arc::new(module),
+            traces: vec![entry],
+        })
+    })?;
+    Ok((art, src.hit()))
 }
 
 /// Stage 2 worker: expander + simplify + DCE as traced passes over the
@@ -435,48 +291,35 @@ fn expand_art(
     ecfg: &ExpanderConfig,
     policy: &TracePolicy,
 ) -> Result<(Arc<SirStage>, StageHits), BuildError> {
-    let c = caches();
     let key = expand_key(w, ecfg, policy.verify_each);
     let mut front_hit = true;
-    let (art, expand_hit) = memo(
-        &c.expand,
-        &c.expand_hits,
-        &c.expand_misses,
-        key,
-        bypass(policy),
-        Some(DiskCodec {
-            kind: "expand",
-            enc: crate::wire::encode_sir_stage,
-            dec: crate::wire::decode_sir_stage,
-        }),
-        || {
-            let (front, hit) = front_art(w, policy)?;
-            front_hit = hit;
-            let mut local = Tracer::new(policy.clone());
-            local.replay(&front.traces, hit);
-            let mut module = (*front.module).clone();
-            local
-                .run_sir(&mut module, &mut opt::ExpandPass(*ecfg))
-                .map_err(BuildError::Verify)?;
-            local
-                .run_sir(&mut module, &mut opt::SimplifyPass)
-                .map_err(BuildError::Verify)?;
-            local
-                .run_sir(&mut module, &mut opt::DcePass)
-                .map_err(BuildError::Verify)?;
-            Ok(SirStage {
-                module: Arc::new(module),
-                traces: local.finish(),
-            })
-        },
-    )?;
+    let (art, src) = EXPAND.get(key, bypass(policy), || {
+        let (front, hit) = front_art(w, policy)?;
+        front_hit = hit;
+        let mut local = Tracer::new(policy.clone());
+        local.replay(&front.traces, hit);
+        let mut module = (*front.module).clone();
+        local
+            .run_sir(&mut module, &mut opt::ExpandPass(*ecfg))
+            .map_err(BuildError::Verify)?;
+        local
+            .run_sir(&mut module, &mut opt::SimplifyPass)
+            .map_err(BuildError::Verify)?;
+        local
+            .run_sir(&mut module, &mut opt::DcePass)
+            .map_err(BuildError::Verify)?;
+        Ok(SirStage {
+            module: Arc::new(module),
+            traces: local.finish(),
+        })
+    })?;
     // An expand hit means the frontend wasn't consulted at all; report it
     // as a hit too (the work was saved either way).
     Ok((
         art,
         StageHits {
             front: front_hit,
-            expand: expand_hit,
+            expand: src.hit(),
             ..StageHits::default()
         },
     ))
@@ -525,45 +368,32 @@ pub fn profile(
     reference: bool,
     tr: &mut Tracer,
 ) -> Result<(Arc<sir::Module>, Arc<ProfileData>, StageHits), BuildError> {
-    let c = caches();
     let policy = tr.policy.clone();
     let key = profile_key(w, ecfg, policy.verify_each);
     let mut upstream: Option<(Arc<SirStage>, StageHits)> = None;
-    let (data, profile_hit) = memo(
-        &c.profile,
-        &c.profile_hits,
-        &c.profile_misses,
-        key,
-        bypass(&policy),
-        Some(DiskCodec {
-            kind: "profile",
-            enc: crate::wire::encode_profile_data,
-            dec: crate::wire::decode_profile_data,
-        }),
-        || {
-            let (art, hits) = expand_art(w, ecfg, &policy)?;
-            let t = Instant::now();
-            let (prof, dyn_insts) = profile_run(&art.module, w.train(), reference, w.profile_fuel)?;
-            let wall = t.elapsed().as_nanos() as u64;
-            let stats = IrStats::of_module(&art.module);
-            let entry = PassTrace::new("profile", wall).stats(stats, stats);
-            upstream = Some((art, hits));
-            Ok(ProfileData {
-                profile: Arc::new(prof),
-                dyn_insts,
-                traces: vec![entry],
-            })
-        },
-    )?;
+    let (data, src) = PROFILE.get(key, bypass(&policy), || {
+        let (art, hits) = expand_art(w, ecfg, &policy)?;
+        let t = Instant::now();
+        let (prof, dyn_insts) = profile_run(&art.module, w.train(), reference, w.profile_fuel)?;
+        let wall = t.elapsed().as_nanos() as u64;
+        let stats = IrStats::of_module(&art.module);
+        let entry = PassTrace::new("profile", wall).stats(stats, stats);
+        upstream = Some((art, hits));
+        Ok(ProfileData {
+            profile: Arc::new(prof),
+            dyn_insts,
+            traces: vec![entry],
+        })
+    })?;
     let (art, mut hits) = match upstream {
         Some(up) => up,
         // Profile cache hit: the expanded module is still needed by the
         // squeezer, but it is (at worst) an expand-cache lookup away.
         None => expand_art(w, ecfg, &policy)?,
     };
-    hits.profile = profile_hit;
+    hits.profile = src.hit();
     tr.replay(&art.traces, hits.expand);
-    tr.replay(&data.traces, profile_hit);
+    tr.replay(&data.traces, hits.profile);
     Ok((Arc::clone(&art.module), data, hits))
 }
 
@@ -584,21 +414,9 @@ pub fn gate_ref(
     opts: &backend::CodegenOpts,
     make: impl FnOnce() -> Result<GateRef, BuildError>,
 ) -> Result<(Arc<GateRef>, bool), BuildError> {
-    let c = caches();
     let key = gate_ref_key(w, ecfg, policy.verify_each, opts);
-    memo(
-        &c.gate,
-        &c.gate_hits,
-        &c.gate_misses,
-        key,
-        bypass(policy),
-        Some(DiskCodec {
-            kind: "gate",
-            enc: crate::wire::encode_gate_ref,
-            dec: crate::wire::decode_gate_ref,
-        }),
-        make,
-    )
+    let (art, src) = GATE.get(key, bypass(policy), make)?;
+    Ok((art, src.hit()))
 }
 
 /// Cache key of one function's codegen artifact: the function's
@@ -644,18 +462,17 @@ pub fn layout_fingerprint(m: &sir::Module, layout: &interp::Layout) -> u64 {
 }
 
 /// Stage 5: function-granular codegen — the parallel/incremental
-/// composition of [`backend::compile_function`] (per function, memory →
-/// disk → compute) and the serial [`backend::link_traced`] layout pass.
+/// composition of [`backend::compile_function`] and the serial
+/// [`backend::link_traced`] layout pass.
 ///
-/// Per function, the artifact is looked up in the process-wide memory map,
-/// then (when a [`crate::store`] is active) on disk under the `fnmir`
-/// kind, and only the remaining misses are compiled — fanned across
-/// [`crate::pool`] workers per [`set_codegen_workers`]. Results are merged
-/// *in function order* regardless of which tier or worker produced them,
-/// and the link pass is serial, so the linked program is bit-identical for
-/// every worker count and cache state. Artifacts that failed verification
-/// are still merged (the build must report every diagnostic) but never
-/// published to either tier.
+/// Each function is looked up memory → disk (`fnmir` store kind) →
+/// compute through the function memo, fanned across [`crate::pool`]
+/// workers per [`set_codegen_workers`]. Results are merged *in function
+/// order* regardless of which tier or worker produced them, and the link
+/// pass is serial, so the linked program is bit-identical for every
+/// worker count and cache state. An artifact that failed verification
+/// comes back from its compute as `Err`: it is merged (the build must
+/// report every diagnostic) but never published.
 ///
 /// Print-after builds bypass the cache and compile serially through
 /// [`backend::compile_module_traced`] (dump fidelity beats memoization,
@@ -672,93 +489,37 @@ pub fn codegen(
     opts: &backend::CodegenOpts,
     tr: &mut Tracer,
 ) -> Result<(backend::Program, FnHits), sir::verify::VerifyError> {
-    let c = caches();
     let policy = tr.policy.clone();
-    if bypass(&policy) || !c.enabled.load(Ordering::SeqCst) {
+    if bypass(&policy) {
         let program = backend::compile_module_traced(m, opts, tr)?;
         return Ok((program, FnHits::default()));
     }
     let layout = interp::Layout::new(m);
-    let verify = policy.verify_each;
     let lfp = layout_fingerprint(m, &layout);
     let fids: Vec<sir::FuncId> = m.func_ids().collect();
-    let keys: Vec<u64> = fids
-        .iter()
-        .map(|&fid| fn_key(m.func(fid), lfp, opts, verify))
-        .collect();
-    let mut arts: Vec<Option<Arc<backend::FnArtifact>>> = vec![None; fids.len()];
-    {
-        let map = c.fns.lock().expect("fn cache");
-        for (slot, key) in arts.iter_mut().zip(&keys) {
-            *slot = map.get(key).cloned();
-        }
-    }
-    let store = crate::store::active();
-    if let Some(store) = &store {
-        for (i, slot) in arts.iter_mut().enumerate() {
-            if slot.is_some() {
-                continue;
-            }
-            if let Some(art) =
-                crate::store::get_decoded(store, "fnmir", keys[i], crate::wire::decode_fn_artifact)
-            {
-                c.disk_hits.fetch_add(1, Ordering::SeqCst);
-                let shared = c
-                    .fns
-                    .lock()
-                    .expect("fn cache")
-                    .entry(keys[i])
-                    .or_insert_with(|| Arc::new(art))
-                    .clone();
-                *slot = Some(shared);
-            } else {
-                c.disk_misses.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-    }
-    let hits = arts.iter().filter(|a| a.is_some()).count() as u32;
-    c.fn_hits.fetch_add(u64::from(hits), Ordering::SeqCst);
-    let missing: Vec<usize> = (0..arts.len()).filter(|&i| arts[i].is_none()).collect();
-    c.fn_misses
-        .fetch_add(missing.len() as u64, Ordering::SeqCst);
-    if !missing.is_empty() {
-        let workers = codegen_workers().min(missing.len());
-        let computed = crate::pool::run_ordered(missing.len(), workers, |j| {
-            backend::compile_function(m, fids[missing[j]], &layout, opts, &policy)
-        });
-        for (j, art) in computed.into_iter().enumerate() {
-            let i = missing[j];
-            let art = Arc::new(art);
-            // Publish only artifacts that passed verification (a rejected
-            // compile must be reproduced, and re-reported, by every build
-            // that reaches it).
+    let looked_up = crate::pool::run_ordered(fids.len(), codegen_workers(), |i| {
+        let key = fn_key(m.func(fids[i]), lfp, opts, policy.verify_each);
+        let compiled = FNS.get(key, false, || {
+            let art = backend::compile_function(m, fids[i], &layout, opts, &policy);
             if art.clean() {
-                let shared = c
-                    .fns
-                    .lock()
-                    .expect("fn cache")
-                    .entry(keys[i])
-                    .or_insert_with(|| Arc::clone(&art))
-                    .clone();
-                if let Some(store) = &store {
-                    store.put("fnmir", keys[i], &crate::wire::encode_fn_artifact(&shared));
-                }
-                arts[i] = Some(shared);
+                Ok(art)
             } else {
-                arts[i] = Some(art);
+                Err(Box::new(art))
             }
+        });
+        match compiled {
+            Ok((art, src)) => (art, src.hit()),
+            Err(rejected) => (Arc::from(rejected), false),
         }
-    }
-    let arts: Vec<Arc<backend::FnArtifact>> = arts
-        .into_iter()
-        .map(|a| a.expect("every function resolved"))
-        .collect();
-    let all_cached = missing.is_empty() && !fids.is_empty();
+    });
+    let hits = looked_up.iter().filter(|(_, hit)| *hit).count();
+    let arts: Vec<Arc<backend::FnArtifact>> = looked_up.into_iter().map(|(a, _)| a).collect();
+    let all_cached = hits == fids.len() && !fids.is_empty();
     let program = backend::link_traced(m, &arts, opts, &layout, tr, all_cached)?;
     Ok((
         program,
         FnHits {
-            hits,
+            hits: hits as u32,
             total: fids.len() as u32,
         },
     ))

@@ -2007,39 +2007,20 @@ fn put_fn_code(e: &mut Enc, c: &backend::emit::FnCode) {
 
 fn get_fn_code(d: &mut Dec) -> Res<backend::emit::FnCode> {
     use backend::mir::MBlockId;
-    let name = d.str()?;
-    let n = d.vusize()?;
-    let mut insts = Vec::with_capacity(n);
-    for _ in 0..n {
-        insts.push(get_minst(d)?);
-    }
-    let n = d.vusize()?;
-    let mut fixups = Vec::with_capacity(n);
-    for _ in 0..n {
-        let slot = d.vusize()?;
-        let f = match d.u8()? {
-            0 => backend::emit::FnFixup::Block(MBlockId(d.vu32()?)),
-            1 => backend::emit::FnFixup::Func(sir::FuncId(d.vu32()?)),
-            _ => return Err(bad("bad FnFixup tag")),
-        };
-        fixups.push((slot, f));
-    }
-    let n = d.vusize()?;
-    let mut block_starts = Vec::with_capacity(n);
-    for _ in 0..n {
-        block_starts.push((MBlockId(d.vu32()?), d.vusize()?));
-    }
-    let n = d.vusize()?;
-    let mut spec_pairs = Vec::with_capacity(n);
-    for _ in 0..n {
-        spec_pairs.push((d.vusize()?, d.vusize()?, MBlockId(d.vu32()?)));
-    }
     Ok(backend::emit::FnCode {
-        name,
-        insts,
-        fixups,
-        block_starts,
-        spec_pairs,
+        name: d.str()?,
+        insts: dec_vec(d, get_minst)?,
+        fixups: dec_vec(d, |d| {
+            let slot = d.vusize()?;
+            let f = match d.u8()? {
+                0 => backend::emit::FnFixup::Block(MBlockId(d.vu32()?)),
+                1 => backend::emit::FnFixup::Func(sir::FuncId(d.vu32()?)),
+                _ => return Err(bad("bad FnFixup tag")),
+            };
+            Ok((slot, f))
+        })?,
+        block_starts: dec_vec(d, |d| Ok((MBlockId(d.vu32()?), d.vusize()?)))?,
+        spec_pairs: dec_vec(d, |d| Ok((d.vusize()?, d.vusize()?, MBlockId(d.vu32()?))))?,
     })
 }
 

@@ -19,7 +19,7 @@
 
 use crate::gen::Case;
 use bitspec::{
-    build_for_fuzz, simulate_with, Arch, BuildConfig, Compiled, Engine, SimConfig, Workload,
+    build_matrix, simulate_with, Arch, BuildConfig, Compiled, Engine, SimConfig, Workload,
 };
 use interp::{ExecError, Heuristic, Interpreter, RunResult};
 use sim::SimResult;
@@ -108,9 +108,8 @@ pub struct Finding {
 
 /// The config matrix every generated program is pushed through.
 ///
-/// Order matters: index 0 is BASELINE (the reference everything else is
-/// compared against) and `build_for_fuzz` pre-warms the shared pipeline
-/// stages from it.
+/// Order matters: index 0 is BASELINE, the reference everything else is
+/// compared against.
 pub fn config_matrix() -> Vec<(String, BuildConfig)> {
     let mut cfgs = vec![("baseline".to_string(), BuildConfig::baseline())];
     for h in Heuristic::ALL {
@@ -174,7 +173,7 @@ pub fn check_workload(w: &Workload) -> Vec<Finding> {
     let mut findings = Vec::new();
     let cfgs = config_matrix();
     let configs: Vec<BuildConfig> = cfgs.iter().map(|(_, c)| c.clone()).collect();
-    let built = build_for_fuzz(w, &configs, configs.len());
+    let built = build_matrix(w, &configs, configs.len());
 
     let mut compiled: Vec<(&str, &Compiled)> = Vec::new();
     for ((name, _), res) in cfgs.iter().zip(&built) {
@@ -436,7 +435,7 @@ mod tests {
                 ..BuildConfig::bitspec_with(Heuristic::Min)
             },
         ];
-        let built = build_for_fuzz(&w, &cfgs, 2);
+        let built = build_matrix(&w, &cfgs, 2);
         let a = built[0].as_ref().expect("max builds");
         let b = built[1].as_ref().expect("min builds");
         assert_eq!(divergence_probe(a, a), "");

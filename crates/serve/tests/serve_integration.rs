@@ -129,6 +129,38 @@ fn corrupt_cell_entry_falls_back_to_compute_and_rewrites() {
     assert_eq!(src, CellSource::Disk, "fallback must rewrite the entry");
 }
 
+#[test]
+fn undecodable_cell_entry_counts_as_corrupt_and_rewrites() {
+    let _g = serial();
+    let scratch = Scratch::new("undecodable");
+    store::configure(Some(scratch.path()), None);
+    wipe_memory();
+    let w = unique_workload("undecodable");
+    let cfg = BuildConfig::bitspec();
+    // A framed, checksum-valid entry whose payload is not a cell.
+    let key = bitspec::fingerprint::cell_key(&w, &cfg);
+    store::active()
+        .expect("store configured")
+        .put("cell", key, b"garbage");
+
+    let before = store::stats();
+    let (_, src) = run_cached_traced(&w, &cfg);
+    let after = store::stats();
+    assert_eq!(src, CellSource::Computed, "garbage must not serve");
+    assert_eq!(
+        after.corrupt,
+        before.corrupt + 1,
+        "decode failure is corruption"
+    );
+    assert_eq!(after.hits, before.hits, "an undecodable read is not a hit");
+
+    // The recompute replaced the garbage with a clean entry.
+    wipe_memory();
+    let (_, src) = run_cached_traced(&w, &cfg);
+    assert_eq!(src, CellSource::Disk, "fallback must rewrite the entry");
+    assert_eq!(store::stats().corrupt, after.corrupt);
+}
+
 /// A small build+sim request batch over cheap MiBench workloads —
 /// child processes run debug binaries, so keep the matrix tiny.
 const BATCH: &str = "\

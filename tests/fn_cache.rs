@@ -199,11 +199,11 @@ fn disk_tier_serves_function_artifacts() {
         (k as u32 + 1, k as u32 + 1),
         "every function must be served from the store"
     );
-    assert!(
-        after.disk_hits > before.disk_hits + k as u64,
-        "fn artifacts must come off disk ({} -> {})",
-        before.disk_hits,
-        after.disk_hits
+    let fns = after.since(&before).get("fnmir");
+    assert_eq!(
+        (fns.disk_hits, fns.misses),
+        (k as u64 + 1, 0),
+        "every fn artifact must come off disk"
     );
     assert_identical(&c_disk, &c_cold);
 }

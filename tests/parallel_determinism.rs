@@ -12,13 +12,17 @@
 //! (`BITSPEC_STORE_DIR` tier) to prove disk-served artifacts link the
 //! same images.
 //!
-//! Cache provenance (which worker computed an artifact first, hit/miss
-//! flags) legitimately varies with the worker count; the assertions
-//! compare only deterministic projections of the build outputs.
+//! Per-build provenance (which cell's build computed a shared artifact
+//! first, and so its `StageHits` flags) legitimately varies with the
+//! worker count. The process-wide counters do not: every cache is a
+//! single-flight memo, so each artifact is computed once at any `-j`, and
+//! the `stages::stats()` deltas of the `-j1` and `-j8` sweeps must agree
+//! for every kind on both the memory and the disk tier.
 //!
 //! The stage caches and store configuration are process-global, so the
 //! tests take a file-wide lock.
 
+use bitspec::memo::Stats;
 use bitspec::{build_matrix, program_fingerprint, stages, Arch, BuildConfig, Workload};
 use mibench::{names, workload, Input};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -57,11 +61,15 @@ struct Snapshot {
     spec_targets: Vec<(usize, usize, usize)>,
 }
 
+/// One sweep's results: per-cell snapshots (suite order), the folded
+/// suite fingerprint, and the cache counters the sweep moved.
+type Sweep = (Vec<Snapshot>, u64, Stats);
+
 /// One full suite × config sweep at the given worker count, from cold
-/// caches. Returns per-cell snapshots (suite order) plus the folded
-/// suite fingerprint.
-fn sweep(workloads: &[Workload], cfgs: &[BuildConfig], jobs: usize) -> (Vec<Snapshot>, u64) {
+/// memory caches.
+fn sweep(workloads: &[Workload], cfgs: &[BuildConfig], jobs: usize) -> Sweep {
     stages::clear();
+    let before = stages::stats();
     stages::set_codegen_workers(jobs);
     let mut snaps = Vec::new();
     let mut suite_fp = 0xcbf2_9ce4_8422_2325u64;
@@ -80,15 +88,15 @@ fn sweep(workloads: &[Workload], cfgs: &[BuildConfig], jobs: usize) -> (Vec<Snap
         }
     }
     stages::set_codegen_workers(1);
-    (snaps, suite_fp)
+    (snaps, suite_fp, stages::stats().since(&before))
 }
 
 fn assert_sweeps_identical(
     label: &str,
     workloads: &[Workload],
     cfgs: &[BuildConfig],
-    a: &(Vec<Snapshot>, u64),
-    b: &(Vec<Snapshot>, u64),
+    a: &Sweep,
+    b: &Sweep,
 ) {
     for (i, (sa, sb)) in a.0.iter().zip(&b.0).enumerate() {
         let (w, cfg) = (&workloads[i / cfgs.len()], &cfgs[i % cfgs.len()]);
@@ -101,6 +109,22 @@ fn assert_sweeps_identical(
     assert_eq!(a.1, b.1, "{label}: suite fingerprint diverged");
 }
 
+/// Asserts two sweeps over the same cache state moved the same counters.
+/// Waits are the one scheduling-dependent counter (a -j1 sweep never
+/// waits); every other count must match kind by kind.
+fn assert_same_accounting(label: &str, a: &Sweep, b: &Sweep) {
+    let accounting = |s: &Stats| -> Vec<(&str, [u64; 4])> {
+        s.iter()
+            .map(|(k, c)| (k, [c.hits, c.misses, c.disk_hits, c.disk_misses]))
+            .collect()
+    };
+    assert_eq!(
+        accounting(&a.2),
+        accounting(&b.2),
+        "{label}: cache counters diverged between -j1 and -jN"
+    );
+}
+
 #[test]
 fn suite_parallel_builds_match_serial() {
     let _g = serial();
@@ -109,6 +133,7 @@ fn suite_parallel_builds_match_serial() {
     let serial_sweep = sweep(&workloads, &cfgs, 1);
     let parallel_sweep = sweep(&workloads, &cfgs, 8);
     assert_sweeps_identical("memory", &workloads, &cfgs, &serial_sweep, &parallel_sweep);
+    assert_same_accounting("memory", &serial_sweep, &parallel_sweep);
     stages::clear();
 }
 
@@ -125,25 +150,40 @@ fn suite_parallel_builds_match_serial_through_disk_store() {
     let cfgs = arch_gate_configs();
     let dir = std::env::temp_dir().join(format!("pdet-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    bitspec::store::configure(Some(&dir), None);
 
-    // Serial sweep populates the store; the parallel sweep starts with
-    // empty memory tiers, so its artifacts come off disk.
-    let serial_sweep = sweep(&workloads, &cfgs, 1);
-    let before = stages::stats();
-    let parallel_sweep = sweep(&workloads, &cfgs, 8);
-    let after = stages::stats();
+    // Cold sweeps into an empty store compute and publish everything;
+    // each gets a store of its own.
+    bitspec::store::configure(Some(&dir.join("j1")), None);
+    let serial_cold = sweep(&workloads, &cfgs, 1);
+    bitspec::store::configure(Some(&dir.join("j8")), None);
+    let parallel_cold = sweep(&workloads, &cfgs, 8);
+    // Disk-warm sweeps start with empty memory tiers, so their artifacts
+    // come off the populated store.
+    let serial_disk = sweep(&workloads, &cfgs, 1);
+    let parallel_disk = sweep(&workloads, &cfgs, 8);
 
     bitspec::store::configure(None, None);
     let _ = std::fs::remove_dir_all(&dir);
     stages::clear();
 
-    assert_sweeps_identical("disk", &workloads, &cfgs, &serial_sweep, &parallel_sweep);
+    assert_sweeps_identical(
+        "cold store",
+        &workloads,
+        &cfgs,
+        &serial_cold,
+        &parallel_cold,
+    );
+    assert_sweeps_identical("disk", &workloads, &cfgs, &serial_cold, &parallel_disk);
+    assert_same_accounting("cold store", &serial_cold, &parallel_cold);
+    assert_same_accounting("disk", &serial_disk, &parallel_disk);
+    for (kind, c) in parallel_disk.2.iter() {
+        assert_eq!(
+            c.disk_misses, 0,
+            "{kind}: the disk-warm sweep missed the store"
+        );
+    }
     assert!(
-        after.disk_hits > before.disk_hits,
-        "the -jN sweep should have served artifacts from the store \
-         ({} -> {})",
-        before.disk_hits,
-        after.disk_hits
+        parallel_disk.2.get("profile").disk_hits > 0,
+        "the disk-warm -jN sweep must be served by the store"
     );
 }

@@ -2,6 +2,15 @@
 //! registered pass, and carries nonzero timings and IR deltas.
 
 use bitspec::{build, pipeline, stages, BuildConfig, Workload};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Both tests build the same workload and clear the process-wide stage
+/// caches, so one's `clear` could land between the other's cold and warm
+/// builds; they run one at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A workload the expander cannot fold away and the squeezer narrows, so
 /// the empirical gate runs and every registered pass appears. The source
@@ -77,6 +86,7 @@ fn field<'a>(obj: &'a str, key: &str) -> &'a str {
 
 #[test]
 fn bitspec_trace_names_every_registered_pass_with_nonzero_work() {
+    let _g = serial();
     stages::clear();
     let w = traced_workload();
     let cfg = BuildConfig::bitspec();
@@ -145,6 +155,7 @@ fn bitspec_trace_names_every_registered_pass_with_nonzero_work() {
 
 #[test]
 fn warm_rebuild_replays_cached_stages_with_identical_fingerprints() {
+    let _g = serial();
     let w = traced_workload();
     let cfg = BuildConfig::bitspec();
     let a = build(&w, &cfg).expect("cold build");

@@ -203,7 +203,7 @@ fn gated_sweep_shares_the_unsqueezed_reference_leg() {
     assert!(a.squeeze.narrowed > 0, "gate must actually run");
     let mid = stages::stats();
     assert!(
-        mid.gate_misses > before.gate_misses,
+        mid.get("gate").misses > before.get("gate").misses,
         "first gate leg is cold"
     );
     // Configs differing only in squeezer knobs (ablation, heuristic, even
@@ -220,15 +220,15 @@ fn gated_sweep_shares_the_unsqueezed_reference_leg() {
             ..BuildConfig::bitspec()
         },
     ] {
-        let h = stages::stats().gate_hits;
+        let h = stages::stats().get("gate").hits;
         build(&w, &cfg).unwrap();
         assert!(
-            stages::stats().gate_hits > h,
+            stages::stats().get("gate").hits > h,
             "gate leg recomputed under {cfg:?}"
         );
     }
     // A backend-option change is part of the leg's key and must miss.
-    let m = stages::stats().gate_misses;
+    let m = stages::stats().get("gate").misses;
     build(
         &w,
         &BuildConfig {
@@ -238,7 +238,7 @@ fn gated_sweep_shares_the_unsqueezed_reference_leg() {
     )
     .unwrap();
     assert!(
-        stages::stats().gate_misses > m,
+        stages::stats().get("gate").misses > m,
         "backend opts must split the cell"
     );
 }
@@ -250,15 +250,14 @@ fn counters_move_and_results_are_unchanged_by_caching() {
     let before = stages::stats();
     let cold = build(&w, &BuildConfig::bitspec()).unwrap();
     let mid = stages::stats();
-    assert!(mid.front_misses > before.front_misses);
-    assert!(mid.expand_misses > before.expand_misses);
-    assert!(mid.profile_misses > before.profile_misses);
+    for kind in ["front", "expand", "profile"] {
+        assert!(mid.get(kind).misses > before.get(kind).misses, "{kind}");
+    }
     let warm = build(&w, &BuildConfig::bitspec()).unwrap();
-    let after = stages::stats();
-    assert!(
-        after.front_hits + after.expand_hits + after.profile_hits
-            > mid.front_hits + mid.expand_hits + mid.profile_hits
-    );
+    let warm_hits = stages::stats().since(&mid);
+    assert!(["front", "expand", "profile"]
+        .iter()
+        .any(|kind| warm_hits.get(kind).hits > 0));
     // Caching must be semantically invisible.
     assert_eq!(cold.profile, warm.profile);
     assert_eq!(cold.profile_dyn_insts, warm.profile_dyn_insts);

@@ -115,7 +115,10 @@ fn disk_tier_survives_memory_wipe() {
         "disk-served artifacts must be bit-identical"
     );
     let s = stages::stats();
-    assert!(s.disk_hits > 0, "stage counters must surface the disk tier");
+    assert!(
+        s.get("expand").disk_hits > 0 && s.get("profile").disk_hits > 0,
+        "stage counters must surface the disk tier"
+    );
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! Takes the same file-wide lock as the other pipeline tests: the stage
 //! caches it clears between builds are process-global.
 
-use bitspec::{build, simulate, stages, wire, BuildConfig, Workload};
+use bitspec::{build, simulate, stages, store, wire, BuildConfig, Workload};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -124,4 +124,67 @@ fn stage_payloads_roundtrip() {
     let mut extended = pbytes.clone();
     extended.push(0);
     assert!(wire::decode_profile_data(&extended).is_err());
+}
+
+/// A `fnmir` payload whose instruction count claims far more elements
+/// than the payload holds.
+fn huge_length_fn_artifact() -> Vec<u8> {
+    let mut bytes = vec![1, b'f'];
+    let mut n: u64 = 1 << 40;
+    while n >= 0x80 {
+        bytes.push((n as u8) | 0x80);
+        n >>= 7;
+    }
+    bytes.push(n as u8);
+    bytes
+}
+
+#[test]
+fn huge_fn_length_prefix_errors_and_recomputes() {
+    let _g = serial();
+    let bad = huge_length_fn_artifact();
+    assert!(
+        wire::decode_fn_artifact(&bad).is_err(),
+        "an unbounded length prefix must be a decode error"
+    );
+
+    // Plant the payload, checksum-valid, under every function key of a
+    // build; the memo must count each as corrupt and recompute it.
+    let dir = std::env::temp_dir().join(format!("wire-fnmir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    store::configure(Some(&dir), None);
+    let w = workload("fnmir");
+    let cfg = BuildConfig {
+        empirical_gate: false,
+        ..BuildConfig::baseline()
+    };
+    stages::clear();
+    let cold = build(&w, &cfg).unwrap();
+    let m = &cold.module;
+    let lfp = stages::layout_fingerprint(m, &interp::Layout::new(m));
+    let opts = backend::CodegenOpts {
+        bitspec: false,
+        compact: false,
+        spill_prefer_orig: cfg.spill_prefer_orig,
+    };
+    let active = store::active().expect("store configured");
+    let n = m.func_ids().count() as u64;
+    for fid in m.func_ids() {
+        let key = stages::fn_key(m.func(fid), lfp, &opts, cfg.verify_each);
+        active.put("fnmir", key, &bad);
+    }
+    stages::clear();
+    let before = store::stats();
+    let again = build(&w, &cfg).unwrap();
+    let after = store::stats();
+    store::configure(None, None);
+    let _ = std::fs::remove_dir_all(&dir);
+    stages::clear();
+
+    assert_eq!(after.corrupt - before.corrupt, n, "every entry is corrupt");
+    assert_eq!(again.stage_hits.fn_hits, 0, "nothing was served");
+    assert_eq!(
+        backend::program_fingerprint(&again.program),
+        backend::program_fingerprint(&cold.program)
+    );
 }
