@@ -8,6 +8,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
 
+# Expansion determinism: the expanded module of every workload under the
+# default expander config and the 16 expander-grid corners keeps its golden
+# fingerprint, and a fresh tuner run matches results/tuner.txt byte for
+# byte (including its BEST line).
+cargo test --release -q -p bitspec --test expand_golden
+cargo run --release -q -p bench --bin tuner | diff - results/tuner.txt
+
 # Smoke the perf harnesses: the substrate microbenchmarks (fast + reference
 # simulator engines) and the engine-comparison target (minimum 5 reps; also
 # checks BENCH_sim.json generation end to end, and --check fails the gate

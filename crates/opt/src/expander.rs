@@ -9,7 +9,7 @@
 
 use crate::ssa_repair::SsaRepair;
 use sir::loops::{find_loops, NaturalLoop};
-use sir::{BlockId, FuncId, Function, Inst, Module, Terminator, ValueId};
+use sir::{BlockId, FuncId, Function, Inst, Module, Terminator, ValueId, Width};
 use std::collections::{HashMap, HashSet};
 
 /// Expander knobs (§3.2.1). `unroll_factor` bounds how many times any loop
@@ -243,20 +243,31 @@ fn inline_at(f: &mut Function, block: BlockId, idx: usize, callee: &Function) {
 // --------------------------------------------------------------------------
 
 /// Unrolls every eligible natural loop of `f` by the configured factor.
+///
+/// Each round re-discovers the loops and unrolls the first eligible one in
+/// [`find_loops`] order, so which loop goes next, the clone numbering and
+/// hence every downstream fingerprint depend only on that order. A round
+/// costs a few whole-function passes plus the work of copying the loop; no
+/// step rescans the function per loop value or per back edge.
 pub fn unroll_function(f: &mut Function, cfg: &ExpanderConfig) {
     if cfg.unroll_factor < 2 {
         return;
     }
+    let factor = cfg.unroll_factor as usize;
     let mut processed: HashSet<BlockId> = HashSet::new();
     // Re-discover loops after each transformation (ids stay stable since
     // cloning only appends blocks).
     loop {
         let loops = find_loops(f);
+        // The function's size is the same for every candidate of a round.
+        let mut func_size = None;
         let Some(l) = loops.iter().find(|l| {
-            !processed.contains(&l.header)
-                && single_backedge(f, l)
-                && loop_size(f, l) * (cfg.unroll_factor as usize) <= cfg.max_loop_size
-                && f.static_size() + loop_size(f, l) * (cfg.unroll_factor as usize - 1)
+            if processed.contains(&l.header) || !single_backedge(f, l) {
+                return false;
+            }
+            let size = loop_size(f, l);
+            size * factor <= cfg.max_loop_size
+                && *func_size.get_or_insert_with(|| f.static_size()) + size * (factor - 1)
                     <= cfg.max_func_size
         }) else {
             break;
@@ -286,15 +297,22 @@ fn loop_size(f: &Function, l: &NaturalLoop) -> usize {
 fn unroll_loop(f: &mut Function, l: &NaturalLoop, factor: u32) {
     let header = l.header;
     let latch = l.latch;
-    let in_loop: HashSet<BlockId> = l.blocks.iter().copied().collect();
-    // Deterministic block order (HashSet iteration varies per process and
-    // would perturb clone numbering, allocation and measured energy).
-    let mut loop_blocks: Vec<BlockId> = l.blocks.iter().copied().collect();
-    loop_blocks.sort();
-    // Values defined in the loop (for live-out repair and remapping).
-    let loop_defs: Vec<ValueId> = loop_blocks
+    // Every block added from here on is a copy, so an id at or past `n0`
+    // names a copy and `in_loop` only needs the original blocks.
+    let n0 = f.blocks.len();
+    let mut in_loop = vec![false; n0];
+    for &b in &l.blocks {
+        in_loop[b.index()] = true;
+    }
+    let is_orig_loop = |b: BlockId| b.index() < n0 && in_loop[b.index()];
+    let inside = |b: BlockId| b.index() >= n0 || in_loop[b.index()];
+    // Values defined in the loop with their blocks (for live-out repair and
+    // remapping), in ascending block order: `l.blocks` is sorted, which
+    // keeps clone numbering, allocation and measured energy deterministic.
+    let loop_defs: Vec<(ValueId, BlockId)> = l
+        .blocks
         .iter()
-        .flat_map(|b| f.block(*b).insts.clone())
+        .flat_map(|&b| f.block(b).insts.iter().map(move |&v| (v, b)))
         .collect();
     // Header φs and their latch-incoming values.
     let header_phis: Vec<(ValueId, ValueId)> = f
@@ -309,6 +327,10 @@ fn unroll_loop(f: &mut Function, l: &NaturalLoop, factor: u32) {
             _ => None,
         })
         .collect();
+    // RPO restricted to loop blocks for better def-before-use odds. Nothing
+    // branches into a copy until the back edges are rewired below, so the
+    // order is the same for every copy.
+    let block_order: Vec<BlockId> = f.rpo().into_iter().filter(|&b| is_orig_loop(b)).collect();
 
     // map[c] : orig value/block → copy c's value/block (map[0] = identity).
     let mut vmaps: Vec<HashMap<ValueId, ValueId>> = vec![HashMap::new()];
@@ -317,25 +339,14 @@ fn unroll_loop(f: &mut Function, l: &NaturalLoop, factor: u32) {
     for c in 1..=copies {
         let mut vmap = HashMap::new();
         let mut bmap = HashMap::new();
-        for &b in &loop_blocks {
+        for &b in &l.blocks {
             bmap.insert(b, f.add_block());
         }
         // Header φs in copy c resolve to the latch value from copy c-1.
-        let resolve_prev = |v: ValueId, prev: &HashMap<ValueId, ValueId>| -> ValueId {
-            *prev.get(&v).unwrap_or(&v)
-        };
         for &(phi, u) in &header_phis {
-            let val = resolve_prev(u, &vmaps[c - 1]);
-            vmap.insert(phi, val);
+            vmap.insert(phi, *vmaps[c - 1].get(&u).unwrap_or(&u));
         }
         // Clone instructions block by block (two-pass for forward refs).
-        let block_order: Vec<BlockId> = {
-            // RPO restricted to loop blocks for better def-before-use odds.
-            f.rpo()
-                .into_iter()
-                .filter(|b| in_loop.contains(b))
-                .collect()
-        };
         for &b in &block_order {
             let nb = bmap[&b];
             for &v in &f.block(b).insts.clone() {
@@ -386,30 +397,17 @@ fn unroll_loop(f: &mut Function, l: &NaturalLoop, factor: u32) {
 
     // Rewire back edges: orig latch → copy1 header; copy c latch → copy c+1
     // header; last copy latch → orig header.
-    let copy_header = |c: usize| -> BlockId {
-        if c == 0 {
-            header
-        } else {
-            bmaps[c][&header]
-        }
-    };
-    let copy_latch = |c: usize, bmaps: &[HashMap<BlockId, BlockId>]| -> BlockId {
-        if c == 0 {
-            latch
-        } else {
-            bmaps[c][&latch]
-        }
-    };
+    let copy_of = |c: usize, b: BlockId| if c == 0 { b } else { bmaps[c][&b] };
     for c in 0..=copies {
-        let next_header = copy_header((c + 1) % (copies + 1));
-        let lb = copy_latch(c, &bmaps);
+        let next_header = copy_of((c + 1) % (copies + 1), header);
+        let lb = copy_of(c, latch);
         let mut term = f.block(lb).term.clone();
         term.map_successors(|s| if s == header { next_header } else { s });
         f.block_mut(lb).term = term;
     }
     // Header φ latch edges now come from the LAST copy's latch.
     let last = copies;
-    let last_latch = copy_latch(last, &bmaps);
+    let last_latch = copy_of(last, latch);
     for &(phi, u) in &header_phis {
         let mapped_u = *vmaps[last].get(&u).unwrap_or(&u);
         if let Inst::Phi { incomings, .. } = f.inst_mut(phi) {
@@ -422,8 +420,7 @@ fn unroll_loop(f: &mut Function, l: &NaturalLoop, factor: u32) {
         }
     }
     // Exit-target φs gain incoming edges from each copy's exiting blocks.
-    let exit_targets: Vec<BlockId> = l.exit_targets(f);
-    for &et in &exit_targets {
+    for et in l.exit_targets(f) {
         let phis: Vec<ValueId> = f
             .block(et)
             .insts
@@ -435,7 +432,7 @@ fn unroll_loop(f: &mut Function, l: &NaturalLoop, factor: u32) {
             if let Inst::Phi { incomings, .. } = f.inst(p).clone() {
                 let mut inc = incomings.clone();
                 for (pb, pv) in &incomings {
-                    if in_loop.contains(pb) {
+                    if is_orig_loop(*pb) {
                         for c in 1..=copies {
                             let npb = bmaps[c][pb];
                             let npv = *vmaps[c].get(pv).unwrap_or(pv);
@@ -452,85 +449,99 @@ fn unroll_loop(f: &mut Function, l: &NaturalLoop, factor: u32) {
     // SSA repair for loop-defined values used outside the loop (and outside
     // the copies): each copy provides an alternative definition.
     if copies > 0 {
-        let all_clone_blocks: HashSet<BlockId> = bmaps
-            .iter()
-            .skip(1)
-            .flat_map(|bm| bm.values().copied())
-            .collect();
-        let mut repair = SsaRepair::new(f);
-        let mut vars: HashMap<ValueId, u32> = HashMap::new();
-        // Pre-register definitions per copy.
-        let def_block_of: HashMap<ValueId, BlockId> = sir::dom::def_blocks(f);
-        for &d in &loop_defs {
-            let Some(w) = f.value_width(d) else { continue };
-            // Used outside?
-            let used_outside = value_used_outside(f, d, &in_loop, &all_clone_blocks);
-            if !used_outside {
-                continue;
-            }
-            let var = repair.fresh_var(w);
-            vars.insert(d, var);
-            let db = def_block_of[&d];
-            repair.define(var, db, d);
-            for c in 1..=copies {
-                if let Some(nd) = vmaps[c].get(&d) {
-                    let ndb = bmaps[c][&db];
-                    repair.define(var, ndb, *nd);
+        let live_out = mark_live_out(f, &loop_defs, inside);
+        if !live_out.used.is_empty() {
+            let mut repair = SsaRepair::new(f);
+            let mut vars: HashMap<ValueId, u32> = HashMap::new();
+            for &(d, db, w) in &live_out.used {
+                let var = repair.fresh_var(w);
+                vars.insert(d, var);
+                repair.define(var, db, d);
+                for c in 1..=copies {
+                    if let Some(nd) = vmaps[c].get(&d) {
+                        repair.define(var, bmaps[c][&db], *nd);
+                    }
                 }
             }
-        }
-        if !vars.is_empty() {
-            rewrite_outside_uses(f, &vars, &in_loop, &all_clone_blocks, &mut repair);
+            rewrite_outside_uses(f, &vars, &live_out.blocks, inside, &mut repair);
         }
     }
     f.remove_unreachable_blocks();
 }
 
-fn value_used_outside(
-    f: &Function,
-    d: ValueId,
-    in_loop: &HashSet<BlockId>,
-    clones: &HashSet<BlockId>,
-) -> bool {
-    for b in f.block_ids() {
-        let inside = in_loop.contains(&b) || clones.contains(&b);
-        if inside {
-            continue;
-        }
-        for &v in &f.block(b).insts {
-            if f.inst(v).is_phi() {
-                // φ uses count at the incoming predecessor, handled above.
-                if let Inst::Phi { incomings, .. } = f.inst(v) {
-                    for (pb, pv) in incomings {
-                        if *pv == d && !in_loop.contains(pb) && !clones.contains(pb) {
-                            return true;
-                        }
-                    }
-                }
-                continue;
-            }
-            if f.inst(v).operands().contains(&d) {
-                return true;
-            }
-        }
-        if f.block(b).term.operands().contains(&d) {
-            return true;
-        }
-    }
-    false
+/// The loop's live-out values and where they are used.
+struct LiveOut {
+    /// Loop-defined values used outside the loop and its copies, with
+    /// their defining block and width, in `loop_defs` order.
+    used: Vec<(ValueId, BlockId, Width)>,
+    /// The outside blocks holding those uses, in ascending order.
+    blocks: Vec<BlockId>,
 }
 
+/// One scan over the blocks outside the loop and its copies (`inside` is
+/// false) finds every use of a loop-defined value there. A φ use counts
+/// at its incoming predecessor, so an exit φ's incoming from inside the
+/// loop is not a use. The scan runs once the copies are wired in and
+/// before the repair edits anything, so it sees what a check per value
+/// would.
+fn mark_live_out(
+    f: &Function,
+    loop_defs: &[(ValueId, BlockId)],
+    inside: impl Fn(BlockId) -> bool,
+) -> LiveOut {
+    const DEF: u8 = 1;
+    const USED: u8 = 2;
+    let mut state = vec![0u8; f.insts.len()];
+    for &(d, _) in loop_defs {
+        state[d.index()] = DEF;
+    }
+    let mut blocks = Vec::new();
+    for b in f.block_ids() {
+        if inside(b) {
+            continue;
+        }
+        let mut uses = false;
+        let mut mark = |v: ValueId| {
+            if state[v.index()] != 0 {
+                state[v.index()] = USED;
+                uses = true;
+            }
+        };
+        for &v in &f.block(b).insts {
+            match f.inst(v) {
+                Inst::Phi { incomings, .. } => incomings
+                    .iter()
+                    .filter(|(pb, _)| !inside(*pb))
+                    .for_each(|(_, pv)| mark(*pv)),
+                inst => inst.for_each_operand(&mut mark),
+            }
+        }
+        match f.block(b).term {
+            Terminator::CondBr { cond: v, .. } | Terminator::Ret(Some(v)) => mark(v),
+            _ => {}
+        }
+        if uses {
+            blocks.push(b);
+        }
+    }
+    let used = loop_defs
+        .iter()
+        .filter(|(d, _)| state[d.index()] == USED)
+        .filter_map(|&(d, db)| Some((d, db, f.value_width(d)?)))
+        .collect();
+    LiveOut { used, blocks }
+}
+
+/// Rewrites the uses of the repaired values in `blocks` (the outside blocks
+/// [`mark_live_out`] found them in) to the reaching definition.
 fn rewrite_outside_uses(
     f: &mut Function,
     vars: &HashMap<ValueId, u32>,
-    in_loop: &HashSet<BlockId>,
-    clones: &HashSet<BlockId>,
+    blocks: &[BlockId],
+    inside: impl Fn(BlockId) -> bool,
     repair: &mut SsaRepair,
 ) {
-    for b in f.block_ids().collect::<Vec<_>>() {
-        if in_loop.contains(&b) || clones.contains(&b) {
-            continue;
-        }
+    for &b in blocks {
         let insts = f.block(b).insts.clone();
         for v in insts {
             let inst = f.inst(v).clone();
@@ -542,7 +553,7 @@ fn rewrite_outside_uses(
                 let mut changed = false;
                 for (pb, pv) in &mut incomings {
                     if let Some(&var) = vars.get(pv) {
-                        if !in_loop.contains(pb) && !clones.contains(pb) {
+                        if !inside(*pb) {
                             *pv = repair.read_at_exit(f, var, *pb);
                             changed = true;
                         }
@@ -687,6 +698,68 @@ mod tests {
         ";
         let (m0, m1) = expanded(src, &ExpanderConfig::default());
         assert_eq!(outputs_of(&m0), outputs_of(&m1));
+    }
+
+    /// A single-block loop `body` defining `x` and `y`: `x` reaches the
+    /// exit only through the exit φ's incoming from `body` (inside the
+    /// loop), `y` through a plain add in the exit block.
+    #[test]
+    fn live_out_repair_covers_non_phi_uses_only() {
+        use sir::builder::FunctionBuilder;
+        use sir::{BinOp, Cc};
+        let w = Width::W32;
+        let mut fb = FunctionBuilder::new("lo", vec![w], Some(w));
+        let n = fb.param(0);
+        let zero = fb.iconst(w, 0);
+        let entry = fb.current_block();
+        let body = fb.new_block();
+        let exit = fb.new_block();
+        fb.br(body);
+        fb.switch_to(body);
+        let i = fb.phi(w, vec![]);
+        let one = fb.iconst(w, 1);
+        let i1 = fb.bin(BinOp::Add, w, i, one);
+        let x = fb.bin(BinOp::Mul, w, i1, i1);
+        let y = fb.bin(BinOp::Add, w, i1, n);
+        let c = fb.icmp(Cc::Ult, w, i1, n);
+        fb.cond_br(c, body, exit);
+        fb.set_phi_incomings(i, vec![(entry, zero), (body, i1)]);
+        fb.switch_to(exit);
+        let p = fb.phi(w, vec![(body, x)]);
+        let s = fb.bin(BinOp::Add, w, y, p);
+        fb.ret(Some(s));
+        let mut f = fb.finish();
+
+        let l = &find_loops(&f)[0];
+        let loop_defs: Vec<(ValueId, BlockId)> =
+            f.block(body).insts.iter().map(|&v| (v, body)).collect();
+        let live = mark_live_out(&f, &loop_defs, |b| l.contains(b));
+        assert_eq!(live.used, vec![(y, body, w)]);
+        assert_eq!(live.blocks, vec![exit]);
+
+        let cfg = ExpanderConfig {
+            unroll_factor: 2,
+            ..ExpanderConfig::default()
+        };
+        unroll_function(&mut f, &cfg);
+        sir::verify::verify_function(&f).expect("unrolled function verifies");
+        let copy = BlockId(3);
+        // The exit φ only gains the copy's incoming; `y`'s use now reads a
+        // repair φ merging `y` and its copy.
+        let phis: Vec<ValueId> = f.block(exit).insts[..f.phi_count(exit)].to_vec();
+        assert_eq!(phis.len(), 2);
+        let Inst::Phi { incomings, .. } = f.inst(p) else {
+            panic!("exit φ expected");
+        };
+        assert_eq!(incomings.len(), 2);
+        assert_eq!(incomings[0], (body, x));
+        assert_eq!(incomings[1].0, copy);
+        let repaired = *phis.iter().find(|&&v| v != p).unwrap();
+        let Inst::Phi { incomings, .. } = f.inst(repaired) else {
+            panic!("repair φ expected");
+        };
+        assert!(incomings.contains(&(body, y)));
+        assert_eq!(f.inst(s).operands(), vec![repaired, p]);
     }
 
     #[test]

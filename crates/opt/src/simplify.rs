@@ -5,7 +5,7 @@
 //! inlining) without turning into a full InstCombine.
 
 use interp::exec::eval_bin;
-use sir::{BinOp, Function, Inst, Module, Terminator, ValueId};
+use sir::{BinOp, BlockId, Function, Inst, Module, Terminator, ValueId};
 use std::collections::HashMap;
 
 /// Applies simplifications until a fixpoint; returns rewrites performed.
@@ -37,37 +37,47 @@ pub fn run_function(f: &mut Function) -> usize {
 /// (simplifycfg): removes the intermediate unconditional branch, which is
 /// where unrolled loop copies recover their dynamic-instruction savings.
 /// Regions and handlers are never merged across.
+///
+/// Pairs merge in ascending order of `b`. The predecessor map is updated
+/// in place, and the scan resumes at the merged block: a merge at `b`
+/// only renames `t` to `b` in its successors' predecessor lists, so it
+/// cannot make a pair at a lower-numbered block mergeable.
 fn merge_blocks(f: &mut Function) -> usize {
+    let mut preds = f.branch_preds();
     let mut merged = 0;
-    loop {
-        let preds = f.branch_preds();
-        let mut pair: Option<(sir::BlockId, sir::BlockId)> = None;
-        for b in f.block_ids() {
-            if f.block(b).region.is_some() || f.block(b).handler_for.is_some() {
-                continue;
-            }
-            if let Terminator::Br(t) = f.block(b).term {
-                if t != b
+    let mut next = 0;
+    while next < f.blocks.len() {
+        let b = BlockId(next as u32);
+        let t = match f.block(b).term {
+            Terminator::Br(t)
+                if f.block(b).region.is_none()
+                    && f.block(b).handler_for.is_none()
+                    && t != b
                     && t != f.entry
                     && preds[t.index()].len() == 1
                     && f.block(t).region.is_none()
                     && f.block(t).handler_for.is_none()
-                    && f.phi_count(t) == 0
-                {
-                    pair = Some((b, t));
-                    break;
-                }
+                    && f.phi_count(t) == 0 =>
+            {
+                t
             }
-        }
-        let Some((b, t)) = pair else { break };
-        let tail = f.block(t).insts.clone();
-        let term = f.block(t).term.clone();
+            _ => {
+                next += 1;
+                continue;
+            }
+        };
+        let tail = std::mem::take(&mut f.block_mut(t).insts);
+        let term = std::mem::replace(&mut f.block_mut(t).term, Terminator::Unreachable);
         f.block_mut(b).insts.extend(tail);
         f.block_mut(b).term = term;
-        f.block_mut(t).insts.clear();
-        f.block_mut(t).term = Terminator::Unreachable;
-        // φs in b's new successors referencing t must now reference b.
+        preds[t.index()].clear();
+        // b's new successors: edges and φs from t now come from b.
         for s in f.succs(b) {
+            for p in &mut preds[s.index()] {
+                if *p == t {
+                    *p = b;
+                }
+            }
             let phis: Vec<ValueId> = f
                 .block(s)
                 .insts
@@ -400,6 +410,49 @@ mod tests {
         let m = simplified("u32 f() { if (1 < 2) { return 5; } return 6; }");
         let f = m.func(m.func_by_name("f").unwrap());
         assert_eq!(f.blocks.len(), 1, "constant branch should be folded away");
+    }
+
+    /// `e → {a, d}`, `a → b → c → d`, and `d` has a φ incoming from `c`:
+    /// one call folds `b` and `c` into `a` and renames the φ edge to `a`.
+    #[test]
+    fn merge_blocks_collapses_chain_and_renames_phi_edges() {
+        use sir::builder::FunctionBuilder;
+        use sir::Width;
+        let mut fb = FunctionBuilder::new("chain", vec![Width::W1], Some(Width::W32));
+        let p = fb.param(0);
+        let v0 = fb.iconst(Width::W32, 7);
+        let e = fb.current_block();
+        let a = fb.new_block();
+        let b = fb.new_block();
+        let c = fb.new_block();
+        let d = fb.new_block();
+        fb.cond_br(p, a, d);
+        fb.switch_to(a);
+        let va = fb.iconst(Width::W32, 1);
+        fb.br(b);
+        fb.switch_to(b);
+        let vb = fb.bin(BinOp::Add, Width::W32, va, va);
+        fb.br(c);
+        fb.switch_to(c);
+        let vc = fb.bin(BinOp::Mul, Width::W32, vb, va);
+        fb.br(d);
+        fb.switch_to(d);
+        let phi = fb.phi(Width::W32, vec![(e, v0), (c, vc)]);
+        fb.ret(Some(phi));
+        let mut f = fb.finish();
+
+        assert_eq!(merge_blocks(&mut f), 2);
+        sir::verify::verify_function(&f).expect("merged function verifies");
+        // b and c are gone; a (still block 1) holds the whole chain and
+        // d is renumbered to block 2.
+        assert_eq!(f.blocks.len(), 3);
+        let (a, d) = (BlockId(1), BlockId(2));
+        assert_eq!(f.block(a).insts, vec![va, vb, vc]);
+        assert_eq!(f.block(a).term, Terminator::Br(d));
+        let Inst::Phi { incomings, .. } = f.inst(phi) else {
+            panic!("φ expected");
+        };
+        assert_eq!(incomings, &vec![(e, v0), (a, vc)]);
     }
 
     #[test]

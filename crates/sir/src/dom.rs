@@ -29,7 +29,7 @@ impl DomTree {
         // matches the successors used by `Function::rpo`.
         let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
         for b in f.block_ids() {
-            for s in f.spec_succs(b) {
+            for s in f.spec_succ_iter(b) {
                 preds[s.index()].push(b);
             }
         }

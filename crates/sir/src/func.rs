@@ -170,7 +170,7 @@ impl Function {
     pub fn branch_preds(&self) -> Vec<Vec<BlockId>> {
         let mut preds = vec![Vec::new(); self.blocks.len()];
         for b in self.block_ids() {
-            for s in self.succs(b) {
+            for s in self.block(b).term.successor_slots().into_iter().flatten() {
                 preds[s.index()].push(b);
             }
         }
@@ -199,14 +199,18 @@ impl Function {
     /// block of a region may transfer control to the region handler. This is
     /// the conservative view used by liveness (SMIR semantics, equation 2).
     pub fn spec_succs(&self, b: BlockId) -> Vec<BlockId> {
-        let mut s = self.succs(b);
-        if let Some(r) = self.block(b).region {
-            let h = self.regions[r.index()].handler;
-            if !s.contains(&h) {
-                s.push(h);
-            }
-        }
-        s
+        self.spec_succ_iter(b).collect()
+    }
+
+    /// [`Function::spec_succs`] without allocating, for whole-CFG walks.
+    pub(crate) fn spec_succ_iter(&self, b: BlockId) -> impl Iterator<Item = BlockId> {
+        let slots = self.block(b).term.successor_slots();
+        let handler = self
+            .block(b)
+            .region
+            .map(|r| self.regions[r.index()].handler)
+            .filter(|h| !slots.contains(&Some(*h)));
+        slots.into_iter().flatten().chain(handler)
     }
 
     /// Reverse postorder over branch edges from the entry block.
@@ -214,29 +218,25 @@ impl Function {
         let mut visited = vec![false; self.blocks.len()];
         let mut post = Vec::with_capacity(self.blocks.len());
         // Iterative DFS with explicit stack to avoid recursion depth limits.
-        let mut stack: Vec<(BlockId, usize)> = vec![(self.entry, 0)];
+        // Handler edges count, so handlers are reachable in RPO.
+        let mut stack = vec![(self.entry, self.spec_succ_iter(self.entry))];
         visited[self.entry.index()] = true;
-        while let Some((b, i)) = stack.pop() {
-            let succs = self.reachable_succs(b);
-            if i < succs.len() {
-                stack.push((b, i + 1));
-                let s = succs[i];
-                if !visited[s.index()] {
-                    visited[s.index()] = true;
-                    stack.push((s, 0));
+        while let Some((b, succs)) = stack.last_mut() {
+            match succs.next() {
+                Some(s) => {
+                    if !visited[s.index()] {
+                        visited[s.index()] = true;
+                        stack.push((s, self.spec_succ_iter(s)));
+                    }
                 }
-            } else {
-                post.push(b);
+                None => {
+                    post.push(*b);
+                    stack.pop();
+                }
             }
         }
         post.reverse();
         post
-    }
-
-    /// Successors for traversal purposes: branch successors plus handler
-    /// edges (so handlers are reachable in RPO).
-    fn reachable_succs(&self, b: BlockId) -> Vec<BlockId> {
-        self.spec_succs(b)
     }
 
     /// Returns the number of φ-nodes at the head of `b`.
@@ -337,7 +337,7 @@ impl Function {
         let mut work = vec![self.entry];
         reach[self.entry.index()] = true;
         while let Some(b) = work.pop() {
-            for s in self.spec_succs(b) {
+            for s in self.spec_succ_iter(b) {
                 if !reach[s.index()] {
                     reach[s.index()] = true;
                     work.push(s);

@@ -306,25 +306,41 @@ impl Inst {
         }
     }
 
-    /// Iterates over the value operands of this instruction.
+    /// The value operands of this instruction, in operand order.
     pub fn operands(&self) -> Vec<ValueId> {
+        let mut out = Vec::new();
+        self.for_each_operand(|v| out.push(v));
+        out
+    }
+
+    /// Calls `f` on every value operand, in operand order, without
+    /// allocating.
+    pub fn for_each_operand(&self, mut f: impl FnMut(ValueId)) {
         match self {
             Inst::Param { .. }
             | Inst::Const { .. }
             | Inst::GlobalAddr { .. }
-            | Inst::Alloca { .. } => vec![],
-            Inst::Bin { lhs, rhs, .. } | Inst::Icmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Inst::Zext { arg, .. } | Inst::Sext { arg, .. } | Inst::Trunc { arg, .. } => {
-                vec![*arg]
+            | Inst::Alloca { .. } => {}
+            Inst::Bin { lhs, rhs, .. } | Inst::Icmp { lhs, rhs, .. } => {
+                f(*lhs);
+                f(*rhs);
             }
-            Inst::Load { addr, .. } => vec![*addr],
-            Inst::Store { addr, value, .. } => vec![*addr, *value],
+            Inst::Zext { arg, .. } | Inst::Sext { arg, .. } | Inst::Trunc { arg, .. } => f(*arg),
+            Inst::Load { addr, .. } => f(*addr),
+            Inst::Store { addr, value, .. } => {
+                f(*addr);
+                f(*value);
+            }
             Inst::Select {
                 cond, tval, fval, ..
-            } => vec![*cond, *tval, *fval],
-            Inst::Call { args, .. } => args.clone(),
-            Inst::Phi { incomings, .. } => incomings.iter().map(|(_, v)| *v).collect(),
-            Inst::Output { value } => vec![*value],
+            } => {
+                f(*cond);
+                f(*tval);
+                f(*fval);
+            }
+            Inst::Call { args, .. } => args.iter().for_each(|a| f(*a)),
+            Inst::Phi { incomings, .. } => incomings.iter().for_each(|(_, v)| f(*v)),
+            Inst::Output { value } => f(*value),
         }
     }
 
@@ -389,12 +405,18 @@ pub enum Terminator {
 impl Terminator {
     /// Branch-target successor blocks (in branch order).
     pub fn successors(&self) -> Vec<BlockId> {
+        self.successor_slots().into_iter().flatten().collect()
+    }
+
+    /// The successors as two fixed slots (in branch order, unused slots
+    /// `None`), for CFG walks that should not allocate per block.
+    pub fn successor_slots(&self) -> [Option<BlockId>; 2] {
         match self {
-            Terminator::Br(t) => vec![*t],
+            Terminator::Br(t) => [Some(*t), None],
             Terminator::CondBr {
                 if_true, if_false, ..
-            } => vec![*if_true, *if_false],
-            Terminator::Ret(_) | Terminator::Unreachable => vec![],
+            } => [Some(*if_true), Some(*if_false)],
+            Terminator::Ret(_) | Terminator::Unreachable => [None, None],
         }
     }
 
