@@ -33,11 +33,15 @@ cargo run --release -p bench --bin buildperf -- 2
 
 # Parallel & incremental build determinism: the single-flight memo's
 # contention tests, -j1 vs -j8 sweeps of the suite (identical outputs
-# and cache counters on the memory + disk store tiers), function-cache
-# invalidation precision, pool output ordering, and the fuzzer's seeded
-# serial/parallel/incremental agreement property.
+# and cache counters on the memory + disk store tiers), an expander-grid
+# slice that computes each profile and evaluation sim once per distinct
+# expanded module and program at any -j, early cutoff below `expand`
+# (expander knobs that yield the same module reuse its profile and gate
+# leg) with the rest of the stage-cache invalidation rules,
+# function-cache invalidation precision, pool output ordering, and the
+# fuzzer's seeded serial/parallel/incremental agreement property.
 cargo test --release -q -p bitspec --lib memo
-cargo test --release -q -p bitspec --test parallel_determinism --test fn_cache
+cargo test --release -q -p bitspec --test parallel_determinism --test stage_cache --test fn_cache
 cargo test --release -q -p bench --test pool_order
 cargo test --release -q -p fuzz --test parallel_incremental
 

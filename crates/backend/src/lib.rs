@@ -102,20 +102,45 @@ fn add_mir_stats(s: &mut IrStats, f: &mir::MirFunction) {
 /// Structural fingerprint of a linked program: the flat instruction image
 /// plus entry points and global initializers. Matches the role
 /// [`sir::pass::ir_fingerprint`] plays for SIR — two programs fingerprint
-/// equal iff the simulator sees identical images.
+/// equal iff the simulator sees identical images, which is what lets
+/// harnesses share one simulation between builds that link the same
+/// program.
+///
+/// `Program` is destructured exhaustively, so a new field is a compile
+/// error until it is either hashed or listed as safe to skip. The skipped
+/// fields never change a simulation:
+/// - `func_names` are diagnostics only;
+/// - `spec_targets` is the cover table [`emit::verify_layout`] checks;
+///   the simulator follows the skeleton branches in `insts` instead;
+/// - `addr_index` is derived from `addrs`, and `pre` from `insts` and
+///   `compact`.
 pub fn program_fingerprint(p: &Program) -> u64 {
+    let Program {
+        insts,
+        addrs,
+        entry,
+        halt,
+        func_entries,
+        func_names: _,
+        global_inits,
+        mem_size,
+        compact,
+        addr_index: _,
+        spec_targets: _,
+        pre: _,
+    } = p;
     let mut h = FnvHasher::default();
-    (p.insts.len() as u64).hash(&mut h);
-    for i in &p.insts {
+    (insts.len() as u64).hash(&mut h);
+    for i in insts {
         i.hash(&mut h);
     }
-    p.addrs.hash(&mut h);
-    p.entry.hash(&mut h);
-    p.halt.hash(&mut h);
-    p.func_entries.hash(&mut h);
-    p.global_inits.hash(&mut h);
-    p.mem_size.hash(&mut h);
-    p.compact.hash(&mut h);
+    addrs.hash(&mut h);
+    entry.hash(&mut h);
+    halt.hash(&mut h);
+    func_entries.hash(&mut h);
+    global_inits.hash(&mut h);
+    mem_size.hash(&mut h);
+    compact.hash(&mut h);
     h.finish()
 }
 
@@ -394,4 +419,39 @@ pub fn compile_module_traced(
         .map(|fid| compile_function(m, fid, &layout, opts, &policy))
         .collect();
     link_traced(m, &arts, opts, &layout, tr, false)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every field the simulator reads moves the fingerprint.
+    #[test]
+    fn program_fingerprint_sees_every_simulated_field() {
+        let m = lang::compile(
+            "fp",
+            "global u8 g[4] = {1, 2, 3, 4};
+             u32 f(u32 x) { return x + g[1]; }
+             void main() { out(f(2)); }",
+        )
+        .unwrap();
+        let p = compile_module(&m, &CodegenOpts::default());
+        let base = program_fingerprint(&p);
+        type Edit = (&'static str, fn(&mut Program));
+        let edits: [Edit; 8] = [
+            ("insts", |p| p.insts.push(isa::MInst::Halt)),
+            ("addrs", |p| p.addrs[0] += 4),
+            ("entry", |p| p.entry += 1),
+            ("halt", |p| p.halt += 1),
+            ("func_entries", |p| p.func_entries[0] += 1),
+            ("global_inits", |p| p.global_inits[0].1[0] ^= 1),
+            ("mem_size", |p| p.mem_size += 4),
+            ("compact", |p| p.compact = !p.compact),
+        ];
+        for (field, edit) in edits {
+            let mut q = p.clone();
+            edit(&mut q);
+            assert_ne!(program_fingerprint(&q), base, "`{field}` is not hashed");
+        }
+    }
 }

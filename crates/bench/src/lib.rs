@@ -27,14 +27,27 @@ pub fn run(w: &Workload, cfg: &BuildConfig) -> (Compiled, SimResult) {
 /// [`run`] with an explicit simulator configuration — harnesses use this
 /// to pin an engine (`SimConfig::engine`) or mode instead of the default.
 ///
+/// The evaluation simulation goes through a memory-only single-flight
+/// memo keyed by [`bitspec::fingerprint::sim_key`] (program fingerprint,
+/// resolved evaluation inputs, every `SimConfig` field and the build's
+/// DTS flag): cells whose builds link the same program — expander-tuner
+/// corners that expand to one module, gate-rejected squeezes — share one
+/// run. [`simulate_with`] itself stays un-memoized.
+///
 /// # Panics
 /// Panics on build or simulation failure.
 pub fn run_with(w: &Workload, cfg: &BuildConfig, sim_cfg: &SimConfig) -> (Compiled, SimResult) {
     let c = build(w, cfg).unwrap_or_else(|e| panic!("{}: build failed: {e}", w.name));
-    let r = simulate_with(&c, w, sim_cfg)
+    let key = bitspec::fingerprint::sim_key(&c, &w.inputs, sim_cfg);
+    let (r, _) = SIMS
+        .get(key, false, || simulate_with(&c, w, sim_cfg))
         .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", w.name));
-    (c, r)
+    (c, SimResult::clone(&r))
 }
+
+/// Evaluation simulations, keyed by [`bitspec::fingerprint::sim_key`]
+/// (memory only: a cell that reaches the store carries its result).
+static SIMS: Memo<SimResult> = Memo::new("sim", None);
 
 /// One build+simulate artifact, shared across harness call sites.
 pub type Cell = Arc<(Compiled, SimResult)>;
@@ -122,9 +135,11 @@ pub fn suite_configs() -> Vec<BuildConfig> {
     cfgs
 }
 
-/// Drops every cached artifact (tests use this to force rebuilds).
+/// Drops every cached cell and simulation (tests use this to force
+/// rebuilds).
 pub fn clear_cache() {
     CELLS.clear();
+    SIMS.clear();
 }
 
 /// Runs every workload under one configuration across `workers` pool
@@ -291,6 +306,57 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), keys.len(), "fingerprint collision: {keys:?}");
+    }
+
+    #[test]
+    fn distinct_sim_configs_never_share_a_key() {
+        use bitspec::{Engine, Workload};
+        let w = Workload::from_source("t", "global u8 x[1]; void main() { out(x[0]); }")
+            .with_input("x", vec![7]);
+        let c = build(&w, &BuildConfig::baseline()).unwrap();
+        let base = SimConfig::default();
+        let mut energy = base.energy;
+        energy.dram_access += 1.0;
+        // One variant per SimConfig field, each differing from `base` in
+        // exactly that field.
+        let variants = [
+            SimConfig {
+                dts: true,
+                ..base.clone()
+            },
+            SimConfig {
+                fuel: base.fuel - 1,
+                ..base.clone()
+            },
+            SimConfig {
+                engine: Engine::Reference,
+                ..base.clone()
+            },
+            SimConfig {
+                energy,
+                ..base.clone()
+            },
+        ];
+        let key = |c: &Compiled, w: &Workload, cfg: &SimConfig| {
+            bitspec::fingerprint::sim_key(c, &w.inputs, cfg)
+        };
+        let mut keys = vec![key(&c, &w, &base)];
+        for v in &variants {
+            keys.push(key(&c, &w, v));
+        }
+        // The build's own DTS flag and the evaluation inputs key too.
+        let mut dts_build = c.clone();
+        dts_build.config.dts = true;
+        keys.push(key(&dts_build, &w, &base));
+        let other_input = Workload {
+            inputs: vec![("x".to_string(), vec![8])],
+            ..w.clone()
+        };
+        keys.push(key(&c, &other_input, &base));
+        let mut sorted = keys.clone();
+        sorted.sort();
+        sorted.dedup();
+        assert_eq!(sorted.len(), keys.len(), "sim key collision: {keys:?}");
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! length-prefixed so adjacent variable-length inputs cannot alias
 //! (`"ab" + "c"` vs `"a" + "bc"`).
 
-use crate::{Arch, BuildConfig, Workload};
+use crate::{Arch, BuildConfig, Compiled, SimConfig, Workload};
 use interp::Heuristic;
+use sim::{EnergyModel, Engine};
 
 /// An FNV-1a accumulator with length-prefixed framing helpers.
 #[derive(Debug, Clone, Copy)]
@@ -150,6 +151,85 @@ pub fn cell_key(w: &Workload, cfg: &BuildConfig) -> u64 {
     let mut h = Fnv::new();
     h.u64(workload_key(w));
     h.u64(config_key(cfg));
+    h.finish()
+}
+
+fn engine_tag(e: Engine) -> u8 {
+    match e {
+        Engine::Reference => 0,
+        Engine::Fast => 1,
+        Engine::Turbo => 2,
+    }
+}
+
+/// Structural hash of a simulator configuration: every field fed
+/// explicitly, energy constants by their exact bits. As with
+/// [`config_key`], the exhaustive destructuring makes a new `SimConfig`
+/// or `EnergyModel` field a compile error until it is keyed.
+fn sim_config_key(cfg: &SimConfig) -> u64 {
+    let SimConfig {
+        dts,
+        fuel,
+        energy,
+        engine,
+    } = cfg;
+    let EnergyModel {
+        alu_slice,
+        misspec_detect,
+        mul,
+        div,
+        rf_slice_read,
+        rf_slice_write,
+        l1i_access,
+        l1d_access,
+        l2_access,
+        dram_access,
+        pipeline_cycle,
+    } = energy;
+    let mut h = Fnv::new();
+    h.bool(*dts);
+    h.u64(*fuel);
+    for c in [
+        alu_slice,
+        misspec_detect,
+        mul,
+        div,
+        rf_slice_read,
+        rf_slice_write,
+        l1i_access,
+        l1d_access,
+        l2_access,
+        dram_access,
+        pipeline_cycle,
+    ] {
+        h.u64(c.to_bits());
+    }
+    h.u8(engine_tag(*engine));
+    h.finish()
+}
+
+/// Cache key of one evaluation simulation ([`crate::simulate_with`] of
+/// `compiled` on `inputs` under `cfg`): the linked program's
+/// [`backend::program_fingerprint`], the inputs resolved to the
+/// `(address, bytes)` pairs the simulator installs, every `cfg` field,
+/// and the build's own DTS flag (which `simulate_with` ORs into `cfg`).
+/// Everything the simulation reads is covered, so two cells whose builds
+/// link the same program share one run.
+///
+/// # Panics
+/// Panics when an input names no global of the compiled module.
+pub fn sim_key(compiled: &Compiled, inputs: &[(String, Vec<u8>)], cfg: &SimConfig) -> u64 {
+    let mut h = Fnv::new();
+    h.str("sim");
+    h.u64(backend::program_fingerprint(&compiled.program));
+    let resolved = crate::resolve_inputs(&compiled.module, inputs);
+    h.u64(resolved.len() as u64);
+    for (addr, data) in &resolved {
+        h.u32(*addr);
+        h.bytes(data);
+    }
+    h.u64(sim_config_key(cfg));
+    h.bool(compiled.config.dts);
     h.finish()
 }
 

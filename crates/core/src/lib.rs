@@ -285,25 +285,27 @@ pub fn build(workload: &Workload, cfg: &BuildConfig) -> Result<Compiled, BuildEr
             let mut pass = opt::SqueezePass::new(&profile, scfg);
             tr.run_sir(&mut module, &mut pass)
                 .map_err(BuildError::Verify)?;
-            if !cfg.verify_each {
-                // The squeeze pass verified under verify-each; otherwise
-                // the pipeline still checks the pre-backend module once
-                // (memoized per distinct module content).
-                stages::check_module(&module, &mut tr).map_err(BuildError::Verify)?;
-            }
             (Some(module), pass.report)
         }
-        None => {
-            stages::check_module(&expanded, &mut tr).map_err(BuildError::Verify)?;
-            (None, SqueezeReport::default())
-        }
+        None => (None, SqueezeReport::default()),
     };
+    // Pre-backend checks, memoized per distinct module content: the SIR
+    // verifier (the squeeze pass already ran it under verify-each), then
+    // under verify-each the speculation-soundness lint (eq 4–6, eq 8,
+    // Theorem 3.1 coverage).
+    let pre: &sir::Module = squeezed.as_ref().unwrap_or(&expanded);
+    let pre_fp = sir::pass::ir_fingerprint(pre);
+    if squeezed.is_none() || !cfg.verify_each {
+        stages::check("verify", pre_fp, &mut tr, || {
+            sir::verify::verify_module(pre)
+        })
+        .map_err(BuildError::Verify)?;
+    }
     if cfg.verify_each {
-        // Speculation-soundness lint over the pre-backend SIR (eq 4–6,
-        // eq 8, Theorem 3.1 coverage).
-        let m: &sir::Module = squeezed.as_ref().unwrap_or(&expanded);
-        tr.run_check("bitlint", || sir::bitlint::lint_module(m))
-            .map_err(BuildError::Verify)?;
+        stages::check("bitlint", pre_fp, &mut tr, || {
+            sir::bitlint::lint_module(pre)
+        })
+        .map_err(BuildError::Verify)?;
     }
 
     // Empirical gate (BITSPEC only): simulate both codegens on the training
@@ -457,21 +459,32 @@ pub fn simulate_with(
 ) -> Result<SimResult, sim::SimError> {
     let mut config = config.clone();
     config.dts |= compiled.config.dts;
-    let layout = Layout::new(&compiled.module);
-    let inputs: Vec<(u32, Vec<u8>)> = workload
-        .inputs
+    let inputs = resolve_inputs(&compiled.module, &workload.inputs);
+    sim::run_program(&compiled.program, &config, &inputs)
+}
+
+/// Resolves named inputs (`(global name, bytes)` pairs) to the
+/// `(address, bytes)` pairs the simulator installs, in `module`'s data
+/// layout.
+///
+/// # Panics
+/// Panics when an input names no global of `module`.
+pub(crate) fn resolve_inputs(
+    module: &sir::Module,
+    inputs: &[(String, Vec<u8>)],
+) -> Vec<(u32, Vec<u8>)> {
+    let layout = Layout::new(module);
+    inputs
         .iter()
         .map(|(g, data)| {
-            let gid = compiled
-                .module
+            let gid = module
                 .globals
                 .iter()
                 .position(|x| x.name == *g)
                 .unwrap_or_else(|| panic!("no global named `{g}`"));
             (layout.addr(sir::GlobalId(gid as u32)), data.clone())
         })
-        .collect();
-    sim::run_program(&compiled.program, &config, &inputs)
+        .collect()
 }
 
 /// Simulates `compiled` once per entry of `input_sets` (each a list of
@@ -486,22 +499,9 @@ pub fn simulate_batch(
 ) -> Vec<Result<SimResult, sim::SimError>> {
     let mut config = config.clone();
     config.dts |= compiled.config.dts;
-    let layout = Layout::new(&compiled.module);
     let resolved: Vec<Vec<(u32, Vec<u8>)>> = input_sets
         .iter()
-        .map(|set| {
-            set.iter()
-                .map(|(g, data)| {
-                    let gid = compiled
-                        .module
-                        .globals
-                        .iter()
-                        .position(|x| x.name == *g)
-                        .unwrap_or_else(|| panic!("no global named `{g}`"));
-                    (layout.addr(sir::GlobalId(gid as u32)), data.clone())
-                })
-                .collect()
-        })
+        .map(|set| resolve_inputs(&compiled.module, set))
         .collect();
     sim::run_batch(&compiled.program, &config, &resolved)
 }

@@ -8,18 +8,31 @@
 //!               → gate_ref (the gate's unsqueezed compile + train-sim)
 //! ```
 //!
-//! Each stage is keyed by a stable content fingerprint
-//! ([`crate::fingerprint`]) covering *everything upstream of it and nothing
-//! downstream*: the frontend key hashes the source, the expand key adds the
-//! expander knobs, the profile key adds the training inputs. Matrix,
-//! tuner and heuristic sweeps that differ only in downstream knobs
-//! (squeezer heuristic, backend options, gate, DTS) therefore share the
-//! frontend module, the expanded module and — the expensive one — the
+//! Keys are *recipe*-keyed down to `expand` and *content*-keyed below
+//! it, so a recipe change that yields the same bytes rebuilds nothing
+//! downstream (Bazel/Shake-style early cutoff). All keys are stable
+//! fingerprints ([`crate::fingerprint`]):
+//!
+//! - the frontend key hashes the source (and the verify flag);
+//! - the expand key adds the expander knobs;
+//! - the profile key hashes the expanded module's [`content_key`], the
+//!   resolved training inputs and the profiling fuel — never the
+//!   expander knobs or the verify flag;
+//! - the gate-ref key hashes the same content key, the training inputs,
+//!   the backend options and the verify flag (the leg's traces record
+//!   its verify-each checks).
+//!
+//! Matrix, tuner and heuristic sweeps that differ only in downstream
+//! knobs (squeezer heuristic, backend options, gate, DTS) therefore share
+//! the frontend module, the expanded module and — the expensive one — the
 //! profiling run across a whole process, the same way the paper's staged
 //! pipeline fixes the expanded module before profile-guided narrowing.
-//! Gated builds additionally share the empirical gate's unsqueezed
-//! reference leg ([`gate_ref`]), which varies with the backend options
-//! but not with the squeezer knobs under test.
+//! Expander-tuner corners that expand a workload to the same module share
+//! its profile and gate leg too. Gated builds additionally share the
+//! empirical gate's unsqueezed reference leg ([`gate_ref`]), which varies
+//! with the backend options but not with the squeezer knobs under test.
+//! Pre-backend checks (`verify`, `bitlint`) are memoized by check name and
+//! module fingerprint ([`check_module`] is the verifier's entry point).
 //!
 //! Every stage runs its transformations as registered passes under a
 //! [`Tracer`], and each cached artifact carries the [`PassTrace`] records
@@ -86,6 +99,39 @@ pub struct FnHits {
 pub struct SirStage {
     pub module: Arc<sir::Module>,
     pub traces: Vec<PassTrace>,
+    /// [`content_key`] of `module`, computed once per artifact. Derived:
+    /// the wire codec does not store it but recomputes it on decode.
+    pub(crate) content: u64,
+}
+
+impl SirStage {
+    /// Wraps a module and its pass records, computing its content key.
+    pub(crate) fn new(module: Arc<sir::Module>, traces: Vec<PassTrace>) -> SirStage {
+        let content = content_key(&module);
+        SirStage {
+            module,
+            traces,
+            content,
+        }
+    }
+}
+
+/// The content key of a module, the key every stage below `expand`
+/// builds on: its structural fingerprint ([`ir_fingerprint`]) plus each
+/// function's value-arena length. The fingerprint covers every placed
+/// instruction, so it fixes what the profiler executes and what codegen
+/// emits; the arena lengths fix the profile's shape ([`Profile::new`]
+/// sizes one slot per arena entry, dead or not), which the fingerprint
+/// alone does not.
+pub fn content_key(m: &sir::Module) -> u64 {
+    let mut h = Fnv::new();
+    h.str("content");
+    h.u64(ir_fingerprint(m));
+    h.u64(m.funcs.len() as u64);
+    for f in &m.funcs {
+        h.u64(f.insts.len() as u64);
+    }
+    h.finish()
 }
 
 /// The cached result of a profiling run.
@@ -100,9 +146,10 @@ pub struct ProfileData {
 
 /// The memoized unsqueezed reference leg of the empirical gate: the
 /// expanded module's codegen plus its training-input energy. The leg
-/// depends only on the expanded module, the backend options and the
-/// training inputs — never on the squeezer knobs under test — so every
-/// gated config in a sweep shares one compile + train-simulation.
+/// depends only on the expanded module's content, the backend options
+/// and the training inputs — never on the squeezer knobs under test, nor
+/// on the expander knobs that produced the module — so every gated config
+/// in a sweep shares one compile + train-simulation.
 #[derive(Debug, Clone)]
 pub struct GateRef {
     pub program: backend::Program,
@@ -140,10 +187,10 @@ static FNS: Memo<backend::FnArtifact> = Memo::new(
         dec: crate::wire::decode_fn_artifact,
     }),
 );
-/// Pre-backend verification verdicts: content fingerprints of modules
-/// that passed [`sir::verify::verify_module`], mapped to the wall time of
-/// the run that proved them (replayed on hits).
-static VERIFIED: Memo<u64> = Memo::new("verify", None);
+/// Pre-backend check verdicts: `(check name, module fingerprint)` pairs
+/// that passed, mapped to the wall time of the run that proved them
+/// (replayed on hits).
+static CHECKS: Memo<u64> = Memo::new("check", None);
 static CODEGEN_WORKERS: AtomicUsize = AtomicUsize::new(1);
 
 /// Drops every cached stage artifact (counters are preserved).
@@ -153,7 +200,7 @@ pub fn clear() {
     PROFILE.clear();
     GATE.clear();
     FNS.clear();
-    VERIFIED.clear();
+    CHECKS.clear();
 }
 
 /// Drops only the function-level codegen artifacts (the incremental
@@ -162,26 +209,44 @@ pub fn clear_fns() {
     FNS.clear();
 }
 
-/// Pre-backend module verification, memoized by content fingerprint:
-/// sweeps and warm rebuilds share one verification per distinct module
-/// (the cached `expanded` module is byte-identical across every config
-/// that hits it, so re-verifying it per build is pure overhead). Hits
-/// replay a `verify` pass entry carrying the proving run's wall time,
-/// marked `cached`; misses run the verifier and record its entry.
-/// Only successes are memoized — a failing module re-verifies (and
-/// re-reports) every time.
+/// A pre-backend check (`verify`, `bitlint`) over a module whose
+/// [`ir_fingerprint`] is `fp`, memoized by `(name, fp)`: sweeps and warm
+/// rebuilds run each check once per distinct module (the cached expanded
+/// module is byte-identical across every config that reaches it, so
+/// re-checking it per build is pure overhead). Hits replay a `name` pass
+/// entry carrying the proving run's wall time, marked `cached`; misses
+/// run `run` and record its entry. Only successes are memoized — a
+/// failing module is re-checked (and re-reported) every time.
+///
+/// # Errors
+/// Propagates the check's rejection.
+pub(crate) fn check(
+    name: &'static str,
+    fp: u64,
+    tr: &mut Tracer,
+    run: impl FnOnce() -> Result<(), sir::verify::VerifyError>,
+) -> Result<(), sir::verify::VerifyError> {
+    let mut h = Fnv::new();
+    h.str(name);
+    h.u64(fp);
+    let (wall, src) = CHECKS.get(h.finish(), false, || {
+        tr.run_check(name, run)?;
+        Ok(tr.entries().last().map_or(0, |e| e.wall_ns))
+    })?;
+    if src.hit() {
+        tr.replay(&[PassTrace::new(name, *wall).verified(true)], true);
+    }
+    Ok(())
+}
+
+/// `check` with the SIR verifier ([`sir::verify::verify_module`]).
 ///
 /// # Errors
 /// Propagates the verifier's rejection.
 pub fn check_module(m: &sir::Module, tr: &mut Tracer) -> Result<(), sir::verify::VerifyError> {
-    let (wall, src) = VERIFIED.get(ir_fingerprint(m), false, || {
-        tr.run_check("verify", || sir::verify::verify_module(m))?;
-        Ok(tr.entries().last().map_or(0, |e| e.wall_ns))
-    })?;
-    if src.hit() {
-        tr.replay(&[PassTrace::new("verify", *wall).verified(true)], true);
-    }
-    Ok(())
+    check("verify", ir_fingerprint(m), tr, || {
+        sir::verify::verify_module(m)
+    })
 }
 
 /// Sets the worker count [`codegen`] fans functions across (process-wide;
@@ -218,10 +283,10 @@ fn expand_key(w: &Workload, ecfg: &ExpanderConfig, verify: bool) -> u64 {
     h.finish()
 }
 
-fn profile_key(w: &Workload, ecfg: &ExpanderConfig, verify: bool) -> u64 {
+fn profile_key(content: u64, w: &Workload) -> u64 {
     let mut h = Fnv::new();
     h.str("profile");
-    h.u64(expand_key(w, ecfg, verify));
+    h.u64(content);
     // The *resolved* training inputs (train_inputs falls back to inputs),
     // so flipping which list feeds the profiler invalidates the stage.
     eat_inputs(&mut h, w.train());
@@ -231,22 +296,22 @@ fn profile_key(w: &Workload, ecfg: &ExpanderConfig, verify: bool) -> u64 {
     h.finish()
 }
 
-fn gate_ref_key(
-    w: &Workload,
-    ecfg: &ExpanderConfig,
-    verify: bool,
-    opts: &backend::CodegenOpts,
-) -> u64 {
+fn gate_ref_key(content: u64, w: &Workload, verify: bool, opts: &backend::CodegenOpts) -> u64 {
     let mut h = Fnv::new();
     h.str("gate-ref");
-    // `verify` feeds in through the expand key (it gates the verify-each
-    // checks inside codegen too, but with the same value).
-    h.u64(expand_key(w, ecfg, verify));
+    h.u64(content);
     // The reference leg is simulated on the resolved training inputs.
     eat_inputs(&mut h, w.train());
-    h.bool(opts.bitspec);
-    h.bool(opts.compact);
-    h.bool(opts.spill_prefer_orig);
+    let backend::CodegenOpts {
+        bitspec,
+        compact,
+        spill_prefer_orig,
+    } = opts;
+    h.bool(*bitspec);
+    h.bool(*compact);
+    h.bool(*spill_prefer_orig);
+    // The leg's traces record the verify-each checks its codegen ran.
+    h.bool(verify);
     h.finish()
 }
 
@@ -275,10 +340,7 @@ fn front_art(w: &Workload, policy: &TracePolicy) -> Result<(Arc<SirStage>, bool)
         if policy.print_after.matches("front") {
             entry.dump = Some(sir::print::print_module(&module));
         }
-        Ok(SirStage {
-            module: Arc::new(module),
-            traces: vec![entry],
-        })
+        Ok(SirStage::new(Arc::new(module), vec![entry]))
     })?;
     Ok((art, src.hit()))
 }
@@ -308,10 +370,7 @@ fn expand_art(
         local
             .run_sir(&mut module, &mut opt::DcePass)
             .map_err(BuildError::Verify)?;
-        Ok(SirStage {
-            module: Arc::new(module),
-            traces: local.finish(),
-        })
+        Ok(SirStage::new(Arc::new(module), local.finish()))
     })?;
     // An expand hit means the frontend wasn't consulted at all; report it
     // as a hit too (the work was saved either way).
@@ -355,7 +414,9 @@ pub fn expand(
 
 /// Stage 3: the bitwidth profiler (§3.2.2) over the training inputs,
 /// recorded as the `profile` pass. Returns the shared expanded module,
-/// the shared profile data, and the per-stage hit flags. `reference`
+/// the shared profile data, and the per-stage hit flags. The profile is
+/// keyed by the expanded module's content, so expander configs that
+/// expand to the same module share one profiling run. `reference`
 /// selects the tree-walking reference interpreter instead of the fast
 /// path; both are bit-identical, so the flag is deliberately *not* part
 /// of the cache key.
@@ -369,28 +430,19 @@ pub fn profile(
     tr: &mut Tracer,
 ) -> Result<(Arc<sir::Module>, Arc<ProfileData>, StageHits), BuildError> {
     let policy = tr.policy.clone();
-    let key = profile_key(w, ecfg, policy.verify_each);
-    let mut upstream: Option<(Arc<SirStage>, StageHits)> = None;
+    let (art, mut hits) = expand_art(w, ecfg, &policy)?;
+    let key = profile_key(art.content, w);
     let (data, src) = PROFILE.get(key, bypass(&policy), || {
-        let (art, hits) = expand_art(w, ecfg, &policy)?;
         let t = Instant::now();
         let (prof, dyn_insts) = profile_run(&art.module, w.train(), reference, w.profile_fuel)?;
         let wall = t.elapsed().as_nanos() as u64;
         let stats = IrStats::of_module(&art.module);
-        let entry = PassTrace::new("profile", wall).stats(stats, stats);
-        upstream = Some((art, hits));
-        Ok(ProfileData {
+        Ok::<_, BuildError>(ProfileData {
             profile: Arc::new(prof),
             dyn_insts,
-            traces: vec![entry],
+            traces: vec![PassTrace::new("profile", wall).stats(stats, stats)],
         })
     })?;
-    let (art, mut hits) = match upstream {
-        Some(up) => up,
-        // Profile cache hit: the expanded module is still needed by the
-        // squeezer, but it is (at worst) an expand-cache lookup away.
-        None => expand_art(w, ecfg, &policy)?,
-    };
     hits.profile = src.hit();
     tr.replay(&art.traces, hits.expand);
     tr.replay(&data.traces, hits.profile);
@@ -400,13 +452,15 @@ pub fn profile(
 /// Stage 4 (gated builds only): the empirical gate's unsqueezed
 /// reference leg — codegen of the *expanded* (pre-squeeze) module plus
 /// its training-input energy, supplied by `make` on a miss. Keyed by the
-/// expand stage, the resolved training inputs and the backend options;
-/// squeezer knobs are deliberately absent, so a sweep over heuristics or
-/// §3.2.4 ablations compiles and simulates the reference exactly once.
-/// The caller replays the artifact's (`gate-ref.`-prefixed) traces.
+/// expanded module's content, the resolved training inputs, the backend
+/// options and the verify flag; squeezer and expander knobs are
+/// deliberately absent, so a sweep over heuristics, §3.2.4 ablations or
+/// expander corners that expand to one module compiles and simulates the
+/// reference exactly once. The caller replays the artifact's
+/// (`gate-ref.`-prefixed) traces.
 ///
 /// # Errors
-/// Propagates whatever `make` returns (never cached).
+/// Propagates expand errors and whatever `make` returns (never cached).
 pub fn gate_ref(
     w: &Workload,
     ecfg: &ExpanderConfig,
@@ -414,8 +468,17 @@ pub fn gate_ref(
     opts: &backend::CodegenOpts,
     make: impl FnOnce() -> Result<GateRef, BuildError>,
 ) -> Result<(Arc<GateRef>, bool), BuildError> {
-    let key = gate_ref_key(w, ecfg, policy.verify_each, opts);
-    let (art, src) = GATE.get(key, bypass(policy), make)?;
+    // The key needs the expanded module's content key, one expand-memo
+    // hit away. A bypassed or disabled memo never reads the key, so it
+    // must not pay for (or echo the dumps of) a second expansion.
+    let skip = bypass(policy) || !crate::memo::enabled();
+    let key = if skip {
+        0
+    } else {
+        let (art, _) = expand_art(w, ecfg, policy)?;
+        gate_ref_key(art.content, w, policy.verify_each, opts)
+    };
+    let (art, src) = GATE.get(key, skip, make)?;
     Ok((art, src.hit()))
 }
 

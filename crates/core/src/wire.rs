@@ -1884,7 +1884,12 @@ pub fn decode_cell(bytes: &[u8]) -> Res<(Compiled, SimResult)> {
 
 /// Encodes a stage-cache SIR artifact (frontend or expanded module).
 pub fn encode_sir_stage(s: &SirStage) -> Vec<u8> {
-    let SirStage { module, traces } = s;
+    // `content` is derived from the module and recomputed on decode.
+    let SirStage {
+        module,
+        traces,
+        content: _,
+    } = s;
     let mut e = Enc::new();
     put_module(&mut e, module);
     put_traces(&mut e, traces);
@@ -1900,7 +1905,7 @@ pub fn decode_sir_stage(bytes: &[u8]) -> Res<SirStage> {
     let module = Arc::new(get_module(&mut d)?);
     let traces = get_traces(&mut d)?;
     d.finish()?;
-    Ok(SirStage { module, traces })
+    Ok(SirStage::new(module, traces))
 }
 
 /// Encodes a stage-cache profiling artifact.

@@ -19,12 +19,20 @@
 //! the `stages::stats()` deltas of the `-j1` and `-j8` sweeps must agree
 //! for every kind on both the memory and the disk tier.
 //!
+//! Every artifact is also computed *once*: on a slice of the expander
+//! tuner's grid, where several corners expand a workload to the same
+//! module, the profile and evaluation-sim memos must miss exactly once per
+//! distinct expanded module and linked program, at any `-j`.
+//!
 //! The stage caches and store configuration are process-global, so the
 //! tests take a file-wide lock.
 
 use bitspec::memo::Stats;
-use bitspec::{build_matrix, program_fingerprint, stages, Arch, BuildConfig, Workload};
+use bitspec::{
+    build_matrix, program_fingerprint, stages, Arch, BuildConfig, ExpanderConfig, Workload,
+};
 use mibench::{names, workload, Input};
+use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -109,15 +117,16 @@ fn assert_sweeps_identical(
     assert_eq!(a.1, b.1, "{label}: suite fingerprint diverged");
 }
 
+/// Every counter but waits, kind by kind. Waits are the one
+/// scheduling-dependent counter (a -j1 sweep never waits).
+fn accounting(s: &Stats) -> Vec<(&'static str, [u64; 4])> {
+    s.iter()
+        .map(|(k, c)| (k, [c.hits, c.misses, c.disk_hits, c.disk_misses]))
+        .collect()
+}
+
 /// Asserts two sweeps over the same cache state moved the same counters.
-/// Waits are the one scheduling-dependent counter (a -j1 sweep never
-/// waits); every other count must match kind by kind.
 fn assert_same_accounting(label: &str, a: &Sweep, b: &Sweep) {
-    let accounting = |s: &Stats| -> Vec<(&str, [u64; 4])> {
-        s.iter()
-            .map(|(k, c)| (k, [c.hits, c.misses, c.disk_hits, c.disk_misses]))
-            .collect()
-    };
     assert_eq!(
         accounting(&a.2),
         accounting(&b.2),
@@ -185,5 +194,81 @@ fn suite_parallel_builds_match_serial_through_disk_store() {
     assert!(
         parallel_disk.2.get("profile").disk_hits > 0,
         "the disk-warm -jN sweep must be served by the store"
+    );
+}
+
+/// Four of the tuner's grid corners (BASELINE). The two `unroll_factor: 1`
+/// corners differ only in budgets that loop-free and small functions never
+/// reach, so they expand most workloads to the same module.
+fn grid_slice_configs() -> Vec<BuildConfig> {
+    [
+        (1, 200, 2000),
+        (1, 800, 8000),
+        (4, 200, 8000),
+        (8, 800, 2000),
+    ]
+    .into_iter()
+    .map(
+        |(unroll_factor, max_loop_size, max_func_size)| BuildConfig {
+            expander: ExpanderConfig {
+                unroll_factor,
+                max_loop_size,
+                max_func_size,
+                enabled: true,
+            },
+            ..BuildConfig::baseline()
+        },
+    )
+    .collect()
+}
+
+#[test]
+fn expander_grid_computes_each_profile_and_sim_once_at_any_job_count() {
+    let _g = serial();
+    let workloads: Vec<_> = ["crc32", "dijkstra"]
+        .iter()
+        .map(|n| workload(n, Input::Large))
+        .collect();
+    let cfgs = grid_slice_configs();
+    let mut moved = Vec::new();
+    for jobs in [1, 8] {
+        stages::clear();
+        bench::clear_cache();
+        let before = stages::stats();
+        stages::set_codegen_workers(jobs);
+        let rows = bench::run_matrix(&workloads, &cfgs, jobs);
+        stages::set_codegen_workers(1);
+        let delta = stages::stats().since(&before);
+        let cells: Vec<_> = rows.iter().flatten().collect();
+        // BASELINE codegens the expanded module itself.
+        let expanded: BTreeSet<u64> = cells
+            .iter()
+            .map(|c| sir::pass::ir_fingerprint(&c.0.module))
+            .collect();
+        let programs: BTreeSet<u64> = cells
+            .iter()
+            .map(|c| program_fingerprint(&c.0.program))
+            .collect();
+        assert!(
+            expanded.len() < cells.len(),
+            "-j{jobs}: no two corners expand alike, so the slice proves nothing"
+        );
+        assert_eq!(
+            delta.get("profile").misses,
+            expanded.len() as u64,
+            "-j{jobs}: one profiling run per distinct expanded module"
+        );
+        assert_eq!(
+            delta.get("sim").misses,
+            programs.len() as u64,
+            "-j{jobs}: one evaluation sim per distinct program"
+        );
+        moved.push(accounting(&delta));
+    }
+    stages::clear();
+    bench::clear_cache();
+    assert_eq!(
+        moved[0], moved[1],
+        "cache counters diverged between -j1 and -j8"
     );
 }

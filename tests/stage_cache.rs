@@ -4,9 +4,12 @@
 //! The staged pipeline memoizes frontend, expansion and the profiling run
 //! process-wide. Downstream knobs (squeezer heuristic, §3.2.4 ablations,
 //! backend options, the empirical gate) must *reuse* the cached profile;
-//! expander knobs and training inputs are upstream of it and must
-//! *invalidate* it. Assertions use the per-build [`bitspec::StageHits`]
-//! plus the global hit/miss counters.
+//! training inputs are upstream of it and must *invalidate* it. Expander
+//! knobs invalidate the expansion, but everything below it is keyed on
+//! the expanded module's content: a knob change that expands to a
+//! different module invalidates the profile, one that expands to the same
+//! module reuses it (early cutoff). Assertions use the per-build
+//! [`bitspec::StageHits`] plus the global hit/miss counters.
 //!
 //! Each test seeds the cache with one build and then varies exactly one
 //! knob, checking the second build's hit pattern. Every test uses its own
@@ -15,6 +18,7 @@
 //! tests would otherwise race the counter deltas and the
 //! [`stages::set_enabled`] toggle.
 
+use bitspec::pipeline::{self, Tracer};
 use bitspec::{build, stages, Arch, BitwidthHeuristic, BuildConfig, ExpanderConfig, Workload};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -101,16 +105,32 @@ fn squeeze_config_change_reuses_cached_profile() {
     }
 }
 
+/// The content key of `w`'s expanded module under `e`, computed with the
+/// memos disabled so that nothing is published for the builds under test.
+fn expanded_content(w: &Workload, e: &ExpanderConfig) -> u64 {
+    let mut tr = Tracer::new(pipeline::policy(true));
+    stages::set_enabled(false);
+    let expanded = stages::expand(w, e, &mut tr);
+    stages::set_enabled(true);
+    stages::content_key(&expanded.unwrap().0)
+}
+
 #[test]
 fn expander_change_invalidates_expand_and_profile_but_not_front() {
     let _g = serial();
     let w = unique_workload("expander");
     build(&w, &BuildConfig::bitspec()).unwrap();
+    let unrolled = ExpanderConfig {
+        unroll_factor: 2,
+        ..ExpanderConfig::default()
+    };
+    assert_ne!(
+        expanded_content(&w, &ExpanderConfig::default()),
+        expanded_content(&w, &unrolled),
+        "the loop must unroll differently, or this test proves nothing"
+    );
     let cfg = BuildConfig {
-        expander: ExpanderConfig {
-            unroll_factor: 2,
-            ..ExpanderConfig::default()
-        },
+        expander: unrolled,
         ..BuildConfig::bitspec()
     };
     let c = build(&w, &cfg).unwrap();
@@ -118,7 +138,47 @@ fn expander_change_invalidates_expand_and_profile_but_not_front() {
     assert!(!c.stage_hits.expand, "expander knob must invalidate expand");
     assert!(
         !c.stage_hits.profile,
-        "expander knob must invalidate profile"
+        "a different expanded module must invalidate profile"
+    );
+}
+
+#[test]
+fn expander_change_to_the_same_module_reuses_profile_and_gate_leg() {
+    let _g = serial();
+    // The workload has no calls, so the inliner's function-size budget
+    // never binds: changing it changes the expand key, not the module.
+    let w = unique_workload("cutoff");
+    let budget = ExpanderConfig {
+        max_func_size: ExpanderConfig::default().max_func_size + 1,
+        ..ExpanderConfig::default()
+    };
+    let first = BuildConfig::bitspec();
+    let second = BuildConfig {
+        expander: budget,
+        ..BuildConfig::bitspec()
+    };
+    assert_eq!(
+        expanded_content(&w, &first.expander),
+        expanded_content(&w, &second.expander),
+        "both configs must expand to the same module"
+    );
+    let a = build(&w, &first).unwrap();
+    assert!(a.squeeze.narrowed > 0, "the gate must actually run");
+    let before = stages::stats();
+    let b = build(&w, &second).unwrap();
+    let moved = stages::stats().since(&before);
+    assert!(!b.stage_hits.expand, "the expand key still sees the knobs");
+    assert!(b.stage_hits.profile, "same module, same profile");
+    assert_eq!(moved.get("profile").misses, 0);
+    assert!(
+        moved.get("gate").hits > 0 && moved.get("gate").misses == 0,
+        "same module, same gate reference leg: {:?}",
+        moved.get("gate")
+    );
+    assert_eq!(a.profile, b.profile);
+    assert_eq!(
+        bitspec::program_fingerprint(&a.program),
+        bitspec::program_fingerprint(&b.program)
     );
 }
 
