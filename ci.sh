@@ -15,10 +15,11 @@ cargo test -q
 cargo test --release -q -p bitspec --test expand_golden
 cargo run --release -q -p bench --bin tuner | diff - results/tuner.txt
 
-# Smoke the perf harnesses: the substrate microbenchmarks (fast + reference
-# simulator engines) and the engine-comparison target (minimum 5 reps; also
-# checks BENCH_sim.json generation end to end, and --check fails the gate
-# if the turbo engine's median total regresses below the fast engine's).
+# Smoke the perf harnesses: the substrate microbenchmarks (turbo + reference
+# simulator engines) and the engine-comparison target (minimum 5 reps, a
+# plain row and a DTS row; also checks BENCH_sim.json generation end to
+# end, and --check fails the gate if turbo's median total speedup over the
+# reference drops below 1.917x on either row).
 cargo bench -p bench --bench experiments -- substrate_simulator
 cargo run --release -p bench --bin simperf -- --check 1
 
@@ -53,7 +54,8 @@ cargo test --release -q -p bitspec --test pass_trace --test pass_order
 cargo test --release -q -p fuzz --test print_after
 
 # Differential fuzzing: a fixed-seed smoke batch (deterministic, exits
-# nonzero on any divergence) plus replay of every minimized corpus entry.
+# nonzero on any divergence; its simulator legs hold turbo to the reference
+# with DTS off and on) plus replay of every minimized corpus entry.
 cargo run --release -p fuzz --bin fuzzer -- --seed 42 --iters 50 --no-save
 cargo test --release -q -p fuzz --test fuzz_corpus
 

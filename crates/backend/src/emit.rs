@@ -49,9 +49,9 @@ pub struct Program {
     /// Recorded during skeleton emission and checked by [`verify_layout`].
     pub spec_targets: Vec<(usize, usize, usize)>,
     /// Predecoded per-instruction side table (parallel to `insts`): the
-    /// static facts the simulator's fast path needs every step, computed
-    /// once at link time so the run loop touches no `MInst` payload for
-    /// fetch/interlock bookkeeping.
+    /// static facts the turbo simulator's predecode and per-instruction
+    /// fallback read, computed once at link time so the run loop touches
+    /// no `MInst` payload for fetch/interlock bookkeeping.
     pub pre: Vec<PreInst>,
 }
 

@@ -216,26 +216,12 @@ fn main() {
     });
 
     // Microbenchmarks of the substrates themselves. The default engine
-    // (turbo), the mid-tier fast path, and the retained reference on the
-    // same workload — the gaps between them are each tier's win.
+    // (turbo) and the retained reference on the same workload — the gap
+    // between them is turbo's win.
     h.bench("substrate_simulator_throughput", || {
         let w = workload("sha", Input::Large);
         let c = build(&w, &BuildConfig::baseline()).unwrap();
         black_box(simulate(&c, &w).unwrap().counts.dyn_insts);
-    });
-    h.bench("substrate_simulator_fast", || {
-        let w = workload("sha", Input::Large);
-        let c = build(&w, &BuildConfig::baseline()).unwrap();
-        let r = simulate_with(
-            &c,
-            &w,
-            &SimConfig {
-                engine: Engine::Fast,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        black_box(r.counts.dyn_insts);
     });
     h.bench("substrate_simulator_reference", || {
         let w = workload("sha", Input::Large);

@@ -1,19 +1,20 @@
 //! Simulator/harness wall-clock performance target.
 //!
-//! Measures (a) the three simulation engines — retained reference, the
-//! predecoded fast path, and the block-fused turbo engine — against each
-//! other on sim-dominated MiBench workloads (build once, interleave timed
-//! repetitions, report median + min per engine), (b) batch-mode predecode
-//! amortization on a fig16-style multi-input sweep (one predecoded image,
-//! N input sets vs N independent runs), and (c) the fig08-style matrix
-//! harness under 1 worker vs the pool default. Writes the numbers to
-//! `BENCH_sim.json` and prints a summary.
+//! Measures (a) the two simulation engines — the retained reference and
+//! the block-fused turbo engine — against each other on sim-dominated
+//! MiBench workloads, in two rows: plain BASELINE builds, and BITSPEC
+//! builds simulated in DTS mode (build once, interleave timed repetitions,
+//! report median + min per engine), (b) batch-mode predecode amortization
+//! on a fig16-style multi-input sweep (one predecoded image, N input sets
+//! vs N independent runs), and (c) the fig08-style matrix harness under 1
+//! worker vs the pool default. Writes the numbers to `BENCH_sim.json` and
+//! prints a summary.
 //!
 //! Usage: `simperf [-j N] [--check] [reps]`. At least 5 repetitions are
 //! always run so the medians are meaningful; the positional argument can
-//! only raise the count. `--check` exits nonzero if the turbo engine's
-//! median total is slower than the fast engine's — CI uses this to catch
-//! dispatch-path regressions.
+//! only raise the count. `--check` exits nonzero if turbo's median total
+//! speedup over the reference falls below [`SPEEDUP_FLOOR`] on either row
+//! — CI uses this to catch dispatch-path and DTS-accounting regressions.
 
 use bench::{clear_cache, pool, run_matrix};
 use bitspec::{
@@ -25,12 +26,14 @@ use std::time::Instant;
 /// Sim-dominated targets: long dynamic instruction counts, cheap builds.
 const TARGETS: &[&str] = &["sha", "crc32", "dijkstra", "qsort", "susan-edges"];
 
-/// Engine matrix, slowest tier first (printed column order).
-const ENGINES: [(&str, Engine); 3] = [
-    ("reference", Engine::Reference),
-    ("fast", Engine::Fast),
-    ("turbo", Engine::Turbo),
-];
+/// Engine matrix, oracle first (printed column order).
+const ENGINES: [Engine; 2] = [Engine::Reference, Engine::Turbo];
+
+/// The `--check` bar: the total speedup over the reference that the
+/// predecoded per-instruction engine turbo replaced reached on the plain
+/// row (`total_fast_speedup` in `BENCH_sim.json` before its removal).
+/// Turbo must stay at least that far ahead on both rows.
+const SPEEDUP_FLOOR: f64 = 1.917;
 
 /// Input sets in the batch-amortization sweep.
 const BATCH_INPUTS: u64 = 8;
@@ -55,12 +58,71 @@ fn median(xs: &mut [f64]) -> f64 {
 }
 
 struct Row {
+    mode: &'static str,
     name: String,
     dyn_insts: u64,
     /// Per-engine median seconds, `ENGINES` order.
-    med: [f64; 3],
+    med: [f64; 2],
     /// Per-engine minimum seconds, `ENGINES` order.
-    min: [f64; 3],
+    min: [f64; 2],
+}
+
+/// Times every target under `cfg` with both engines and prints one line
+/// per workload plus the row total. Returns the per-workload rows and the
+/// per-engine median totals.
+fn time_row(mode: &'static str, cfg: &BuildConfig, reps: usize) -> (Vec<Row>, [f64; 2]) {
+    let sim_of = |engine: Engine| SimConfig {
+        engine,
+        ..SimConfig::default()
+    };
+    println!("-- {mode}");
+    println!(
+        "{:<16} {:>12} {:>10} {:>10} {:>7}",
+        "workload", "dyn_insts", "ref_ms", "turbo_ms", "turbo×"
+    );
+    let mut rows = Vec::new();
+    for name in TARGETS {
+        let w = workload(name, Input::Large);
+        let c = build(&w, cfg).expect("build");
+        // Untimed warm-up run; also the dyn_insts source.
+        let dyn_insts = simulate_with(&c, &w, &sim_of(Engine::Turbo))
+            .expect("sim")
+            .counts
+            .dyn_insts;
+        // Interleave engines within each round so clock and thermal drift
+        // hit both equally.
+        let mut secs: [Vec<f64>; 2] = std::array::from_fn(|_| Vec::new());
+        for _ in 0..reps {
+            for (ei, engine) in ENGINES.iter().enumerate() {
+                secs[ei].push(once(&c, &w, &sim_of(*engine)));
+            }
+        }
+        let med = [0, 1].map(|ei| median(&mut secs[ei]));
+        let min = [0, 1].map(|ei| secs[ei][0]); // sorted by median()
+        println!(
+            "{name:<16} {dyn_insts:>12} {:>10.2} {:>10.2} {:>6.2}x",
+            med[0] * 1e3,
+            med[1] * 1e3,
+            med[0] / med[1]
+        );
+        rows.push(Row {
+            mode,
+            name: name.to_string(),
+            dyn_insts,
+            med,
+            min,
+        });
+    }
+    let tot = [0, 1].map(|ei| rows.iter().map(|r| r.med[ei]).sum::<f64>());
+    println!(
+        "{:<16} {:>12} {:>10.2} {:>10.2} {:>6.2}x",
+        "TOTAL",
+        "",
+        tot[0] * 1e3,
+        tot[1] * 1e3,
+        tot[0] / tot[1]
+    );
+    (rows, tot)
 }
 
 fn main() {
@@ -86,66 +148,25 @@ fn main() {
         }
     }
     let jobs = pool::jobs_for(&args);
-    bench::header(
-        "simperf",
-        "reference vs fast vs turbo engine / pool wall-clock",
-    );
+    bench::header("simperf", "reference vs turbo engine / pool wall-clock");
 
-    let cfg_of = |e: Engine| SimConfig {
-        engine: e,
-        ..SimConfig::default()
-    };
+    let modes = [
+        ("plain", BuildConfig::baseline()),
+        (
+            "dts",
+            BuildConfig {
+                dts: true,
+                ..BuildConfig::bitspec()
+            },
+        ),
+    ];
     let mut rows = Vec::new();
-    println!(
-        "{:<16} {:>12} {:>10} {:>10} {:>10} {:>7} {:>7} {:>7}",
-        "workload", "dyn_insts", "ref_ms", "fast_ms", "turbo_ms", "fast×", "turbo×", "t/f"
-    );
-    for name in TARGETS {
-        let w = workload(name, Input::Large);
-        let c = build(&w, &BuildConfig::baseline()).expect("build");
-        // Untimed warm-up run; also the dyn_insts source.
-        let dyn_insts = simulate_with(&c, &w, &cfg_of(Engine::Turbo))
-            .expect("sim")
-            .counts
-            .dyn_insts;
-        // Interleave engines within each round so clock and thermal drift
-        // hit all three equally.
-        let mut secs: [Vec<f64>; 3] = std::array::from_fn(|_| Vec::new());
-        for _ in 0..reps {
-            for (ei, (_, engine)) in ENGINES.iter().enumerate() {
-                secs[ei].push(once(&c, &w, &cfg_of(*engine)));
-            }
-        }
-        let med = [0, 1, 2].map(|ei| median(&mut secs[ei]));
-        let min = [0, 1, 2].map(|ei| secs[ei][0]); // sorted by median()
-        println!(
-            "{name:<16} {dyn_insts:>12} {:>10.2} {:>10.2} {:>10.2} {:>6.2}x {:>6.2}x {:>6.2}x",
-            med[0] * 1e3,
-            med[1] * 1e3,
-            med[2] * 1e3,
-            med[0] / med[1],
-            med[0] / med[2],
-            med[1] / med[2]
-        );
-        rows.push(Row {
-            name: name.to_string(),
-            dyn_insts,
-            med,
-            min,
-        });
+    let mut totals = Vec::new();
+    for (mode, cfg) in &modes {
+        let (r, tot) = time_row(mode, cfg, reps);
+        rows.extend(r);
+        totals.push((*mode, tot));
     }
-    let tot = [0, 1, 2].map(|ei| rows.iter().map(|r| r.med[ei]).sum::<f64>());
-    println!(
-        "{:<16} {:>12} {:>10.2} {:>10.2} {:>10.2} {:>6.2}x {:>6.2}x {:>6.2}x",
-        "TOTAL",
-        "",
-        tot[0] * 1e3,
-        tot[1] * 1e3,
-        tot[2] * 1e3,
-        tot[0] / tot[1],
-        tot[0] / tot[2],
-        tot[1] / tot[2]
-    );
 
     // Batch amortization: a fig16-style sweep — one build profiled on image
     // 0, evaluated on BATCH_INPUTS run images. Sequential turbo predecodes
@@ -218,51 +239,57 @@ fn main() {
     let mut json = String::from("{\n  \"engines\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"dyn_insts\": {}, \
+            "    {{\"row\": \"{}\", \"workload\": \"{}\", \"dyn_insts\": {}, \
              \"reference_median_s\": {:.6}, \"reference_min_s\": {:.6}, \
-             \"fast_median_s\": {:.6}, \"fast_min_s\": {:.6}, \
              \"turbo_median_s\": {:.6}, \"turbo_min_s\": {:.6}, \
-             \"fast_speedup\": {:.3}, \"turbo_speedup\": {:.3}, \
-             \"turbo_over_fast\": {:.3}}}{}\n",
+             \"turbo_speedup\": {:.3}}}{}\n",
+            r.mode,
             r.name,
             r.dyn_insts,
             r.med[0],
             r.min[0],
             r.med[1],
             r.min[1],
-            r.med[2],
-            r.min[2],
             r.med[0] / r.med[1],
-            r.med[0] / r.med[2],
-            r.med[1] / r.med[2],
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
+    json.push_str("  ],\n  \"rows\": [\n");
+    for (i, (mode, tot)) in totals.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"row\": \"{mode}\", \"total_reference_s\": {:.6}, \
+             \"total_turbo_s\": {:.6}, \"total_speedup\": {:.3}}}{}\n",
+            tot[0],
+            tot[1],
+            tot[0] / tot[1],
+            if i + 1 < totals.len() { "," } else { "" }
+        ));
+    }
     json.push_str(&format!(
-        "  ],\n  \"total_reference_s\": {:.6},\n  \"total_fast_s\": {:.6},\n  \
-         \"total_turbo_s\": {:.6},\n  \"total_fast_speedup\": {:.3},\n  \
-         \"total_speedup\": {:.3},\n  \"total_turbo_over_fast\": {:.3},\n  \
+        "  ],\n  \"speedup_floor\": {SPEEDUP_FLOOR:.3},\n  \
          \"batch\": {{\"inputs\": {BATCH_INPUTS}, \"sequential_s\": {seq_med:.6}, \
          \"batch_s\": {batch_med:.6}, \"amortization\": {:.3}}},\n  \
          \"harness\": {{\"jobs_requested\": {jobs}, \"workers_effective\": {workers}, \
          \"host_cores\": {host_cores}, \"serial_s\": {serial:.6}, \
          \"pool_s\": {pooled:.6}, \"cached_s\": {cached:.6}}},\n  \"reps\": {reps}\n}}\n",
-        tot[0],
-        tot[1],
-        tot[2],
-        tot[0] / tot[1],
-        tot[0] / tot[2],
-        tot[1] / tot[2],
         seq_med / batch_med
     ));
     std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
     println!("wrote BENCH_sim.json");
 
-    if check && tot[2] > tot[1] {
-        eprintln!(
-            "simperf --check: turbo total ({:.3}s) slower than fast total ({:.3}s)",
-            tot[2], tot[1]
-        );
-        std::process::exit(1);
+    if check {
+        let slow: Vec<String> = totals
+            .iter()
+            .filter(|(_, tot)| tot[0] / tot[1] < SPEEDUP_FLOOR)
+            .map(|(mode, tot)| format!("{mode} {:.3}x", tot[0] / tot[1]))
+            .collect();
+        if !slow.is_empty() {
+            eprintln!(
+                "simperf --check: turbo's total speedup over reference is below \
+                 {SPEEDUP_FLOOR}x on: {}",
+                slow.join(", ")
+            );
+            std::process::exit(1);
+        }
     }
 }

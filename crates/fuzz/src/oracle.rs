@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | build | frontend + verify-each checkers | acceptance (generated programs are well-typed by construction) |
 //! | interp | tree-walk reference vs predecoded fast path | full `Result` — outputs, return value, stats, traps |
-//! | sim | reference engine vs fast path vs block-fused turbo | outputs/cycles/counts/activity exactly, energy within `REL_TOL` |
+//! | sim | reference engine vs block-fused turbo, DTS off (`turbo`) and on (`turbo-dts`) | outputs/cycles/counts/activity exactly, energy within `REL_TOL` (under DTS: total, I$ and D$) |
 //! | arch | BITSPEC (Max/Avg/Min), NoSpec vs BASELINE | output stream + trap behaviour |
 //! | cross | interpreter vs simulator, per config | output stream + trap behaviour |
 //!
@@ -218,16 +218,16 @@ pub fn check_workload(w: &Workload) -> Vec<Finding> {
         }
     }
 
-    // Oracle: simulator reference engine vs fast path vs turbo, per config.
-    // Both optimized engines are held to the reference independently so a
-    // finding names the engine that broke.
+    // Oracle: simulator reference engine vs turbo, per config, with DTS
+    // off and on. Each DTS setting is its own leg so a finding names the
+    // accounting that broke.
     for &(name, c) in &compiled {
-        let s_ref = simulate_with(c, w, &sim_cfg(Engine::Reference));
-        for (leg, engine) in [("fast", Engine::Fast), ("turbo", Engine::Turbo)] {
-            let s_leg = simulate_with(c, w, &sim_cfg(engine));
+        for (leg, dts) in [("turbo", false), ("turbo-dts", true)] {
+            let s_ref = simulate_with(c, w, &sim_cfg(Engine::Reference, dts));
+            let s_leg = simulate_with(c, w, &sim_cfg(Engine::Turbo, dts));
             match (&s_ref, &s_leg) {
                 (Ok(a), Ok(b)) => {
-                    if let Some(diff) = sim_diff(a, b) {
+                    if let Some(diff) = sim_diff(a, b, dts) {
                         findings.push(Finding {
                             kind: Kind::SimEngines,
                             detail: format!("[{name}] {leg}: {diff}"),
@@ -252,9 +252,9 @@ pub fn check_workload(w: &Workload) -> Vec<Finding> {
     // build pins down which pipeline layer introduced the difference
     // ("squeeze" is expected for speculative configs; anything earlier
     // means a shared stage or its cache broke).
-    let base_sim = simulate_with(baseline, w, &sim_cfg(Engine::Turbo));
+    let base_sim = simulate_with(baseline, w, &sim_cfg(Engine::Turbo, false));
     for &(name, c) in &compiled[1..] {
-        let r = simulate_with(c, w, &sim_cfg(Engine::Turbo));
+        let r = simulate_with(c, w, &sim_cfg(Engine::Turbo, false));
         match (&base_sim, &r) {
             (Ok(b), Ok(r)) => {
                 if b.outputs != r.outputs {
@@ -287,7 +287,7 @@ pub fn check_workload(w: &Workload) -> Vec<Finding> {
     // Δ-skeleton layout all sit between the two).
     for &(name, c) in &compiled {
         let i = run_interp(c, w, false);
-        let s = simulate_with(c, w, &sim_cfg(Engine::Turbo));
+        let s = simulate_with(c, w, &sim_cfg(Engine::Turbo, false));
         match (&i, &s) {
             (Ok(i), Ok(s)) => {
                 if i.outputs != s.outputs {
@@ -340,8 +340,9 @@ fn run_interp(c: &Compiled, w: &Workload, reference: bool) -> Result<RunResult, 
 
 /// The simulator configuration every oracle run uses: default DTS/energy
 /// model, [`SIM_FUEL`] budget, the given engine.
-fn sim_cfg(engine: Engine) -> SimConfig {
+fn sim_cfg(engine: Engine, dts: bool) -> SimConfig {
     SimConfig {
+        dts,
         engine,
         fuel: SIM_FUEL,
         ..SimConfig::default()
@@ -349,9 +350,12 @@ fn sim_cfg(engine: Engine) -> SimConfig {
 }
 
 /// The sim-engine equivalence contract: everything integral bit-identical,
-/// energy components within [`REL_TOL`]. Returns a description of the first
-/// violated field.
-fn sim_diff(a: &SimResult, b: &SimResult) -> Option<String> {
+/// energy components within [`REL_TOL`]. Under DTS the reference deducts
+/// the reclaimed core energy from ALU and register file step by step while
+/// turbo deducts it once, so only the total and the cache components
+/// (a separate voltage domain) are point-comparable there. Returns a
+/// description of the first violated field.
+fn sim_diff(a: &SimResult, b: &SimResult, dts: bool) -> Option<String> {
     if a.outputs != b.outputs {
         return Some(format!("outputs {:?} vs {:?}", a.outputs, b.outputs));
     }
@@ -364,13 +368,23 @@ fn sim_diff(a: &SimResult, b: &SimResult) -> Option<String> {
     if a.activity != b.activity {
         return Some(format!("activity {:?} vs {:?}", a.activity, b.activity));
     }
-    for (name, x, y) in [
-        ("alu", a.energy.alu, b.energy.alu),
-        ("regfile", a.energy.regfile, b.energy.regfile),
-        ("icache", a.energy.icache, b.energy.icache),
-        ("dcache", a.energy.dcache, b.energy.dcache),
-        ("pipeline", a.energy.pipeline, b.energy.pipeline),
-    ] {
+    let (ea, eb) = (&a.energy, &b.energy);
+    let components = if dts {
+        vec![
+            ("total", ea.total(), eb.total()),
+            ("icache", ea.icache, eb.icache),
+            ("dcache", ea.dcache, eb.dcache),
+        ]
+    } else {
+        vec![
+            ("alu", ea.alu, eb.alu),
+            ("regfile", ea.regfile, eb.regfile),
+            ("icache", ea.icache, eb.icache),
+            ("dcache", ea.dcache, eb.dcache),
+            ("pipeline", ea.pipeline, eb.pipeline),
+        ]
+    };
+    for (name, x, y) in components {
         if !rel_close(x, y) {
             return Some(format!("energy.{name} {x} vs {y}"));
         }

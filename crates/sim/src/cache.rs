@@ -155,14 +155,8 @@ impl Cache {
         self.hits += 1;
     }
 
-    /// [`Self::touch_hit`] for a read.
-    #[inline]
-    pub fn touch_read_hit(&mut self, slot: usize) {
-        self.touch_hit(slot, false);
-    }
-
     /// `n` consecutive read hits on the same resident `slot`, batched.
-    /// Equivalent to calling [`Self::touch_read_hit`] `n` times: only the
+    /// Equivalent to `n` read [`Self::touch_hit`]s: only the
     /// final LRU stamp survives consecutive touches of one slot, so the
     /// intermediate stamps are unobservable. The turbo engine uses this
     /// to flush accumulated same-line instruction fetches in O(1).
@@ -353,7 +347,7 @@ mod tests {
     #[test]
     fn touch_hits_batches_read_hits() {
         // touch_hits(slot, n) must leave exactly the state n separate
-        // touch_read_hit calls would, for any n — including interleaved
+        // read touch_hit calls would, for any n — including interleaved
         // with real accesses that move the LRU clock.
         for n in [1u64, 2, 3, 7, 32] {
             let mut a = Cache::new(1 << 10, 2, 32);
@@ -364,7 +358,7 @@ mod tests {
             b.access(0x200, true);
             let slot = a.slot_of(0x100).expect("resident");
             for _ in 0..n {
-                a.touch_read_hit(slot);
+                a.touch_hit(slot, false);
             }
             b.touch_hits(slot, n);
             assert_eq!((a.hits, a.misses, a.tick), (b.hits, b.misses, b.tick));

@@ -88,9 +88,9 @@ impl DtsModel {
 
     /// Predecodes a program image into (per-instruction class index,
     /// per-class energy scale). Instructions sharing a path-utilization
-    /// value share a class, so the simulator's fast path can accumulate
-    /// per-class activity with one table lookup per step instead of
-    /// re-classifying the instruction.
+    /// value share a class, so the turbo engine splits each block's
+    /// static activity per class with one table lookup per instruction
+    /// instead of re-classifying it.
     pub fn precompute(&self, insts: &[MInst]) -> (Vec<u8>, Vec<f64>) {
         let mut permilles: Vec<u16> = Vec::new();
         let mut classes = Vec::with_capacity(insts.len());
@@ -201,6 +201,112 @@ mod tests {
             prev = s;
         }
         assert!((energy_scale_for(1.0) - 1.0).abs() < 1e-12);
+    }
+
+    /// Turbo's DTS accounting charges every data-side stall to the
+    /// full-utilization class without looking at the instruction, which
+    /// holds only while every data-accessing instruction runs at full
+    /// utilization. The match is exhaustive so a new `MInst` variant has
+    /// to take a side here.
+    #[test]
+    fn data_accessing_instructions_have_full_utilization() {
+        fn accesses_data(inst: &MInst) -> bool {
+            match inst {
+                MInst::Load { .. }
+                | MInst::LoadIdx { .. }
+                | MInst::Store { .. }
+                | MInst::Push { .. }
+                | MInst::Pop { .. }
+                | MInst::SLoadSpec { .. }
+                | MInst::SLoadIdx { .. }
+                | MInst::SLoad { .. }
+                | MInst::SStore { .. } => true,
+                MInst::Alu { .. }
+                | MInst::MovImm { .. }
+                | MInst::Mov { .. }
+                | MInst::Cmp { .. }
+                | MInst::CSet { .. }
+                | MInst::MovCc { .. }
+                | MInst::Umull { .. }
+                | MInst::Extend { .. }
+                | MInst::B { .. }
+                | MInst::Bc { .. }
+                | MInst::Bl { .. }
+                | MInst::Ret
+                | MInst::Out { .. }
+                | MInst::Halt
+                | MInst::Nop
+                | MInst::SAlu { .. }
+                | MInst::SCmp { .. }
+                | MInst::SExtend { .. }
+                | MInst::STrunc { .. }
+                | MInst::SMov { .. }
+                | MInst::SMovImm { .. }
+                | MInst::SetDelta { .. }
+                | MInst::SpecCheck { .. } => false,
+            }
+        }
+        let (r, b) = (Reg(1), Slice::new(Reg(2), 1));
+        let data = [
+            MInst::Load {
+                rd: r,
+                rn: r,
+                offset: 4,
+                width: isa::MemWidth::B,
+                spill: true,
+            },
+            MInst::LoadIdx {
+                rd: r,
+                rn: r,
+                bidx: b,
+                shift: 2,
+                width: isa::MemWidth::H,
+            },
+            MInst::Store {
+                rs: r,
+                rn: r,
+                offset: -4,
+                width: isa::MemWidth::W,
+                spill: false,
+            },
+            MInst::Push { regs: vec![r] },
+            MInst::Pop { regs: vec![r] },
+            MInst::SLoadSpec {
+                bd: b,
+                rn: r,
+                offset: 0,
+            },
+            MInst::SLoadIdx {
+                bd: b,
+                rn: r,
+                bidx: b,
+                shift: 0,
+                speculative: true,
+            },
+            MInst::SLoadIdx {
+                bd: b,
+                rn: r,
+                bidx: b,
+                shift: 1,
+                speculative: false,
+            },
+            MInst::SLoad {
+                bd: b,
+                rn: r,
+                offset: 0,
+                spill: true,
+            },
+            MInst::SStore {
+                bs: b,
+                rn: r,
+                offset: 0,
+                spill: false,
+            },
+        ];
+        for inst in &data {
+            assert!(accesses_data(inst), "{inst:?}");
+            assert_eq!(path_utilization(inst), 1.0, "{inst:?}");
+        }
     }
 
     #[test]

@@ -18,11 +18,14 @@
 //! [`dts::DtsModel`] adds the dynamic-timing-slack mode of RQ8 (per-
 //! instruction-class clock/voltage scaling via the alpha-power law, with a
 //! RazorII-style recovery overhead).
+//!
+//! Two engines run the machine ([`Engine`]): the block-fused turbo engine,
+//! the default for plain and DTS runs alike, and the per-step reference
+//! engine it is held bit-identical to (`tests/equivalence.rs`).
 
 pub mod cache;
 pub mod dts;
 pub mod energy;
-mod fast;
 pub mod machine;
 mod turbo;
 
@@ -47,19 +50,20 @@ pub fn run_program(
 }
 
 /// Batch mode: simulate `program` once per entry of `input_sets`, sharing
-/// one predecoded image across all runs. With the turbo engine (and DTS
-/// off) the handler LUT, block structure and static per-block activity are
-/// built exactly once, so N-input sweeps (fig15/fig16, the empirical gate's
-/// training sims) amortize decode entirely; other engine selections fall
-/// back to N independent [`run_program`] calls. Results are bit-identical
-/// to sequential single runs either way — the image holds no per-run state.
+/// one predecoded image across all runs. With the turbo engine the handler
+/// LUT, block structure and static per-block activity (split by DTS class
+/// when `config.dts` is set) are built exactly once, so N-input sweeps
+/// (fig15/fig16, the empirical gate's training sims) amortize decode
+/// entirely; the reference engine runs N independent [`run_program`]
+/// calls. Results are bit-identical to sequential single runs either way —
+/// the image holds no per-run state.
 pub fn run_batch(
     program: &backend::Program,
     config: &SimConfig,
     input_sets: &[Vec<(u32, Vec<u8>)>],
 ) -> Vec<Result<SimResult, SimError>> {
-    if config.engine == Engine::Turbo && !config.dts {
-        let img = turbo::TurboImage::build(program);
+    if config.engine == Engine::Turbo {
+        let img = turbo::TurboImage::build(program, config.dts);
         input_sets
             .iter()
             .map(|inputs| {

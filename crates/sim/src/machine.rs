@@ -9,7 +9,7 @@ use isa::{AluOp, Cond, MInst, MemWidth, Operand, Reg, Slice, SliceOperand, LR, S
 use std::error::Error;
 use std::fmt;
 
-/// Which simulation engine to run. All three are equivalent — `outputs`,
+/// Which simulation engine to run. The two are equivalent — `outputs`,
 /// `cycles`, `counts` and `activity` are bit-identical, energy matches
 /// within float-summation tolerance (≤1e-6 rel) — and the regression
 /// suite holds them to that.
@@ -18,17 +18,14 @@ pub enum Engine {
     /// The obviously-correct per-step oracle: full `match` dispatch,
     /// per-instruction f64 energy accumulation.
     Reference,
-    /// Predecoded per-instruction side tables (`PreInst`), integer
-    /// activity counters folded to energy at end of run, I/D line
-    /// buffers. ~2.2x over reference.
-    Fast,
     /// Predecoded handler-LUT dispatch with basic-block fusion: one
     /// static decode per instruction into a handler function pointer +
     /// packed operands, straight-line runs fused into block
     /// superinstructions whose counters are accumulated once at
-    /// predecode time, per-instruction fallback on misspeculation
-    /// redirects that enter mid-block. Supports batched multi-input
-    /// runs over one predecoded image ([`crate::run_batch`]).
+    /// predecode time (split by DTS class when DTS is on), per-instruction
+    /// fallback on misspeculation redirects that enter mid-block. Supports
+    /// batched multi-input runs over one predecoded image
+    /// ([`crate::run_batch`]).
     #[default]
     Turbo,
 }
@@ -42,10 +39,8 @@ pub struct SimConfig {
     pub fuel: u64,
     /// Energy model constants.
     pub energy: EnergyModel,
-    /// Simulation engine tier. Defaults to [`Engine::Turbo`]; the
-    /// reference engine exists as the oracle, fast as the mid tier.
-    /// DTS mode needs per-instruction activity snapshots, which block
-    /// fusion cannot provide, so `dts: true` runs turbo as fast.
+    /// Simulation engine. Defaults to [`Engine::Turbo`]; the reference
+    /// engine exists as the oracle it is tested against.
     pub engine: Engine,
 }
 
@@ -156,37 +151,24 @@ pub struct Simulator<'p> {
     /// Destination of the previous instruction if it was a load (load-use
     /// interlock modelling; reference engine).
     last_load_dest: Option<Reg>,
-    /// Fast-path interlock state: destination mask of the previous
+    /// Turbo interlock state: destination mask of the previous
     /// instruction if it was a word load.
     pub(crate) last_load_mask: u32,
     /// I-fetch line buffer: the line index (`addr / line_bytes`) of the
     /// most recent fetch and its resident L1I slot. A same-line fetch is a
     /// guaranteed hit (nothing else touches the I$ between fetches), so
-    /// the fast path records the hit directly without a tag lookup.
+    /// turbo records the hit directly without a tag lookup.
     pub(crate) ibuf_line: u32,
     pub(crate) ibuf_slot: usize,
-    /// Data-side line buffer, same argument: every L1D access flows
-    /// through the fast path, so between two consecutive data accesses
-    /// nothing can evict the previously touched (MRU) line.
-    pub(crate) dbuf_line: u32,
-    pub(crate) dbuf_slot: usize,
-    /// Second D-side buffer entry: loops alternating between two data
-    /// lines (table lookups against a streaming input, graph rows against
-    /// a distance array) would otherwise miss the buffer on every access.
-    /// A hit here promotes the entry to primary; a refill demotes the
-    /// primary and *invalidates* this entry if the refill evicted its line
-    /// (same victim slot), so a buffered line is always resident.
-    pub(crate) dbuf_line2: u32,
-    pub(crate) dbuf_slot2: usize,
     /// Turbo's D-side buffer: a per-set MRU line map (one entry per L1D
     /// set, indexed by `line & (sets-1)` — the same function as the
     /// cache's own set index). Entry `i` caches the most recently touched
     /// resident line of set `i` and its flat slot. Valid by construction:
-    /// evicting a buffered line requires a fill in the same set, and every
-    /// fill overwrites that set's entry on the way through `turbo_data`.
-    /// Covers as many concurrent hot lines as the L1D has sets, where the
-    /// two-entry buffer above thrashes on 3+ interleaved streams
-    /// (partition loops, graph row + distance + visited arrays).
+    /// every L1D access flows through `turbo_data`, evicting a buffered
+    /// line requires a fill in the same set, and every fill overwrites
+    /// that set's entry. Covers as many concurrent hot lines as the L1D
+    /// has sets, so 3+ interleaved streams (partition loops, graph row +
+    /// distance + visited arrays) stay buffered.
     pub(crate) dmap: Vec<(u32, u32)>,
     /// `log2` of the L1D line size, for the data line-buffer index.
     pub(crate) dline_shift: u32,
@@ -227,10 +209,6 @@ impl<'p> Simulator<'p> {
             last_load_mask: 0,
             ibuf_line: u32::MAX,
             ibuf_slot: 0,
-            dbuf_line: u32::MAX,
-            dbuf_slot: 0,
-            dbuf_line2: u32::MAX,
-            dbuf_slot2: 0,
             dmap: Vec::new(),
             dline_shift: dline.trailing_zeros(),
             terr: None,
@@ -254,18 +232,14 @@ impl<'p> Simulator<'p> {
     pub fn run(self) -> Result<SimResult, SimError> {
         match self.cfg.engine {
             Engine::Reference => self.run_reference(),
-            Engine::Fast => self.run_fast(),
-            // DTS needs per-instruction activity snapshots, which the
-            // block-fused engine cannot provide — delegate to fast.
-            Engine::Turbo if self.cfg.dts => self.run_fast(),
             Engine::Turbo => self.run_turbo(),
         }
     }
 
     /// The retained reference engine: per-step `MInst` clone, `Vec`-based
     /// interlock detection, full cache lookup on every fetch and per-step
-    /// floating-point energy accumulation. Kept as the oracle the fast
-    /// path is regression-tested against (`tests/equivalence.rs`).
+    /// floating-point energy accumulation. Kept as the oracle the turbo
+    /// engine is regression-tested against (`tests/equivalence.rs`).
     pub(crate) fn run_reference(mut self) -> Result<SimResult, SimError> {
         let em = self.cfg.energy;
         loop {
@@ -877,7 +851,7 @@ impl<'p> Simulator<'p> {
     }
 }
 
-pub(crate) fn mem_width(w: MemWidth) -> sir::Width {
+fn mem_width(w: MemWidth) -> sir::Width {
     match w {
         MemWidth::B => sir::Width::W8,
         MemWidth::H => sir::Width::W16,

@@ -2,9 +2,10 @@
 //! basic-block fusion and batched multi-input runs.
 //!
 //! [`Simulator::run`] lands here by default ([`crate::machine::Engine::Turbo`]).
-//! Versus the fast engine (`fast.rs`), which still runs one `match` over
-//! `MInst` per dynamic instruction, turbo decodes each *static* instruction
-//! exactly once ([`TurboImage::build`]) into:
+//! Versus the reference engine (`machine.rs`), which runs one `match` over
+//! `MInst` per dynamic instruction and accumulates f64 energy per step,
+//! turbo decodes each *static* instruction exactly once
+//! ([`TurboImage::build`]) into:
 //!
 //! * a **handler function pointer** plus a packed 8-byte operand record
 //!   ([`TOp`]) — GRBA-emulator-style LUT dispatch, one indirect call per
@@ -28,28 +29,35 @@
 //! **Misspeculation redirects** (`pc ← pc + Δ`) can land mid-block, in
 //! skeleton code that is not a block leader. The engine then flushes the
 //! static counters for the executed block prefix and falls back to
-//! per-instruction execution ([`Simulator::run_fallback`], an exact replica
-//! of the fast loop) until control reaches a block leader again. The same
+//! per-instruction execution ([`Simulator::run_fallback`]: the same
+//! unfused handlers plus each instruction's [`SActs`], with the interlock
+//! taken dynamically) until control reaches a block leader again. The same
 //! fallback covers `Ret` to a non-leader and fuel-tight block entries, so
 //! fuel exhaustion surfaces after exactly the same instruction as in the
-//! fast/reference engines.
+//! reference engine.
+//!
+//! **DTS** (RQ8's per-instruction-class clock/voltage scaling) keeps the
+//! same block fusion. The image splits each block's static activity by
+//! DTS class ([`ClassAcc`]); every dynamic cycle is charged at the site
+//! that knows its instruction (block-entry fetch and interlock, real-fetch
+//! events, a taken `Bc`, the misspeculation penalty, fallback steps). Two
+//! remainders need no site: data-side stalls belong to memory
+//! instructions, which all run at full path utilization, and the only
+//! dynamic writes no site charges are `MovCc`'s, all in one class.
 //!
 //! **Batch mode** ([`crate::run_batch`]) predecodes the program image once
 //! and reuses it across N inputs — the fig15/fig16 input sweeps and the
 //! empirical gate's training simulations amortize decode entirely.
 //!
 //! `outputs`, `cycles`, `counts` and `activity` are bit-identical to the
-//! reference engine; energy is folded from the same integer activity as the
-//! fast engine ([`crate::energy::EnergyModel::fold`]) and therefore
-//! bitwise-identical to fast (and within float-summation tolerance of
-//! reference). `tests/equivalence.rs` enforces the full 3-way matrix.
-//!
-//! DTS mode needs per-instruction activity snapshots, which block-level
-//! batching cannot provide; `SimConfig { dts: true, .. }` delegates to the
-//! fast engine (see `machine.rs::run`).
+//! reference engine; energy is folded once from integer activity
+//! ([`crate::energy::EnergyModel::fold`], per DTS class when DTS is on) and
+//! agrees with the reference within float-summation tolerance.
+//! `tests/equivalence.rs` enforces the 2-way matrix.
 
 use crate::cache::Hierarchy;
-use crate::energy::Activity;
+use crate::dts::{path_utilization, DtsModel, RAZOR_CYCLE_OVERHEAD};
+use crate::energy::{Activity, EnergyBreakdown, EnergyModel};
 use crate::machine::{alu_exec, eval_cond, flags_sub8, Counts, SimError, SimResult, Simulator};
 use backend::Program;
 use isa::inst::SAluOp;
@@ -182,7 +190,7 @@ fn salu_code(op: SAluOp) -> usize {
 }
 
 /// Static (execution-count-deterministic) activity of one instruction:
-/// everything the fast engine would add to `Activity`/`Counts`
+/// everything the reference engine adds to `Activity`/`Counts`
 /// unconditionally when the instruction runs. Summed per block at
 /// predecode time; applied `block_exec_count` times at end of run.
 /// Conditional events (speculative-op destination writes, `MovCc` writes,
@@ -190,6 +198,11 @@ fn salu_code(op: SAluOp) -> usize {
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SActs {
     cyc: u32,
+    /// Slice-write units of a speculative op's destination write, which
+    /// happens only when the op does not misspeculate. Not part of `rf_w`
+    /// or [`SActs::apply`]: the handler counts the write in `Activity`,
+    /// and DTS accounting charges it to the op's class.
+    spec_w: u32,
     fetch_slots: u32,
     alu_word: u32,
     alu_slice: u32,
@@ -243,6 +256,7 @@ impl SActs {
 
     fn add(&mut self, o: &SActs) {
         self.cyc += o.cyc;
+        self.spec_w += o.spec_w;
         self.fetch_slots += o.fetch_slots;
         self.alu_word += o.alu_word;
         self.alu_slice += o.alu_slice;
@@ -291,8 +305,8 @@ impl SActs {
         counts.spill_stores += u64::from(self.spill_stores) * k;
     }
 
-    /// The unconditional counter footprint of `inst` — the mirror of
-    /// `exec_fast`, split into its deterministic part.
+    /// The unconditional counter footprint of `inst` — the mirror of the
+    /// reference engine's `exec`, split into its deterministic part.
     #[allow(clippy::too_many_lines)]
     fn of(inst: &MInst, slots: u8) -> SActs {
         let mut s = SActs {
@@ -361,7 +375,8 @@ impl SActs {
                 s.rs();
                 s.l1d += 1;
                 if *speculative {
-                    s.spec_mon += 1; // write is dynamic
+                    s.spec_mon += 1;
+                    s.spec_w += 1;
                 } else {
                     s.ws();
                 }
@@ -436,7 +451,9 @@ impl SActs {
                 }
                 // Speculative Add/Sub/Lsl may misspeculate and skip the
                 // destination write; all other forms always write.
-                if !(*speculative && matches!(op, SAluOp::Add | SAluOp::Sub | SAluOp::Lsl)) {
+                if *speculative && matches!(op, SAluOp::Add | SAluOp::Sub | SAluOp::Lsl) {
+                    s.spec_w += 1;
+                } else {
                     s.ws();
                 }
             }
@@ -449,7 +466,8 @@ impl SActs {
                 s.loads += 1;
                 s.rr();
                 s.l1d += 1;
-                s.spec_mon += 1; // write is dynamic
+                s.spec_mon += 1;
+                s.spec_w += 1;
             }
             MInst::SLoad { spill, .. } => {
                 s.loads += 1;
@@ -477,7 +495,8 @@ impl SActs {
             MInst::STrunc { speculative, .. } => {
                 s.rr();
                 if *speculative {
-                    s.spec_mon += 1; // write is dynamic
+                    s.spec_mon += 1;
+                    s.spec_w += 1;
                 } else {
                     s.ws();
                 }
@@ -497,6 +516,187 @@ impl SActs {
         }
         s
     }
+}
+
+/// Per-DTS-class activity: enough to reconstruct the class's core energy
+/// (ALU + register file + misspeculation detectors) and scaled pipeline
+/// energy at end of run. Integer counters only, so the per-class totals
+/// do not depend on the order in which blocks, prefixes and fallback steps
+/// contribute them.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ClassAcc {
+    cyc: u64,
+    rf_read_units: u64,
+    rf_write_units: u64,
+    alu_word_ops: u64,
+    extend_ops: u64,
+    alu_slice_ops: u64,
+    spec_monitored_ops: u64,
+    speccheck_ops: u64,
+    mul_ops: u64,
+    umull_ops: u64,
+    div_ops: u64,
+}
+
+impl ClassAcc {
+    /// One execution of an instruction with static activity `s`; its
+    /// speculative destination write counts when `wrote` is set.
+    fn of(s: &SActs, wrote: bool) -> ClassAcc {
+        ClassAcc {
+            cyc: u64::from(s.cyc),
+            rf_read_units: u64::from(s.rf_r),
+            rf_write_units: u64::from(s.rf_w) + if wrote { u64::from(s.spec_w) } else { 0 },
+            alu_word_ops: u64::from(s.alu_word),
+            extend_ops: u64::from(s.extend),
+            alu_slice_ops: u64::from(s.alu_slice),
+            spec_monitored_ops: u64::from(s.spec_mon),
+            speccheck_ops: u64::from(s.speccheck),
+            mul_ops: u64::from(s.mul),
+            umull_ops: u64::from(s.umull),
+            div_ops: u64::from(s.div),
+        }
+    }
+
+    /// Adds `k` copies of `o`.
+    fn add(&mut self, o: &ClassAcc, k: u64) {
+        self.cyc += o.cyc * k;
+        self.rf_read_units += o.rf_read_units * k;
+        self.rf_write_units += o.rf_write_units * k;
+        self.alu_word_ops += o.alu_word_ops * k;
+        self.extend_ops += o.extend_ops * k;
+        self.alu_slice_ops += o.alu_slice_ops * k;
+        self.spec_monitored_ops += o.spec_monitored_ops * k;
+        self.speccheck_ops += o.speccheck_ops * k;
+        self.mul_ops += o.mul_ops * k;
+        self.umull_ops += o.umull_ops * k;
+        self.div_ops += o.div_ops * k;
+    }
+
+    /// Core (ALU + regfile + detector) energy of this class — the same
+    /// per-event costs the reference engine charges inline.
+    fn core_energy(&self, em: &EnergyModel) -> f64 {
+        self.rf_read_units as f64 * em.rf_slice_read
+            + self.rf_write_units as f64 * em.rf_slice_write
+            + (self.alu_word_ops - self.extend_ops) as f64 * 4.0 * em.alu_slice
+            + self.extend_ops as f64 * 2.0 * em.alu_slice
+            + self.alu_slice_ops as f64 * em.alu_slice
+            + (self.spec_monitored_ops - self.speccheck_ops) as f64 * em.misspec_detect
+            + self.mul_ops as f64 * em.mul
+            + self.umull_ops as f64 * 0.5 * em.mul
+            + self.div_ops as f64 * em.div
+    }
+}
+
+/// The DTS side of a [`TurboImage`], built only for `dts: true` runs.
+struct DtsTables {
+    /// pc → DTS class ([`DtsModel::precompute`]'s first-appearance order,
+    /// which is also the order the per-class energies are folded in).
+    class: Vec<u8>,
+    /// Class → core-energy scale.
+    scales: Vec<f64>,
+    /// Each block's static activity split by class, as `(class, activity)`
+    /// entries; block `b` owns `split[split_at[b]..split_at[b + 1]]`. The
+    /// split counts every speculative destination write: a block that
+    /// runs to its end misspeculated nowhere.
+    split: Vec<(u8, ClassAcc)>,
+    split_at: Vec<u32>,
+    /// Class of the full-utilization instructions. Every data access
+    /// belongs to one of them (`dts::path_utilization`), so data-side
+    /// stalls land here without a per-access class lookup.
+    full: Option<u8>,
+    /// Class of `MovCc`, whose conditional write is the one dynamic write
+    /// no run-loop site charges.
+    movcc: Option<u8>,
+}
+
+impl DtsTables {
+    fn build(p: &Program, blocks: &[TBlock], sacts: &[SActs]) -> DtsTables {
+        let (class, scales) = DtsModel::default().precompute(&p.insts);
+        let class_of = |pred: fn(&MInst) -> bool| p.insts.iter().position(pred).map(|pc| class[pc]);
+        let full = class_of(|i| path_utilization(i) >= 1.0);
+        let movcc = class_of(|i| matches!(i, MInst::MovCc { .. }));
+        let mut split: Vec<(u8, ClassAcc)> = Vec::new();
+        let mut split_at = Vec::with_capacity(blocks.len() + 1);
+        for b in blocks {
+            let first = split.len();
+            split_at.push(first as u32);
+            for pc in b.start..b.start + b.n as usize {
+                let mut acc = ClassAcc::of(&sacts[pc], true);
+                if pc > b.start && interlocked(p, pc) {
+                    acc.cyc += 1;
+                }
+                let c = class[pc];
+                match split[first..].iter_mut().find(|(k, _)| *k == c) {
+                    Some((_, a)) => a.add(&acc, 1),
+                    None => split.push((c, acc)),
+                }
+            }
+        }
+        split_at.push(split.len() as u32);
+        DtsTables {
+            class,
+            scales,
+            split,
+            split_at,
+            full,
+            movcc,
+        }
+    }
+
+    /// Charges what no run-loop site charged, once `act` is complete: the
+    /// leftover cycles (data-side stalls) to the full-utilization class and
+    /// the leftover register writes (`MovCc`'s) to `MovCc`'s class.
+    fn charge_remainders(&self, accs: &mut [ClassAcc], act: &Activity) {
+        let sum = |f: fn(&ClassAcc) -> u64| accs.iter().map(f).sum::<u64>();
+        let stalls = act.cycles - sum(|a| a.cyc);
+        let movcc_writes = act.rf_write_units - sum(|a| a.rf_write_units);
+        debug_assert_eq!(act.rf_read_units, sum(|a| a.rf_read_units));
+        debug_assert_eq!(act.alu_word_ops, sum(|a| a.alu_word_ops));
+        debug_assert_eq!(act.extend_ops, sum(|a| a.extend_ops));
+        debug_assert_eq!(act.alu_slice_ops, sum(|a| a.alu_slice_ops));
+        debug_assert_eq!(act.spec_monitored_ops, sum(|a| a.spec_monitored_ops));
+        debug_assert_eq!(act.speccheck_ops, sum(|a| a.speccheck_ops));
+        debug_assert_eq!(act.mul_ops, sum(|a| a.mul_ops));
+        debug_assert_eq!(act.umull_ops, sum(|a| a.umull_ops));
+        debug_assert_eq!(act.div_ops, sum(|a| a.div_ops));
+        if stalls > 0 {
+            let c = self.full.expect("data stalls without a memory instruction");
+            accs[usize::from(c)].cyc += stalls;
+        }
+        if movcc_writes > 0 {
+            let c = self
+                .movcc
+                .expect("unattributed register writes without a MovCc");
+            accs[usize::from(c)].rf_write_units += movcc_writes;
+        }
+    }
+}
+
+/// Per-class clock/voltage scaling: pipeline energy is scaled per class
+/// (with the RazorII recovery overhead), and the reclaimed core energy is
+/// deducted from ALU/regfile in proportion to their totals — the same
+/// aggregate discount the reference engine applies instruction by
+/// instruction. Classes fold in [`DtsTables::class`] order.
+fn fold_dts(energy: &mut EnergyBreakdown, accs: &[ClassAcc], scales: &[f64], em: &EnergyModel) {
+    let mut pipe = 0.0;
+    let mut discount = 0.0;
+    for (acc, &scale) in accs.iter().zip(scales) {
+        pipe += acc.cyc as f64 * em.pipeline_cycle * (1.0 + RAZOR_CYCLE_OVERHEAD) * scale;
+        discount += acc.core_energy(em) * (1.0 - scale);
+    }
+    energy.pipeline = pipe;
+    let total = energy.alu + energy.regfile;
+    if total > 0.0 && discount > 0.0 {
+        let alu_share = energy.alu / total;
+        energy.alu -= discount * alu_share;
+        energy.regfile -= discount * (1.0 - alu_share);
+    }
+}
+
+/// Whether `pc`, executed straight after `pc - 1`, stalls one cycle on a
+/// load-use interlock (a word load feeding its read set).
+fn interlocked(p: &Program, pc: usize) -> bool {
+    p.pre[pc - 1].load_dest_mask & p.pre[pc].read_mask != 0
 }
 
 /// Block terminator, executed inline by the run loop (never via handler).
@@ -527,7 +727,7 @@ pub(crate) enum Term {
     Ret,
     /// Pseudo-block for an out-of-range successor pc (held in `start`):
     /// resyncs through the per-instruction fallback, which faults exactly
-    /// like the fast engine.
+    /// like the reference engine.
     Oob,
     Halt,
 }
@@ -596,11 +796,17 @@ pub(crate) struct TurboImage {
     /// within its block. Misspeculation redirects and fault pcs need
     /// instruction granularity back out of the fused plan.
     plan_off: Vec<u32>,
+    /// pc → unfused (handler, packed operands): the per-instruction
+    /// fallback's dispatch table.
+    code: Vec<(Handler, TOp)>,
+    /// pc → static activity of one execution, intra-block interlock not
+    /// included (the fallback takes the interlock dynamically).
     sacts: Vec<SActs>,
     blocks: Vec<TBlock>,
-    /// Per-block sum of the span's static activity (parallel to `blocks`,
-    /// applied `executions` times at end of run). Kept out of [`TBlock`] so
-    /// the dispatch loop's per-block state stays small.
+    /// Per-block sum of the span's static activity, intra-block interlock
+    /// stalls included (parallel to `blocks`, applied `executions` times at
+    /// end of run). Kept out of [`TBlock`] so the dispatch loop's per-block
+    /// state stays small.
     tots: Vec<SActs>,
     /// pc → owning block index.
     block_of: Vec<u32>,
@@ -612,6 +818,8 @@ pub(crate) struct TurboImage {
     /// executed prefix's remaining touches.
     cumtouch: Vec<u32>,
     line_shift: u32,
+    /// Per-class split of the static activity; `Some` iff built for DTS.
+    dts: Option<DtsTables>,
 }
 
 impl TurboImage {
@@ -619,9 +827,10 @@ impl TurboImage {
     /// block structure from leaders (entry, function entries, branch
     /// targets, fall-throughs after control flow, `Halt`), per-block
     /// static activity with intra-block interlock stalls folded in, and
-    /// static fetch-line classification.
+    /// static fetch-line classification. With `dts` set it also splits
+    /// that activity by DTS class.
     #[allow(clippy::too_many_lines)]
-    pub(crate) fn build(p: &Program) -> TurboImage {
+    pub(crate) fn build(p: &Program, dts: bool) -> TurboImage {
         let len = p.insts.len();
         assert_eq!(p.pre.len(), len, "stale predecode table");
         let line = Hierarchy::default().l1i.line();
@@ -630,7 +839,7 @@ impl TurboImage {
 
         // --- per-instruction decode -------------------------------------
         let mut code: Vec<(Handler, TOp)> = Vec::with_capacity(len);
-        let mut sacts = Vec::with_capacity(len);
+        let mut sacts: Vec<SActs> = Vec::with_capacity(len);
         for (i, inst) in p.insts.iter().enumerate() {
             code.push(decode(i, inst));
             sacts.push(SActs::of(inst, p.pre[i].slots));
@@ -707,14 +916,13 @@ impl TurboImage {
                 _ => (span as u32, span as u32 - 1),
             };
             let mut tot = SActs::default();
-            for k in 0..n as usize {
+            for (pc, sa) in sacts.iter().enumerate().skip(start).take(n as usize) {
+                tot.add(sa);
                 // Intra-block interlock: a word load feeding the very next
-                // instruction's read set stalls one cycle — fold it into
-                // the consumer's static cycles.
-                if k > 0 && p.pre[start + k - 1].load_dest_mask & p.pre[start + k].read_mask != 0 {
-                    sacts[start + k].cyc += 1;
+                // instruction's read set stalls one cycle.
+                if pc > start && interlocked(p, pc) {
+                    tot.cyc += 1;
                 }
-                tot.add(&sacts[start + k]);
             }
             let end = start + span;
             let bi = blocks.len() as u32;
@@ -902,9 +1110,11 @@ impl TurboImage {
             b.pn = plan.len() as u32 - b.ps;
         }
 
+        let dts = dts.then(|| DtsTables::build(p, &blocks, &sacts));
         TurboImage {
             plan,
             plan_off,
+            code,
             sacts,
             blocks,
             tots,
@@ -912,6 +1122,7 @@ impl TurboImage {
             revs,
             cumtouch,
             line_shift,
+            dts,
         }
     }
 
@@ -1360,12 +1571,11 @@ fn h_spec_check(s: &mut Simulator<'_>, o: &TOp) -> HR {
 // --- fused pair handlers ----------------------------------------------------
 //
 // The pairing pass fuses the adjacent instruction pairs that dominate the
-// dynamic dispatch stream (measured via the TURBO_STATS pair histogram)
-// into single "superinstruction" slots, halving the indirect-call +
-// `Step`-match overhead on those pairs. Sub-ops are `#[inline(always)]`
-// helpers shared by the fused bodies; the ALU op becomes a runtime table
-// index (a 16-way jump inside the handler), which is still far cheaper
-// than a second indirect dispatch.
+// dynamic dispatch stream into single "superinstruction" slots, halving
+// the indirect-call + `Step`-match overhead on those pairs. Sub-ops are
+// `#[inline(always)]` helpers shared by the fused bodies; the ALU op
+// becomes a runtime table index (a 16-way jump inside the handler), which
+// is still far cheaper than a second indirect dispatch.
 //
 // Fault protocol: memory sub-ops park `SimError::MemFault` with the pair
 // *sub-index* (0 or 1) in the `pc` field; the dispatch loop rebases it
@@ -2738,10 +2948,10 @@ fn fuse(i1: &MInst, i2: &MInst) -> Option<(Handler, TOp)> {
 
 impl<'p> Simulator<'p> {
     /// Data access with the stall charged directly to `cycles`; the
-    /// `l1d_accesses` counter is static (lives in [`SActs`]), unlike
-    /// `data_fast`. Routes through the per-set MRU line map
-    /// ([`Simulator::dmap`]), which tracks one resident line per L1D set
-    /// instead of the fast engine's two-entry buffer.
+    /// `l1d_accesses` counter is static (lives in [`SActs`]). Routes
+    /// through the per-set MRU line map ([`Simulator::dmap`]), which tracks
+    /// one resident line per L1D set. Every data access of a turbo run,
+    /// block or fallback, comes through here.
     #[inline]
     fn turbo_data(&mut self, addr: u32, write: bool) -> bool {
         if addr < 0x100 || addr >= self.p.mem_size {
@@ -2784,8 +2994,8 @@ impl<'p> Simulator<'p> {
     }
 
     /// Flush batched same-line I-fetch touches. Must run before anything
-    /// else mutates or reads the L1I (a real fetch, the fallback loop) so
-    /// tick/LRU ordering matches unbatched simulation exactly.
+    /// else mutates or reads the L1I (a real fetch) so tick/LRU ordering
+    /// matches unbatched simulation exactly.
     #[inline]
     fn flush_touches(&mut self, pending: &mut u64) {
         if *pending > 0 {
@@ -2795,8 +3005,9 @@ impl<'p> Simulator<'p> {
     }
 
     /// A real (line-crossing) I-fetch; caller must have flushed pending
-    /// touches. Stall goes directly to `cycles`.
-    fn fetch_turbo_real(&mut self, addr: u32, line_shift: u32) {
+    /// touches. The stall goes directly to `cycles` and is returned for
+    /// DTS class accounting.
+    fn fetch_turbo_real(&mut self, addr: u32, line_shift: u32) -> u64 {
         let l2_before = self.hier.l2.accesses();
         let dram_before = self.hier.dram_accesses;
         let (stall, slot) = self.hier.fetch_at(addr);
@@ -2805,21 +3016,44 @@ impl<'p> Simulator<'p> {
         self.act.dram_from_i += self.hier.dram_accesses - dram_before;
         self.ibuf_line = addr >> line_shift;
         self.ibuf_slot = slot;
+        stall
     }
 
-    /// Per-instruction execution (an exact replica of the fast loop) from
-    /// `self.pc` until control reaches a block leader (returns `false`) or
-    /// `Halt` (returns `true`). Used for mid-block entry after
-    /// misspeculation redirects, `Ret` to a non-leader, and fuel-tight
-    /// blocks.
-    fn run_fallback(&mut self, img: &TurboImage, line_shift: u32) -> Result<bool, SimError> {
+    /// One dynamically classified fetch slot: a touch of the buffered line
+    /// (batched into `pending`) or a real fetch. Returns the stall, which
+    /// is already in `cycles`.
+    #[inline]
+    fn fetch_slot(&mut self, addr: u32, line_shift: u32, pending: &mut u64) -> u64 {
+        if addr >> line_shift == self.ibuf_line {
+            *pending += 1;
+            return 0;
+        }
+        self.flush_touches(pending);
+        self.fetch_turbo_real(addr, line_shift)
+    }
+
+    /// Per-instruction execution from `self.pc` until control reaches a
+    /// block leader (returns `false`) or `Halt` (returns `true`). Each step
+    /// dispatches the pc's unfused handler, applies its [`SActs`] with the
+    /// load-use interlock taken dynamically, and runs branches inline. Used
+    /// for mid-block entry after misspeculation redirects, `Ret` to a
+    /// non-leader, out-of-range successors and fuel-tight blocks.
+    fn run_fallback<const DTS: bool>(
+        &mut self,
+        img: &TurboImage,
+        pending: &mut u64,
+        cls: &[u8],
+        accs: &mut [ClassAcc],
+    ) -> Result<bool, SimError> {
         let p = self.p;
         let fuel = self.cfg.fuel;
+        let shift = img.line_shift;
         loop {
             if self.counts.dyn_insts >= fuel {
                 return Err(SimError::OutOfFuel);
             }
             let pc = self.pc;
+            // An out-of-range pc panics here, as in the reference engine.
             let inst = &p.insts[pc];
             if matches!(inst, MInst::Halt) {
                 return Ok(true);
@@ -2827,23 +3061,59 @@ impl<'p> Simulator<'p> {
             self.counts.dyn_insts += 1;
             let pre = p.pre[pc];
             let addr = p.addrs[pc];
-            let mut stall = self.fetch_fast(addr, line_shift);
+            // Fetch stalls are charged to `cycles` as they happen; `cyc`
+            // collects the rest of this step's dynamic cycles.
+            let mut stall = self.fetch_slot(addr, shift, pending);
             if pre.two_slot {
-                stall += self.fetch_fast(addr + 4, line_shift);
+                stall += self.fetch_slot(addr + 4, shift, pending);
             }
-            self.act.fetch_slots += u64::from(pre.slots);
-            let mut cyc: u64 = 1 + stall;
+            let mut cyc = 0;
             if self.last_load_mask & pre.read_mask != 0 {
                 cyc += 1;
             }
-            let next_pc = self.exec_fast(pc, inst, &mut cyc)?;
-            self.last_load_mask = pre.load_dest_mask;
+            let sa = &img.sacts[pc];
+            sa.apply(1, &mut self.act, &mut self.counts);
+            let mut next = pc + 1;
+            let mut wrote = true;
+            match *inst {
+                MInst::B { target } => next = target,
+                MInst::Bc { cond, target } => {
+                    if eval_cond(cond, self.flags) {
+                        self.counts.taken_branches += 1;
+                        cyc += 2;
+                        next = target;
+                    }
+                }
+                MInst::Bl { target } => {
+                    self.regs[LR.index()] = next as u32;
+                    next = target;
+                }
+                MInst::Ret => next = self.regs[LR.index()] as usize,
+                _ => {
+                    let (h, ref op) = img.code[pc];
+                    match h(self, op) {
+                        Step::Next => {}
+                        Step::Misspec => {
+                            wrote = false;
+                            cyc += 3;
+                            next = self.misspec_target(pc)?;
+                        }
+                        Step::Fault => return Err(self.take_fault(pc)),
+                    }
+                }
+            }
             self.act.cycles += cyc;
-            self.pc = next_pc;
+            if DTS {
+                let a = &mut accs[usize::from(cls[pc])];
+                a.add(&ClassAcc::of(sa, wrote), 1);
+                a.cyc += stall + cyc;
+            }
+            self.last_load_mask = pre.load_dest_mask;
+            self.pc = next;
             // Leader check only after executing ≥1 instruction, and only
-            // for in-bounds pcs — an out-of-bounds pc must fault at the
-            // `p.insts[pc]` access above, exactly like the fast engine.
-            if next_pc < p.insts.len() && img.is_leader(next_pc) {
+            // for in-bounds pcs — an out-of-bounds pc must fail at the
+            // `p.insts[pc]` access above, exactly like the reference engine.
+            if next < p.insts.len() && img.is_leader(next) {
                 return Ok(false);
             }
         }
@@ -2926,13 +3196,29 @@ impl<'p> Simulator<'p> {
 
     /// Entry point from [`Simulator::run`]: predecode, then execute.
     pub(crate) fn run_turbo(self) -> Result<SimResult, SimError> {
-        let img = TurboImage::build(self.p);
+        let img = TurboImage::build(self.p, self.cfg.dts);
         self.run_turbo_with(&img)
     }
 
-    /// Executes over a prebuilt (possibly shared) image.
+    /// Executes over a prebuilt (possibly shared) image, which must have
+    /// been built for this run's DTS setting.
+    pub(crate) fn run_turbo_with(self, img: &TurboImage) -> Result<SimResult, SimError> {
+        assert_eq!(
+            img.dts.is_some(),
+            self.cfg.dts,
+            "image built for a different DTS setting"
+        );
+        if self.cfg.dts {
+            self.run_image::<true>(img)
+        } else {
+            self.run_image::<false>(img)
+        }
+    }
+
+    /// The block-dispatch loop, monomorphized on DTS so plain runs pay
+    /// nothing for per-class accounting.
     #[allow(clippy::too_many_lines)]
-    pub(crate) fn run_turbo_with(mut self, img: &TurboImage) -> Result<SimResult, SimError> {
+    fn run_image<const DTS: bool>(mut self, img: &TurboImage) -> Result<SimResult, SimError> {
         let p = self.p;
         debug_assert_eq!(img.block_of.len(), p.insts.len(), "image/program mismatch");
         let em = self.cfg.energy;
@@ -2944,9 +3230,11 @@ impl<'p> Simulator<'p> {
             "image built for a different I$ line size"
         );
         let len = p.insts.len();
-        // Arm the per-set D-line map (fast/reference runs never pay the
+        // Arm the per-set D-line map (reference runs never pay the
         // allocation). Entries start invalid; `turbo_data` fills them.
         self.dmap = vec![(u32::MAX, 0); self.hier.l1d.sets()];
+        let cls: &[u8] = img.dts.as_ref().map_or(&[], |d| &d.class);
+        let mut accs = vec![ClassAcc::default(); img.dts.as_ref().map_or(0, |d| d.scales.len())];
         let mut bexec = vec![0u64; img.blocks.len()];
         let mut pending: u64 = 0;
         'outer: loop {
@@ -2954,11 +3242,10 @@ impl<'p> Simulator<'p> {
             // redirects, and fallback returns land here. Anything that is
             // not an in-range block leader (mid-block skeleton targets,
             // out-of-range pcs) runs per-instruction until control reaches
-            // a leader — or faults, exactly like the fast engine.
+            // a leader — or faults, exactly like the reference engine.
             let pc = self.pc;
             if pc >= len || !img.is_leader(pc) {
-                self.flush_touches(&mut pending);
-                if self.run_fallback(img, shift)? {
+                if self.run_fallback::<DTS>(img, &mut pending, cls, &mut accs)? {
                     break 'outer;
                 }
                 continue 'outer;
@@ -2983,35 +3270,34 @@ impl<'p> Simulator<'p> {
                             break 'outer;
                         }
                         _ => {
-                            // `Oob`: fault via the fallback's `insts[pc]`
-                            // access, like the fast engine. Fuel-tight: run
-                            // per-instruction so OutOfFuel surfaces after
-                            // the exact same instruction.
+                            // `Oob`: fail via the fallback's `insts[pc]`
+                            // access, like the reference engine. Fuel-tight:
+                            // run per-instruction so OutOfFuel surfaces
+                            // after the exact same instruction.
                             self.pc = blk.start;
-                            self.flush_touches(&mut pending);
-                            if self.run_fallback(img, shift)? {
+                            if self.run_fallback::<DTS>(img, &mut pending, cls, &mut accs)? {
                                 break 'outer;
                             }
                             continue 'outer;
                         }
                     }
                 }
+                let start = blk.start;
                 // Block-entry interlock: a word load at the end of the
                 // previous block feeding our first instruction's read set.
                 if self.last_load_mask & blk.entry_read_mask != 0 {
                     self.act.cycles += 1;
+                    if DTS {
+                        accs[usize::from(cls[start])].cyc += 1;
+                    }
                 }
-                let start = blk.start;
                 let ps = blk.ps as usize;
                 let pn = blk.pn as usize;
                 // Entry fetch: the only dynamically classified sub-slot —
                 // does the block's first slot sit on the buffered line?
-                let a0 = blk.a0;
-                if a0 >> shift != self.ibuf_line {
-                    self.flush_touches(&mut pending);
-                    self.fetch_turbo_real(a0, shift);
-                } else {
-                    pending += 1;
+                let stall = self.fetch_slot(blk.a0, shift, &mut pending);
+                if DTS {
+                    accs[usize::from(cls[start])].cyc += stall;
                 }
                 // Dispatch handlers in straight runs between the block's
                 // static real-fetch events; each real fetch fires at its
@@ -3048,7 +3334,10 @@ impl<'p> Simulator<'p> {
                             }
                             pending += u64::from(ev.pend_before);
                             self.flush_touches(&mut pending);
-                            self.fetch_turbo_real(ev.addr, shift);
+                            let stall = self.fetch_turbo_real(ev.addr, shift);
+                            if DTS {
+                                accs[usize::from(cls[start + ev.k as usize])].cyc += stall;
+                            }
                             cum_consumed = ev.cum_before;
                         }
                     }
@@ -3075,12 +3364,25 @@ impl<'p> Simulator<'p> {
                     let off = img.plan_off[ps + k] as usize;
                     let ip = start + off;
                     pending += u64::from(img.cumtouch[ip] - cum_consumed);
-                    for sa in &img.sacts[start..=ip] {
+                    for pc in start..=ip {
+                        let sa = &img.sacts[pc];
                         sa.apply(1, &mut self.act, &mut self.counts);
+                        let ilock = u64::from(pc > start && interlocked(p, pc));
+                        self.act.cycles += ilock;
+                        if DTS {
+                            // Every op before `ip` wrote its destination;
+                            // `ip` misspeculated.
+                            let a = &mut accs[usize::from(cls[pc])];
+                            a.add(&ClassAcc::of(sa, pc < ip), 1);
+                            a.cyc += ilock;
+                        }
                     }
                     self.counts.dyn_insts += off as u64 + 1;
                     self.last_load_mask = p.pre[ip].load_dest_mask;
                     self.act.cycles += 3;
+                    if DTS {
+                        accs[usize::from(cls[ip])].cyc += 3;
+                    }
                     self.pc = self.misspec_target(ip)?;
                     continue 'outer;
                 }
@@ -3099,6 +3401,10 @@ impl<'p> Simulator<'p> {
                         let t = eval_cond(cond, self.flags);
                         self.counts.taken_branches += u64::from(t);
                         self.act.cycles += 2 * u64::from(t);
+                        if DTS {
+                            accs[usize::from(cls[start + blk.n as usize - 1])].cyc +=
+                                2 * u64::from(t);
+                        }
                         bi = if t { target } else { next } as usize;
                     }
                     Term::Bl { target, ret_pc } => {
@@ -3126,85 +3432,6 @@ impl<'p> Simulator<'p> {
             }
         }
         self.flush_touches(&mut pending);
-        if std::env::var_os("TURBO_STATS").is_some() {
-            let nblocks: u64 = bexec.iter().sum();
-            let binsts: u64 = img
-                .blocks
-                .iter()
-                .zip(&bexec)
-                .map(|(b, &k)| u64::from(b.n) * k)
-                .sum();
-            let bslots: u64 = img
-                .blocks
-                .iter()
-                .zip(&bexec)
-                .map(|(b, &k)| u64::from(b.pn) * k)
-                .sum();
-            let nfall: u64 = img
-                .blocks
-                .iter()
-                .zip(&bexec)
-                .filter(|(b, _)| matches!(b.term, Term::Fall { .. }))
-                .map(|(_, &k)| k)
-                .sum();
-            eprintln!(
-                "turbo-stats: blocks_exec={nblocks} fall_exec={nfall} block_insts={binsts} \
-                 slots_exec={bslots} dyn_insts={} fallback_insts={} revs={}",
-                self.counts.dyn_insts,
-                self.counts.dyn_insts - binsts,
-                img.revs.len()
-            );
-            // Dynamically-weighted adjacent-pair histogram inside handler
-            // spans — which superinstruction fusions would pay off.
-            fn kind(i: &MInst) -> &'static str {
-                match i {
-                    MInst::Alu {
-                        src2: Operand::Reg(_),
-                        ..
-                    } => "alu_rr",
-                    MInst::Alu { .. } => "alu_ri",
-                    MInst::MovImm { .. } => "mov_imm",
-                    MInst::Mov { .. } => "mov",
-                    MInst::MovCc { .. } => "mov_cc",
-                    MInst::Cmp {
-                        src2: Operand::Reg(_),
-                        ..
-                    } => "cmp_rr",
-                    MInst::Cmp { .. } => "cmp_ri",
-                    MInst::CSet { .. } => "cset",
-                    MInst::Umull { .. } => "umull",
-                    MInst::Extend { .. } => "extend",
-                    MInst::Load { .. } => "load",
-                    MInst::LoadIdx { .. } => "load_idx",
-                    MInst::Store { .. } => "store",
-                    MInst::Push { .. } => "push",
-                    MInst::Pop { .. } => "pop",
-                    MInst::SAlu { .. } => "salu",
-                    MInst::SLoad { .. } => "sload",
-                    MInst::SLoadIdx { .. } => "sload_idx",
-                    MInst::SStore { .. } => "sstore",
-                    MInst::Out { .. } => "out",
-                    _ => "other",
-                }
-            }
-            let mut pairs: std::collections::HashMap<(&str, &str), u64> =
-                std::collections::HashMap::new();
-            for (b, &x) in img.blocks.iter().zip(&bexec) {
-                if x == 0 {
-                    continue;
-                }
-                for k in 0..b.n_handlers.saturating_sub(1) as usize {
-                    let a = kind(&self.p.insts[b.start + k]);
-                    let c = kind(&self.p.insts[b.start + k + 1]);
-                    *pairs.entry((a, c)).or_insert(0) += x;
-                }
-            }
-            let mut top: Vec<_> = pairs.into_iter().collect();
-            top.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-            for ((a, c), n) in top.into_iter().take(12) {
-                eprintln!("turbo-pair: {a}+{c} {n}");
-            }
-        }
         for (tot, &k) in img.tots.iter().zip(&bexec) {
             if k > 0 {
                 tot.apply(k, &mut self.act, &mut self.counts);
@@ -3212,7 +3439,18 @@ impl<'p> Simulator<'p> {
         }
         self.act.l2_accesses = self.hier.l2.accesses();
         self.act.dram_accesses = self.hier.dram_accesses;
-        let energy = em.fold(&self.act);
+        let mut energy = em.fold(&self.act);
+        if let Some(d) = img.dts.as_ref().filter(|_| DTS) {
+            for (b, &k) in bexec.iter().enumerate() {
+                if k > 0 {
+                    for (c, acc) in &d.split[d.split_at[b] as usize..d.split_at[b + 1] as usize] {
+                        accs[usize::from(*c)].add(acc, k);
+                    }
+                }
+            }
+            d.charge_remainders(&mut accs, &self.act);
+            fold_dts(&mut energy, &accs, &d.scales, &em);
+        }
         Ok(SimResult {
             outputs: self.outputs,
             cycles: self.act.cycles,

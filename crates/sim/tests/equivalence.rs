@@ -1,21 +1,18 @@
-//! Three-way engine equivalence (the tentpole regression).
+//! Two-way engine equivalence (the tentpole regression).
 //!
-//! The simulator keeps three engines: the retained reference engine
-//! (`machine.rs`, `Engine::Reference`), the predecoded fast path
-//! (`fast.rs`, `Engine::Fast`) and the block-fused turbo engine
+//! The simulator keeps two engines: the retained reference engine
+//! (`machine.rs`, `Engine::Reference`) and the block-fused turbo engine
 //! (`turbo.rs`, `Engine::Turbo`, the default). Their contract:
 //!
-//! * `outputs`, `cycles`, `counts` and `activity` are **bit-identical**
-//!   across all three,
+//! * `outputs`, `cycles`, `counts` and `activity` are **bit-identical**,
 //! * every energy component agrees within float-summation tolerance
-//!   (the optimized engines fold integer counters once at end of run; the
-//!   reference accumulates f64 per step — same events, different
-//!   summation order).
+//!   (turbo folds integer counters once at end of run; the reference
+//!   accumulates f64 per step — same events, different summation order).
 //!
-//! This suite holds all engines to that contract on every MiBench
-//! workload under the BASELINE and BITSPEC builds, a misspeculation-heavy
-//! Min-heuristic build (mid-block redirect entries stress turbo's
-//! fallback path), the DTS mode, and alternate inputs.
+//! This suite holds turbo to that contract on every MiBench workload under
+//! the BASELINE and BITSPEC builds, a misspeculation-heavy Min-heuristic
+//! build (mid-block redirect entries stress turbo's fallback path), the
+//! DTS mode, and alternate inputs.
 
 use bitspec::{build, simulate_with, BuildConfig, Engine, SimConfig, Workload};
 use interp::Heuristic;
@@ -28,10 +25,10 @@ fn rel_close(a: f64, b: f64) -> bool {
     (a - b).abs() <= REL_TOL * a.abs().max(b.abs()).max(1.0)
 }
 
-/// (reference, fast, turbo) results for one build.
-fn run_all(w: &Workload, cfg: &BuildConfig, dts: bool) -> [SimResult; 3] {
+/// (reference, turbo) results for one build.
+fn run_both(w: &Workload, cfg: &BuildConfig, dts: bool) -> [SimResult; 2] {
     let c = build(w, cfg).unwrap_or_else(|e| panic!("{}: build: {e}", w.name));
-    [Engine::Reference, Engine::Fast, Engine::Turbo].map(|engine| {
+    [Engine::Reference, Engine::Turbo].map(|engine| {
         let sim_cfg = SimConfig {
             dts,
             engine,
@@ -41,50 +38,23 @@ fn run_all(w: &Workload, cfg: &BuildConfig, dts: bool) -> [SimResult; 3] {
     })
 }
 
-fn assert_equivalent(name: &str, tag: &str, refr: &SimResult, fast: &SimResult, turbo: &SimResult) {
-    for (engine, r) in [("fast", fast), ("turbo", turbo)] {
-        assert_eq!(r.outputs, refr.outputs, "{name}/{tag}/{engine}: outputs");
-        assert_eq!(r.cycles, refr.cycles, "{name}/{tag}/{engine}: cycles");
-        assert_eq!(r.counts, refr.counts, "{name}/{tag}/{engine}: counts");
-        assert_eq!(r.activity, refr.activity, "{name}/{tag}/{engine}: activity");
-        for (comp, e, x) in [
-            ("alu", r.energy.alu, refr.energy.alu),
-            ("regfile", r.energy.regfile, refr.energy.regfile),
-            ("icache", r.energy.icache, refr.energy.icache),
-            ("dcache", r.energy.dcache, refr.energy.dcache),
-            ("pipeline", r.energy.pipeline, refr.energy.pipeline),
-        ] {
-            assert!(
-                rel_close(e, x),
-                "{name}/{tag}/{engine}: energy.{comp} diverges: {engine}={e} ref={x}"
-            );
-        }
-    }
-    // Fast and turbo fold the same integer activity through the same
-    // energy model — their energies are bitwise-identical, which is what
-    // keeps the empirical gate's decisions engine-independent.
-    assert_eq!(
-        fast.energy.total_bits(),
-        turbo.energy.total_bits(),
-        "{name}/{tag}: fast/turbo energy must be bitwise-identical"
-    );
-}
-
-/// Bitwise view of the energy components (exact-equality check between the
-/// two integer-counter engines).
-trait EnergyBits {
-    fn total_bits(&self) -> [u64; 5];
-}
-
-impl EnergyBits for sim::EnergyBreakdown {
-    fn total_bits(&self) -> [u64; 5] {
-        [
-            self.alu.to_bits(),
-            self.regfile.to_bits(),
-            self.icache.to_bits(),
-            self.dcache.to_bits(),
-            self.pipeline.to_bits(),
-        ]
+fn assert_equivalent(name: &str, tag: &str, refr: &SimResult, turbo: &SimResult) {
+    let r = turbo;
+    assert_eq!(r.outputs, refr.outputs, "{name}/{tag}: outputs");
+    assert_eq!(r.cycles, refr.cycles, "{name}/{tag}: cycles");
+    assert_eq!(r.counts, refr.counts, "{name}/{tag}: counts");
+    assert_eq!(r.activity, refr.activity, "{name}/{tag}: activity");
+    for (comp, e, x) in [
+        ("alu", r.energy.alu, refr.energy.alu),
+        ("regfile", r.energy.regfile, refr.energy.regfile),
+        ("icache", r.energy.icache, refr.energy.icache),
+        ("dcache", r.energy.dcache, refr.energy.dcache),
+        ("pipeline", r.energy.pipeline, refr.energy.pipeline),
+    ] {
+        assert!(
+            rel_close(e, x),
+            "{name}/{tag}: energy.{comp} diverges: turbo={e} ref={x}"
+        );
     }
 }
 
@@ -102,8 +72,8 @@ fn bitspec_ungated() -> BuildConfig {
 fn engines_match_on_baseline_suite() {
     for name in names() {
         let w = workload(name, Input::Large);
-        let [refr, fast, turbo] = run_all(&w, &BuildConfig::baseline(), false);
-        assert_equivalent(name, "baseline", &refr, &fast, &turbo);
+        let [refr, turbo] = run_both(&w, &BuildConfig::baseline(), false);
+        assert_equivalent(name, "baseline", &refr, &turbo);
     }
 }
 
@@ -111,8 +81,8 @@ fn engines_match_on_baseline_suite() {
 fn engines_match_on_bitspec_suite() {
     for name in names() {
         let w = workload(name, Input::Large);
-        let [refr, fast, turbo] = run_all(&w, &bitspec_ungated(), false);
-        assert_equivalent(name, "bitspec", &refr, &fast, &turbo);
+        let [refr, turbo] = run_both(&w, &bitspec_ungated(), false);
+        assert_equivalent(name, "bitspec", &refr, &turbo);
     }
 }
 
@@ -128,37 +98,34 @@ fn engines_match_under_min_heuristic_misspeculation() {
     };
     for name in names() {
         let w = workload(name, Input::Large);
-        let [refr, fast, turbo] = run_all(&w, &cfg, false);
-        assert_equivalent(name, "bitspec-min", &refr, &fast, &turbo);
+        let [refr, turbo] = run_both(&w, &cfg, false);
+        assert_equivalent(name, "bitspec-min", &refr, &turbo);
     }
 }
 
 #[test]
 fn engines_match_under_dts() {
-    // DTS is path-dependent per step in the reference engine and
-    // class-accumulated in the fast path (turbo delegates to fast here —
-    // block fusion cannot see per-instruction activity): the
-    // per-component split of the discount can differ in summation order,
-    // but totals and all integer state must still agree.
+    // DTS is applied per step in the reference engine and folded per
+    // class in turbo (the block-level static split plus per-site dynamic
+    // charges): the ALU/regfile split of the discount differs in
+    // summation order, but totals and all integer state must still agree.
     for name in ["crc32", "sha", "dijkstra"] {
         let w = workload(name, Input::Large);
-        let [refr, fast, turbo] = run_all(&w, &bitspec_ungated(), true);
-        for (engine, r) in [("fast", &fast), ("turbo", &turbo)] {
-            assert_eq!(r.outputs, refr.outputs, "{name}/dts/{engine}: outputs");
-            assert_eq!(r.cycles, refr.cycles, "{name}/dts/{engine}: cycles");
-            assert_eq!(r.counts, refr.counts, "{name}/dts/{engine}: counts");
-            assert_eq!(r.activity, refr.activity, "{name}/dts/{engine}: activity");
-            assert!(
-                rel_close(r.total_energy(), refr.total_energy()),
-                "{name}/dts/{engine}: total energy diverges: {} ref={}",
-                r.total_energy(),
-                refr.total_energy()
-            );
-            // Caches are a separate voltage domain — DTS must not touch
-            // them, so those components stay point-comparable.
-            assert!(rel_close(r.energy.icache, refr.energy.icache));
-            assert!(rel_close(r.energy.dcache, refr.energy.dcache));
-        }
+        let [refr, r] = run_both(&w, &bitspec_ungated(), true);
+        assert_eq!(r.outputs, refr.outputs, "{name}/dts: outputs");
+        assert_eq!(r.cycles, refr.cycles, "{name}/dts: cycles");
+        assert_eq!(r.counts, refr.counts, "{name}/dts: counts");
+        assert_eq!(r.activity, refr.activity, "{name}/dts: activity");
+        assert!(
+            rel_close(r.total_energy(), refr.total_energy()),
+            "{name}/dts: total energy diverges: {} ref={}",
+            r.total_energy(),
+            refr.total_energy()
+        );
+        // Caches are a separate voltage domain — DTS must not touch
+        // them, so those components stay point-comparable.
+        assert!(rel_close(r.energy.icache, refr.energy.icache));
+        assert!(rel_close(r.energy.dcache, refr.energy.dcache));
     }
 }
 
@@ -168,7 +135,7 @@ fn alternate_inputs_agree_too() {
     // rates change with data).
     for name in ["bitcount", "qsort", "stringsearch"] {
         let w = workload(name, Input::Alternate);
-        let [refr, fast, turbo] = run_all(&w, &bitspec_ungated(), false);
-        assert_equivalent(name, "alternate", &refr, &fast, &turbo);
+        let [refr, turbo] = run_both(&w, &bitspec_ungated(), false);
+        assert_equivalent(name, "alternate", &refr, &turbo);
     }
 }

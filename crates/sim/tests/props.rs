@@ -79,12 +79,12 @@ fn memory_roundtrip() {
     }
 }
 
-/// The three simulator engines agree on small synthetic kernels, chosen to
-/// hit turbo's distinct execution shapes: pure straight-line blocks, tight
-/// taken-branch loops, calls/returns, and misspeculation redirects that
-/// enter skeleton code mid-block.
+/// The reference and turbo engines agree on small synthetic kernels, with
+/// DTS off and on, chosen to hit turbo's distinct execution shapes: pure
+/// straight-line blocks, tight taken-branch loops, calls/returns, and
+/// misspeculation redirects that enter skeleton code mid-block.
 #[test]
-fn three_engines_agree_on_synthetic_kernels() {
+fn engines_agree_on_synthetic_kernels() {
     use bitspec::{build, simulate_with, BuildConfig, Engine, SimConfig, Workload};
     let kernels: &[(&str, &str)] = &[
         (
@@ -117,25 +117,28 @@ fn three_engines_agree_on_synthetic_kernels() {
         }
         for cfg in [BuildConfig::baseline(), BuildConfig::bitspec()] {
             let c = build(&w, &cfg).expect("build");
-            let [refr, fast, turbo] = [Engine::Reference, Engine::Fast, Engine::Turbo].map(|e| {
-                let sc = SimConfig {
-                    engine: e,
-                    ..SimConfig::default()
-                };
-                simulate_with(&c, &w, &sc).expect("sim")
-            });
-            for (tag, r) in [("fast", &fast), ("turbo", &turbo)] {
-                assert_eq!(r.outputs, refr.outputs, "{name}/{tag}: outputs");
-                assert_eq!(r.cycles, refr.cycles, "{name}/{tag}: cycles");
-                assert_eq!(r.counts, refr.counts, "{name}/{tag}: counts");
-                assert_eq!(r.activity, refr.activity, "{name}/{tag}: activity");
+            for dts in [false, true] {
+                let [refr, turbo] = [Engine::Reference, Engine::Turbo].map(|e| {
+                    let sc = SimConfig {
+                        dts,
+                        engine: e,
+                        ..SimConfig::default()
+                    };
+                    simulate_with(&c, &w, &sc).expect("sim")
+                });
+                let tag = if dts { "turbo-dts" } else { "turbo" };
+                assert_eq!(turbo.outputs, refr.outputs, "{name}/{tag}: outputs");
+                assert_eq!(turbo.cycles, refr.cycles, "{name}/{tag}: cycles");
+                assert_eq!(turbo.counts, refr.counts, "{name}/{tag}: counts");
+                assert_eq!(turbo.activity, refr.activity, "{name}/{tag}: activity");
             }
         }
     }
 }
 
 /// Batch mode returns bit-identical results to N sequential single runs —
-/// the shared predecoded image must hold no per-run state.
+/// the shared predecoded image must hold no per-run state, with DTS off and
+/// on (a DTS image also carries the per-class activity split).
 #[test]
 fn batch_matches_sequential_runs() {
     use bitspec::{build, BuildConfig, Workload};
@@ -163,29 +166,37 @@ fn batch_matches_sequential_runs() {
             vec![(addr, data)]
         })
         .collect();
-    let cfg = sim::SimConfig::default();
-    let batched = sim::run_batch(&c.program, &cfg, &sets);
-    assert_eq!(batched.len(), sets.len());
-    for (i, (b, set)) in batched.iter().zip(&sets).enumerate() {
-        let single = sim::run_program(&c.program, &cfg, set).expect("single run");
-        let b = b.as_ref().expect("batched run");
-        assert_eq!(b.outputs, single.outputs, "set {i}: outputs");
-        assert_eq!(b.cycles, single.cycles, "set {i}: cycles");
-        assert_eq!(b.counts, single.counts, "set {i}: counts");
-        assert_eq!(b.activity, single.activity, "set {i}: activity");
-        assert_eq!(
-            b.energy.alu.to_bits(),
-            single.energy.alu.to_bits(),
-            "set {i}: energy bits"
-        );
+    for dts in [false, true] {
+        let cfg = sim::SimConfig {
+            dts,
+            ..sim::SimConfig::default()
+        };
+        let batched = sim::run_batch(&c.program, &cfg, &sets);
+        assert_eq!(batched.len(), sets.len());
+        for (i, (b, set)) in batched.iter().zip(&sets).enumerate() {
+            let single = sim::run_program(&c.program, &cfg, set).expect("single run");
+            let b = b.as_ref().expect("batched run");
+            assert_eq!(b.outputs, single.outputs, "dts={dts} set {i}: outputs");
+            assert_eq!(b.cycles, single.cycles, "dts={dts} set {i}: cycles");
+            assert_eq!(b.counts, single.counts, "dts={dts} set {i}: counts");
+            assert_eq!(b.activity, single.activity, "dts={dts} set {i}: activity");
+            let bits = |e: &sim::EnergyBreakdown| {
+                [e.alu, e.regfile, e.icache, e.dcache, e.pipeline].map(f64::to_bits)
+            };
+            assert_eq!(
+                bits(&b.energy),
+                bits(&single.energy),
+                "dts={dts} set {i}: energy bits"
+            );
+        }
+        // Distinct inputs must actually produce distinct outputs (the runs
+        // are independent, not aliased onto one simulator state).
+        let outs: Vec<_> = batched
+            .iter()
+            .map(|r| r.as_ref().unwrap().outputs.clone())
+            .collect();
+        assert!(outs.windows(2).any(|w| w[0] != w[1]), "inputs too uniform");
     }
-    // Distinct inputs must actually produce distinct outputs (the runs are
-    // independent, not aliased onto one simulator state).
-    let outs: Vec<_> = batched
-        .iter()
-        .map(|r| r.as_ref().unwrap().outputs.clone())
-        .collect();
-    assert!(outs.windows(2).any(|w| w[0] != w[1]), "inputs too uniform");
 }
 
 /// Differential ALU check: machine-level slice arithmetic agrees with the
