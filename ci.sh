@@ -15,6 +15,18 @@ cargo test -q
 cargo test --release -q -p bitspec --test expand_golden
 cargo run --release -q -p bench --bin tuner | diff - results/tuner.txt
 
+# Liveness oracle: the word-packed `sir::liveness` solver gives the same
+# live-in and live-out set per block as the plain HashSet fixpoint, on every
+# function of every pre-backend module of the suite sweep (expanded, and
+# squeezed under each distinct squeezer config of `bench::suite_configs`)
+# and on generated straight/diamond/loop/region functions.
+cargo test --release -q -p bitspec --test liveness_oracle
+cargo test --release -q -p sir --test props
+# Verifier teeth: each planted compiler bug (an erased region, a dropped or
+# deleted slice extend, a corrupted Δ, a missing cover entry) is rejected
+# with its rule ID, and the unmutated pipeline verifies clean.
+cargo test --release -q -p backend --test mutations
+
 # Smoke the perf harnesses: the substrate microbenchmarks (turbo + reference
 # simulator engines) and the engine-comparison target (minimum 5 reps, a
 # plain row and a DTS row; also checks BENCH_sim.json generation end to

@@ -1,6 +1,7 @@
 //! Machine IR over virtual registers (the paper's SMIR, §3.1.3).
 
 use isa::{AluOp, Cond, MemWidth};
+use sir::dataflow::Graph;
 use sir::FuncId;
 
 /// A virtual register. Class is tracked per-function in [`MirFunction`].
@@ -357,13 +358,14 @@ pub enum MirTerm {
 }
 
 impl MirTerm {
-    pub fn successors(&self) -> Vec<MBlockId> {
+    /// Branch targets, in order.
+    pub fn successor_slots(&self) -> [Option<MBlockId>; 2] {
         match self {
-            MirTerm::Br(t) => vec![*t],
+            MirTerm::Br(t) => [Some(*t), None],
             MirTerm::Bc {
                 if_true, if_false, ..
-            } => vec![*if_true, *if_false],
-            MirTerm::Ret(_) => vec![],
+            } => [Some(*if_true), Some(*if_false)],
+            MirTerm::Ret(_) => [None, None],
         }
     }
 
@@ -414,24 +416,48 @@ impl MirFunction {
         &mut self.blocks[b.index()]
     }
 
-    /// Successors including misspeculation edges (region block → handler).
-    pub fn spec_succs(&self, b: MBlockId) -> Vec<MBlockId> {
-        let mut s = self.block(b).term.successors();
-        if let Some(r) = self.block(b).region {
-            let h = self.regions[r as usize].1;
-            if !s.contains(&h) {
-                s.push(h);
-            }
-        }
-        s
-    }
-
     pub fn block_ids(&self) -> impl Iterator<Item = MBlockId> {
         (0..self.blocks.len() as u32).map(MBlockId)
     }
 
     pub fn class_of(&self, v: VReg) -> RegClass {
         self.classes[v.index()]
+    }
+
+    /// The CFG as a dataflow graph, with or without misspeculation edges.
+    pub fn cfg(&self, handler_edges: bool) -> Cfg<'_> {
+        Cfg {
+            mir: self,
+            handler_edges,
+        }
+    }
+}
+
+/// A MIR function's CFG as a dataflow graph: branch edges, plus the
+/// equation-2 misspeculation edges (region block → handler) when
+/// `handler_edges` is set.
+pub struct Cfg<'a> {
+    pub(crate) mir: &'a MirFunction,
+    handler_edges: bool,
+}
+
+impl Graph for Cfg<'_> {
+    fn num_nodes(&self) -> usize {
+        self.mir.blocks.len()
+    }
+
+    fn entry(&self) -> usize {
+        self.mir.entry.index()
+    }
+
+    fn for_each_succ(&self, n: usize, mut f: impl FnMut(usize)) {
+        let blk = &self.mir.blocks[n];
+        let slots = blk.term.successor_slots();
+        slots.into_iter().flatten().for_each(|x| f(x.index()));
+        let handler = blk.region.map(|r| self.mir.regions[r as usize].1);
+        if let Some(h) = handler.filter(|h| self.handler_edges && !slots.contains(&Some(*h))) {
+            f(h.index());
+        }
     }
 }
 

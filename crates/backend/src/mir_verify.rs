@@ -15,34 +15,13 @@
 //! * after allocation, locations agree with classes and the block order
 //!   keeps the spec segment a contiguous prefix (`MIR-LOC`, `MIR-REGION`).
 
-use crate::mir::{
-    MBlockId, MOperand, MirFunction, MirInst, MirTerm, RegClass, SAluOp, SMOperand, VReg,
-};
+use crate::mir::{Cfg, MOperand, MirFunction, MirInst, MirTerm, RegClass, SAluOp, SMOperand, VReg};
 use crate::regalloc::{AllocatedFn, Loc};
-use sir::dataflow::{self, Analysis, Direction, Graph};
+use sir::dataflow::{self, Analysis, Direction};
 use sir::Diag;
 
 /// Pass name used in every diagnostic this module emits.
 pub const PASS: &str = "mir-verify";
-
-/// [`Graph`] over a MIR function's CFG with misspeculation edges included,
-/// so definedness facts reach handlers conservatively.
-impl Graph for MirFunction {
-    fn num_nodes(&self) -> usize {
-        self.blocks.len()
-    }
-
-    fn entry(&self) -> usize {
-        self.entry.index()
-    }
-
-    fn succs(&self, n: usize) -> Vec<usize> {
-        self.spec_succs(MBlockId(n as u32))
-            .into_iter()
-            .map(|b| b.index())
-            .collect()
-    }
-}
 
 /// Whether a MIR instruction can trigger misspeculation (mirrors
 /// [`isa::MInst::can_misspeculate`] one level up).
@@ -65,18 +44,18 @@ struct Defined {
     nwords: usize,
 }
 
-impl Analysis<MirFunction> for Defined {
+impl Analysis<Cfg<'_>> for Defined {
     type Fact = Vec<u64>;
 
     fn direction(&self) -> Direction {
         Direction::Forward
     }
 
-    fn boundary(&self, _g: &MirFunction) -> Vec<u64> {
+    fn boundary(&self, _g: &Cfg) -> Vec<u64> {
         vec![0; self.nwords]
     }
 
-    fn init(&self, _g: &MirFunction, _n: usize) -> Vec<u64> {
+    fn init(&self, _g: &Cfg, _n: usize) -> Vec<u64> {
         // Optimistic top for an intersection join: everything defined.
         vec![!0; self.nwords]
     }
@@ -93,9 +72,9 @@ impl Analysis<MirFunction> for Defined {
         changed
     }
 
-    fn transfer(&self, g: &MirFunction, n: usize, input: &Vec<u64>) -> Vec<u64> {
+    fn transfer(&self, g: &Cfg, n: usize, input: &Vec<u64>) -> Vec<u64> {
         let mut out = input.clone();
-        for i in &g.blocks[n].insts {
+        for i in &g.mir.blocks[n].insts {
             for d in i.defs() {
                 out[d.index() >> 6] |= 1u64 << (d.index() & 63);
             }
@@ -381,7 +360,7 @@ fn check_regions(f: &MirFunction, problems: &mut Vec<Diag>) {
 fn check_defined(f: &MirFunction, problems: &mut Vec<Diag>) {
     let nvregs = f.classes.len();
     let sol = dataflow::solve(
-        f,
+        &f.cfg(true),
         &Defined {
             nwords: nvregs.div_ceil(64),
         },

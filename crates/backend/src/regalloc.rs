@@ -22,6 +22,9 @@
 use crate::isel::CodegenOpts;
 use crate::mir::{MBlockId, MirFunction, MirInst, RegClass, VReg};
 use isa::Reg;
+use sir::bitset::BitRows;
+use sir::dataflow::Edges;
+use sir::liveness;
 use std::collections::HashSet;
 
 /// Where a virtual register ended up.
@@ -396,26 +399,8 @@ pub fn layout_order(mir: &MirFunction) -> Vec<MBlockId> {
 }
 
 fn mir_rpo(mir: &MirFunction) -> Vec<MBlockId> {
-    let n = mir.blocks.len();
-    let mut visited = vec![false; n];
-    let mut post = Vec::with_capacity(n);
-    let mut stack = vec![(mir.entry, 0usize)];
-    visited[mir.entry.index()] = true;
-    while let Some((b, i)) = stack.pop() {
-        let succs = mir.spec_succs(b);
-        if i < succs.len() {
-            stack.push((b, i + 1));
-            let s = succs[i];
-            if !visited[s.index()] {
-                visited[s.index()] = true;
-                stack.push((s, 0));
-            }
-        } else {
-            post.push(b);
-        }
-    }
-    post.reverse();
-    post
+    let post = Edges::of(&mir.cfg(true)).postorder([mir.entry.index()]);
+    post.into_iter().rev().map(|b| MBlockId(b as u32)).collect()
 }
 
 struct LiveRanges {
@@ -540,117 +525,38 @@ fn rehome(
     }
 }
 
-fn succs_of(mir: &MirFunction, b: MBlockId, with_handler_edges: bool) -> Vec<MBlockId> {
-    if with_handler_edges {
-        mir.spec_succs(b)
-    } else {
-        mir.block(b).term.successors()
-    }
-}
-
 /// Builds per-vreg segmented live ranges over the layout order.
 /// `with_handler_edges` selects equation-2 semantics (region block →
 /// handler) or plain branch liveness (the write-through fallback).
 fn build_ranges(mir: &MirFunction, order: &[MBlockId], with_handler_edges: bool) -> LiveRanges {
     let n = mir.classes.len();
     let nb = mir.blocks.len();
-    // Block-level liveness over branch + misspeculation edges, as word-packed
-    // bitsets over vreg indices (`nw` words per block-level set).
-    let nw = n.div_ceil(64);
-    let set = |s: &mut [u64], i: usize| s[i >> 6] |= 1u64 << (i & 63);
-    let get = |s: &[u64], i: usize| s[i >> 6] >> (i & 63) & 1 != 0;
-    let mut uevar: Vec<u64> = vec![0; nb * nw];
-    let mut defs: Vec<u64> = vec![0; nb * nw];
+    // Block-level liveness over vreg-indexed bit rows, solved by the
+    // shared backward solver.
+    let mut uevar: BitRows = BitRows::new(nb, n);
+    let mut defs: BitRows = BitRows::new(nb, n);
     let mut def_side = vec![true; n];
     for b in mir.block_ids() {
-        let row = b.index() * nw;
+        let bi = b.index();
         for i in &mir.block(b).insts {
             for u in i.uses() {
-                if !get(&defs[row..row + nw], u.index()) {
-                    set(&mut uevar[row..row + nw], u.index());
+                if !defs.row(bi).contains(u.index()) {
+                    uevar.insert(bi, u.index());
                 }
             }
             for d in i.defs() {
-                set(&mut defs[row..row + nw], d.index());
+                defs.insert(bi, d.index());
                 def_side[d.index()] = mir.block(b).spec_side;
             }
         }
         for u in mir.block(b).term.uses() {
-            if !get(&defs[row..row + nw], u.index()) {
-                set(&mut uevar[row..row + nw], u.index());
+            if !defs.row(bi).contains(u.index()) {
+                uevar.insert(bi, u.index());
             }
         }
     }
-    // Successor index lists once, instead of a Vec allocation per visit.
-    let succs: Vec<Vec<usize>> = (0..nb)
-        .map(|bi| {
-            succs_of(mir, MBlockId(bi as u32), with_handler_edges)
-                .into_iter()
-                .map(|s| s.index())
-                .collect()
-        })
-        .collect();
-    // Sweep order for the backward fixpoint: CFG postorder (successors
-    // before predecessors), so each pass propagates liveness across whole
-    // forward chains. Squeezed functions append `CFG_orig` and handler
-    // blocks after the spec side, so raw descending block index needs many
-    // more passes. Unreachable blocks settle in any order; keep index order.
-    // Components not reachable from the entry (e.g. `CFG_orig` when handler
-    // edges are excluded) get their own DFS, so they too sweep in postorder.
-    let mut sweep: Vec<usize> = Vec::with_capacity(nb);
-    {
-        let mut state = vec![0u8; nb]; // 0 unvisited, 1 visited
-        let mut stack: Vec<(usize, usize)> = Vec::new();
-        let entry = mir.entry.index();
-        for root in std::iter::once(entry).chain(0..nb) {
-            if state[root] != 0 {
-                continue;
-            }
-            state[root] = 1;
-            stack.push((root, 0));
-            while let Some(top) = stack.last_mut() {
-                let u = top.0;
-                if top.1 < succs[u].len() {
-                    let s = succs[u][top.1];
-                    top.1 += 1;
-                    if state[s] == 0 {
-                        state[s] = 1;
-                        stack.push((s, 0));
-                    }
-                } else {
-                    stack.pop();
-                    sweep.push(u);
-                }
-            }
-        }
-    }
-    let mut live_in: Vec<u64> = vec![0; nb * nw];
-    let mut live_out: Vec<u64> = vec![0; nb * nw];
-    let mut out: Vec<u64> = vec![0; nw];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &bi in &sweep {
-            let row = bi * nw;
-            out.fill(0);
-            for &s in &succs[bi] {
-                for (o, w) in out.iter_mut().zip(&live_in[s * nw..s * nw + nw]) {
-                    *o |= w;
-                }
-            }
-            for wi in 0..nw {
-                let inn = uevar[row + wi] | (out[wi] & !defs[row + wi]);
-                if out[wi] != live_out[row + wi] {
-                    live_out[row + wi] = out[wi];
-                    changed = true;
-                }
-                if inn != live_in[row + wi] {
-                    live_in[row + wi] = inn;
-                    changed = true;
-                }
-            }
-        }
-    }
+    let cfg = mir.cfg(with_handler_edges);
+    let (live_in, live_out) = liveness::solve(&cfg, uevar, defs, BitRows::new(nb, n));
     // Per-block segments with intra-block precision: [first event, last
     // event], stretched to the block boundary on the live-in / live-out
     // side.
@@ -692,36 +598,27 @@ fn build_ranges(mir: &MirFunction, order: &[MBlockId], with_handler_edges: bool)
             touch(u, pos, &mut first_ev, &mut last_ev, &mut touched);
         }
         let bend = pos + 1;
-        let row = bi * nw;
+        let (lin, lout) = (live_in.row(bi), live_out.row(bi));
         // Emit a segment for every vreg live in this block.
         for &vi in &touched {
-            let s = if get(&live_in[row..row + nw], vi) {
+            let s = if lin.contains(vi) {
                 bstart
             } else {
                 first_ev[vi]
             };
-            let e = if get(&live_out[row..row + nw], vi) {
-                bend
-            } else {
-                last_ev[vi]
-            };
+            let e = if lout.contains(vi) { bend } else { last_ev[vi] };
             segs[vi].push((s, e.max(s + 1)));
             first_ev[vi] = u32::MAX;
             last_ev[vi] = 0;
         }
         // Live-through values with no local event.
-        for wi in 0..nw {
-            let mut word = live_in[row + wi] & live_out[row + wi];
-            while word != 0 {
-                let vi = wi * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                // (events were reset above; untouched live-through values
-                // still have MAX)
-                if first_ev[vi] == u32::MAX {
-                    let already = segs[vi].last().map(|&(_, e)| e >= bend).unwrap_or(false);
-                    if !already {
-                        segs[vi].push((bstart, bend));
-                    }
+        for vi in lin.and(lout) {
+            // (events were reset above; untouched live-through values
+            // still have MAX)
+            if first_ev[vi] == u32::MAX {
+                let already = segs[vi].last().map(|&(_, e)| e >= bend).unwrap_or(false);
+                if !already {
+                    segs[vi].push((bstart, bend));
                 }
             }
         }

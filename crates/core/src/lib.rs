@@ -126,6 +126,26 @@ impl BuildConfig {
             ..Self::bitspec()
         }
     }
+
+    /// The squeezer configuration this build runs, or `None` when the
+    /// architecture skips the squeezer (BASELINE, compact).
+    pub fn squeeze_config(&self) -> Option<SqueezeConfig> {
+        match self.arch {
+            Arch::BitSpec => Some(SqueezeConfig {
+                heuristic: self.heuristic,
+                compare_elim: self.compare_elim,
+                bitmask_elision: self.bitmask_elision,
+                speculation: true,
+            }),
+            Arch::NoSpec => Some(SqueezeConfig {
+                heuristic: self.heuristic,
+                compare_elim: false,
+                bitmask_elision: self.bitmask_elision,
+                speculation: false,
+            }),
+            Arch::Baseline | Arch::Compact => None,
+        }
+    }
 }
 
 /// A benchmark: source plus named inputs for profiling and evaluation.
@@ -264,22 +284,7 @@ pub fn build(workload: &Workload, cfg: &BuildConfig) -> Result<Compiled, BuildEr
     // Squeezer (§3.2.3) — per-config, never cached. Baseline/Compact
     // builds skip it entirely and codegen the shared expanded module
     // directly (no per-build clone).
-    let scfg = match cfg.arch {
-        Arch::BitSpec => Some(SqueezeConfig {
-            heuristic: cfg.heuristic,
-            compare_elim: cfg.compare_elim,
-            bitmask_elision: cfg.bitmask_elision,
-            speculation: true,
-        }),
-        Arch::NoSpec => Some(SqueezeConfig {
-            heuristic: cfg.heuristic,
-            compare_elim: false,
-            bitmask_elision: cfg.bitmask_elision,
-            speculation: false,
-        }),
-        Arch::Baseline | Arch::Compact => None,
-    };
-    let (squeezed, squeeze) = match scfg {
+    let (squeezed, squeeze) = match cfg.squeeze_config() {
         Some(scfg) => {
             let mut module = (*expanded).clone();
             let mut pass = opt::SqueezePass::new(&profile, scfg);

@@ -32,6 +32,7 @@
 //! elision* (`x & 0xFF` becomes a plain slice read, with no check needed).
 
 use interp::{Heuristic, Profile};
+use sir::bitset::BitRows;
 use sir::liveness::Liveness;
 use sir::{BinOp, BlockId, Cc, FuncId, Function, Inst, Module, Terminator, ValueId, Width};
 use std::collections::{HashMap, HashSet};
@@ -254,6 +255,14 @@ fn const_u8(f: &Function, v: ValueId) -> Option<u64> {
     }
 }
 
+/// Whether the profile, under `cfg`'s heuristic, fits `v` in a slice.
+fn profiled_narrow(profile: &Profile, fid: FuncId, cfg: &SqueezeConfig, v: ValueId) -> bool {
+    matches!(
+        profile.target(fid, v, cfg.heuristic),
+        Some(Width::W1) | Some(Width::W8)
+    )
+}
+
 fn is_wide(w: Width) -> bool {
     matches!(w, Width::W16 | Width::W32 | Width::W64)
 }
@@ -272,13 +281,9 @@ fn select_candidates(
     cfg: &SqueezeConfig,
     idempotent: &[bool],
     live: &Liveness,
+    chain: &[bool],
 ) -> Candidates {
-    let fits8 = |v: ValueId| -> bool {
-        matches!(
-            profile.target(fid, v, cfg.heuristic),
-            Some(Width::W1) | Some(Width::W8)
-        )
-    };
+    let fits8 = |v: ValueId| profiled_narrow(profile, fid, cfg, v);
     let operand_ok = |u: ValueId| -> bool {
         match f.value_width(u) {
             Some(Width::W8) => true,
@@ -340,8 +345,27 @@ fn select_candidates(
             }
         }
     }
-    // φ fixpoint: a narrow φ needs every incoming to be narrow, already
-    // 8-bit, or a small constant (no speculative truncates in predecessors).
+    drop_unfed_phis(f, &mut narrow, &mut elided);
+    // Register-pressure estimate: if many profiled-narrow values are ever
+    // simultaneously live, packed slice storage frees registers (Figure 2)
+    // and narrow φs pay for themselves even when every reader re-extends.
+    let pressure_high = max_narrow_live(f, live, &narrow, |_| 1) >= 8;
+    prune_unprofitable(
+        f,
+        fid,
+        profile,
+        cfg,
+        chain,
+        &mut narrow,
+        &mut elided,
+        pressure_high,
+    );
+    Candidates { narrow, elided }
+}
+
+/// φ fixpoint: a narrow φ needs every incoming to be narrow, already
+/// 8-bit, or a small constant (no speculative truncates in predecessors).
+fn drop_unfed_phis(f: &Function, narrow: &mut HashSet<ValueId>, elided: &mut HashSet<ValueId>) {
     loop {
         let mut removed = false;
         let phis: Vec<ValueId> = narrow
@@ -358,6 +382,7 @@ fn select_candidates(
                 });
                 if !ok {
                     narrow.remove(&v);
+                    elided.remove(&v);
                     removed = true;
                 }
             }
@@ -366,30 +391,20 @@ fn select_candidates(
             break;
         }
     }
-    // Register-pressure estimate: if many profiled-narrow values are ever
-    // simultaneously live, packed slice storage frees registers (Figure 2)
-    // and narrow φs pay for themselves even when every reader re-extends.
-    let max_narrow_live = f
-        .block_ids()
-        .map(|b| {
-            live.live_in[b.index()]
-                .iter()
-                .filter(|v| narrow.contains(v))
-                .count()
-        })
-        .max()
-        .unwrap_or(0);
-    let pressure_high = max_narrow_live >= 8;
-    prune_unprofitable(
-        f,
-        fid,
-        profile,
-        cfg,
-        &mut narrow,
-        &mut elided,
-        pressure_high,
-    );
-    Candidates { narrow, elided }
+}
+
+/// The largest total `weight` of candidates live into any one block: a
+/// walk over each block's `live_in ∧ narrow` row.
+fn max_narrow_live(
+    f: &Function,
+    live: &Liveness,
+    narrow: &HashSet<ValueId>,
+    weight: impl Fn(ValueId) -> u64,
+) -> u64 {
+    let mut bits = BitRows::new(1, f.insts.len());
+    narrow.iter().for_each(|&v| bits.insert(0, v));
+    let live_narrow = |b| live.live_in_of(b).and(bits.row(0)).map(&weight).sum();
+    f.block_ids().map(live_narrow).max().unwrap_or(0)
 }
 
 /// Whether `user` consumes its narrow operand as a (possibly scaled) load
@@ -397,8 +412,7 @@ fn select_candidates(
 /// slice-indexed addressing mode, so the narrow value feeds the AGU
 /// directly — no zero-extension instruction is ever paid.
 fn index_chain_use(f: &Function, users: &HashMap<ValueId, Vec<ValueId>>, user: ValueId) -> bool {
-    let empty = Vec::new();
-    let users_of = |x: ValueId| users.get(&x).unwrap_or(&empty);
+    let users_of = |x: ValueId| users.get(&x).map_or(&[][..], Vec::as_slice);
     let feeds_only_load_addrs = |x: ValueId| -> bool {
         let us = users_of(x);
         !us.is_empty()
@@ -406,75 +420,55 @@ fn index_chain_use(f: &Function, users: &HashMap<ValueId, Vec<ValueId>>, user: V
                 .iter()
                 .all(|&u| matches!(f.inst(u), Inst::Load { addr, .. } if *addr == x))
     };
-    match f.inst(user) {
-        Inst::Bin {
-            op: BinOp::Add,
-            width: Width::W32,
-            speculative: false,
-            ..
-        } => feeds_only_load_addrs(user),
-        Inst::Bin {
-            op: BinOp::Mul,
-            width: Width::W32,
-            rhs,
-            speculative: false,
-            ..
-        } if matches!(
-            f.inst(*rhs),
-            Inst::Const {
-                value: 1 | 2 | 4 | 8,
-                ..
-            }
-        ) =>
-        {
-            let us = users_of(user);
-            !us.is_empty()
-                && us.iter().all(|&a| {
-                    matches!(
-                        f.inst(a),
-                        Inst::Bin {
-                            op: BinOp::Add,
-                            width: Width::W32,
-                            ..
-                        }
-                    ) && feeds_only_load_addrs(a)
-                })
-        }
-        Inst::Bin {
-            op: BinOp::Shl,
-            width: Width::W32,
-            rhs,
-            speculative: false,
-            ..
-        } if matches!(f.inst(*rhs), Inst::Const { value: 0..=3, .. }) => {
-            let us = users_of(user);
-            !us.is_empty()
-                && us.iter().all(|&a| {
-                    matches!(
-                        f.inst(a),
-                        Inst::Bin {
-                            op: BinOp::Add,
-                            width: Width::W32,
-                            ..
-                        }
-                    ) && feeds_only_load_addrs(a)
-                })
-        }
+    let Inst::Bin {
+        op,
+        width: Width::W32,
+        rhs,
+        speculative: false,
+        ..
+    } = f.inst(user)
+    else {
+        return false;
+    };
+    // A scaled index (`* 1|2|4|8` or `<< 0..=3`) feeding only address adds.
+    let scaled = match (op, f.inst(*rhs)) {
+        (BinOp::Add, _) => return feeds_only_load_addrs(user),
+        (BinOp::Mul, Inst::Const { value, .. }) => matches!(value, 1 | 2 | 4 | 8),
+        (BinOp::Shl, Inst::Const { value, .. }) => *value <= 3,
         _ => false,
-    }
+    };
+    let us = users_of(user);
+    scaled
+        && !us.is_empty()
+        && us.iter().all(|&a| {
+            matches!(
+                f.inst(a),
+                Inst::Bin {
+                    op: BinOp::Add,
+                    width: Width::W32,
+                    ..
+                }
+            ) && feeds_only_load_addrs(a)
+        })
 }
 
-/// Users of every value (non-φ instruction operands only).
-fn build_users(f: &Function) -> HashMap<ValueId, Vec<ValueId>> {
+/// [`index_chain_use`] of every instruction, by value index. It depends
+/// on the function alone, so the profitability passes decide it once.
+fn index_chain_uses(f: &Function) -> Vec<bool> {
     let mut users: HashMap<ValueId, Vec<ValueId>> = HashMap::new();
     for b in f.block_ids() {
         for &u in &f.block(b).insts {
-            for op in f.inst(u).operands() {
-                users.entry(op).or_default().push(u);
-            }
+            f.inst(u)
+                .for_each_operand(|op| users.entry(op).or_default().push(u));
         }
     }
-    users
+    let mut chain = vec![false; f.insts.len()];
+    for b in f.block_ids() {
+        for &u in &f.block(b).insts {
+            chain[u.index()] = index_chain_use(f, &users, u);
+        }
+    }
+    chain
 }
 
 /// Drops candidates whose narrowing costs more than it saves: each use in
@@ -484,31 +478,24 @@ fn build_users(f: &Function) -> HashMap<ValueId, Vec<ValueId>> {
 /// pressure, φs are exempt — a packed slice φ frees ¾ of a register for
 /// its whole live range (the Figure 2 effect) regardless of how its
 /// readers consume it.
+#[allow(clippy::too_many_arguments)]
 fn prune_unprofitable(
     f: &Function,
     fid: FuncId,
     profile: &Profile,
     cfg: &SqueezeConfig,
+    chain: &[bool],
     narrow: &mut HashSet<ValueId>,
     elided: &mut HashSet<ValueId>,
     pressure_high: bool,
 ) {
-    let fits8 = |v: ValueId| -> bool {
-        matches!(
-            profile.target(fid, v, cfg.heuristic),
-            Some(Width::W1) | Some(Width::W8)
-        )
-    };
-    let users = build_users(f);
+    let fits8 = |v: ValueId| profiled_narrow(profile, fid, cfg, v);
+    let mut narrow_uses = vec![0i64; f.insts.len()];
+    let mut wide_uses = vec![0i64; f.insts.len()];
     loop {
         // Count narrow- vs wide-context uses per candidate.
-        let mut narrow_uses: HashMap<ValueId, i64> = HashMap::new();
-        let mut wide_uses: HashMap<ValueId, i64> = HashMap::new();
-        let tally = |map: &mut HashMap<ValueId, i64>, ops: Vec<ValueId>| {
-            for op in ops {
-                *map.entry(op).or_insert(0) += 1;
-            }
-        };
+        narrow_uses.fill(0);
+        wide_uses.fill(0);
         for b in f.block_ids() {
             for &u in &f.block(b).insts {
                 let inst = f.inst(u);
@@ -537,21 +524,21 @@ fn prune_unprofitable(
                 } else {
                     false
                 };
-                if narrow_context {
-                    tally(&mut narrow_uses, inst.operands());
-                } else if index_chain_use(f, &users, u) {
-                    // Slice-indexed addressing makes these uses free.
-                    tally(&mut narrow_uses, inst.operands());
+                // Slice-indexed addressing makes load-index chain uses free.
+                let uses = if narrow_context || chain[u.index()] {
+                    &mut narrow_uses
                 } else {
-                    tally(&mut wide_uses, inst.operands());
-                }
+                    &mut wide_uses
+                };
+                inst.for_each_operand(|op| uses[op.index()] += 1);
             }
-            tally(&mut wide_uses, f.block(b).term.operands());
+            for op in f.block(b).term.operands() {
+                wide_uses[op.index()] += 1;
+            }
         }
         let before = narrow.len();
         narrow.retain(|v| {
-            let n = narrow_uses.get(v).copied().unwrap_or(0);
-            let w = wide_uses.get(v).copied().unwrap_or(0);
+            let (n, w) = (narrow_uses[v.index()], wide_uses[v.index()]);
             if pressure_high && f.inst(*v).is_phi() {
                 return true;
             }
@@ -562,31 +549,7 @@ fn prune_unprofitable(
         elided.retain(|v| narrow.contains(v));
         // Removals can invalidate φ candidates again (a φ may now have a
         // non-narrow incoming).
-        loop {
-            let mut removed = false;
-            let phis: Vec<ValueId> = narrow
-                .iter()
-                .copied()
-                .filter(|v| f.inst(*v).is_phi())
-                .collect();
-            for v in phis {
-                if let Inst::Phi { incomings, .. } = f.inst(v) {
-                    let ok = incomings.iter().all(|(_, u)| {
-                        narrow.contains(u)
-                            || const_u8(f, *u).is_some()
-                            || f.value_width(*u) == Some(Width::W8)
-                    });
-                    if !ok {
-                        narrow.remove(&v);
-                        elided.remove(&v);
-                        removed = true;
-                    }
-                }
-            }
-            if !removed {
-                break;
-            }
-        }
+        drop_unfed_phis(f, narrow, elided);
         if narrow.len() == before {
             break;
         }
@@ -606,6 +569,7 @@ fn worth_squeezing(
     profile: &Profile,
     cand: &Candidates,
     live: &Liveness,
+    chain: &[bool],
 ) -> bool {
     let count = |v: ValueId| profile.stats(fid, v).count;
     // Words of register storage a value occupies (W64 pairs count double —
@@ -625,18 +589,7 @@ fn worth_squeezing(
         .sum();
     // Packing: when many narrow values are live at once, slices free whole
     // registers and eliminate spill traffic — worth far more per event.
-    let max_narrow_live: u64 = f
-        .block_ids()
-        .map(|b| {
-            live.live_in[b.index()]
-                .iter()
-                .filter(|v| cand.narrow.contains(v))
-                .map(|v| words(*v))
-                .sum()
-        })
-        .max()
-        .unwrap_or(0);
-    if max_narrow_live >= 6 {
+    if max_narrow_live(f, live, &cand.narrow, words) >= 6 {
         let phi_traffic: u64 = cand
             .narrow
             .iter()
@@ -649,7 +602,6 @@ fn worth_squeezing(
     // instruction per executed use), and wide producers feeding slices pay
     // a speculative truncate. Load-index chains lower onto the slice
     // addressing mode and cost nothing.
-    let users_ws = build_users(f);
     let mut cost: u64 = 0;
     for b in f.block_ids() {
         for &u in &f.block(b).insts {
@@ -665,16 +617,12 @@ fn worth_squeezing(
                         cost += count(u);
                     }
                 }
-            } else if index_chain_use(f, &users_ws, u) {
-                // Slice-indexed addressing: free consumption.
-            } else {
-                // Wide consumer: each narrow operand costs a zext.
-                let uc = count(u).max(inst.operands().iter().map(|o| count(*o)).max().unwrap_or(0));
-                for op in inst.operands() {
-                    if cand.narrow.contains(&op) {
-                        cost += uc;
-                    }
-                }
+            } else if !chain[u.index()] {
+                // Wide consumer (slice-indexed addressing consumes for
+                // free): each narrow operand costs a zext.
+                let mut uc = count(u);
+                inst.for_each_operand(|op| uc = uc.max(count(op)));
+                inst.for_each_operand(|op| cost += uc * u64::from(cand.narrow.contains(&op)));
             }
         }
     }
@@ -698,12 +646,8 @@ fn squeeze_function(
 ) {
     use std::time::Instant;
     // Quick reject: nothing profiled-narrow in this function.
-    let any_candidate = (0..f.insts.len() as u32).map(ValueId).any(|v| {
-        matches!(
-            profile.target(fid, v, cfg.heuristic),
-            Some(Width::W1) | Some(Width::W8)
-        )
-    });
+    let any_candidate =
+        (0..f.insts.len()).any(|v| profiled_narrow(profile, fid, cfg, ValueId::from(v)));
     if !any_candidate {
         return;
     }
@@ -722,12 +666,13 @@ fn squeeze_function(
     // Liveness of the original CFG, before cloning (handler live-ins; also
     // drives the register-pressure estimate in candidate selection).
     let live = Liveness::compute(f);
-    let cand = select_candidates(f, fid, profile, cfg, &idempotent, &live);
+    let chain = index_chain_uses(f);
+    let cand = select_candidates(f, fid, profile, cfg, &idempotent, &live, &chain);
     if cand.narrow.is_empty() {
         phases.analyze += t.elapsed().as_nanos() as u64;
         return;
     }
-    if !worth_squeezing(f, fid, profile, &cand, &live) {
+    if !worth_squeezing(f, fid, profile, &cand, &live, &chain) {
         phases.analyze += t.elapsed().as_nanos() as u64;
         return;
     }
@@ -816,13 +761,11 @@ fn squeeze_function(
         let h = f.add_block();
         // Extend each live-in of the original block. Values defined in the
         // shared setup block dominate everything and need no extension.
-        let mut live_in: Vec<ValueId> = live.live_in[ob.index()]
+        let live_in = live.live_in_of(ob);
+        for u in live_in
             .iter()
-            .copied()
             .filter(|u| def_block.get(u).map(|b| *b != setup) == Some(true))
-            .collect();
-        live_in.sort();
-        for u in live_in {
+        {
             // Only proper narrow *candidates* have a slice definition at
             // their own def site; a spec-trunc in the narrow map lives at a
             // use site — possibly inside this very region — and must not be
@@ -1132,12 +1075,7 @@ impl<'a> Transform<'a> {
         } = &inst
         {
             if is_wide(*width) && !cc.is_signed() {
-                let fits8 = |x: ValueId| {
-                    matches!(
-                        profile.target(fid, x, cfg.heuristic),
-                        Some(Width::W1) | Some(Width::W8)
-                    )
-                };
+                let fits8 = |x: ValueId| profiled_narrow(profile, fid, cfg, x);
                 let big_const = |f: &Function, x: ValueId| match f.inst(x) {
                     Inst::Const { value, .. } if *value > 0xFF => Some(*value),
                     _ => None,

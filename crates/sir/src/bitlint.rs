@@ -51,14 +51,17 @@ pub fn lint_module(m: &Module) -> Result<(), VerifyError> {
     VerifyError::check(problems)
 }
 
-/// Lints a single function, returning all violations.
+/// Lints a single function, returning all violations. Only handler
+/// live-ins need liveness, so a region-free function stops after the
+/// coverage check, which builds dominators only if it meets speculation.
 pub fn lint_function(f: &Function) -> Vec<Diag> {
     let mut diags = Vec::new();
-    let dt = DomTree::compute(f);
+    check_cover(f, &mut diags);
+    if f.regions.is_empty() {
+        return diags;
+    }
     let defs = def_blocks(f);
     let lv = Liveness::compute(f);
-
-    check_cover(f, &dt, &mut diags);
     for (ri, r) in f.regions.iter().enumerate() {
         let members: HashSet<BlockId> = r.blocks.iter().copied().collect();
         check_handler_leak(f, ri, r.handler, &members, &defs, &lv, &mut diags);
@@ -76,7 +79,8 @@ fn diag(f: &Function, rule: &'static str, loc: impl ToString, msg: impl Into<Str
 
 /// LINT-COVER: speculative instructions are dominated by a covering region
 /// entry with a live handler.
-fn check_cover(f: &Function, dt: &DomTree, diags: &mut Vec<Diag>) {
+fn check_cover(f: &Function, diags: &mut Vec<Diag>) {
+    let mut dt = None;
     for b in f.block_ids() {
         let has_spec = f.block(b).insts.iter().any(|&v| f.inst(v).is_speculative());
         if !has_spec {
@@ -92,6 +96,7 @@ fn check_cover(f: &Function, dt: &DomTree, diags: &mut Vec<Diag>) {
             continue;
         };
         let r = &f.regions[rid.index()];
+        let dt = dt.get_or_insert_with(|| DomTree::compute(f));
         if !dt.dominates(r.entry(), b) {
             diags.push(diag(
                 f,
@@ -150,7 +155,7 @@ fn check_handler_leak(
     lv: &Liveness,
     diags: &mut Vec<Diag>,
 ) {
-    for &v in lv.live_in_of(handler) {
+    for v in lv.live_in_of(handler).iter() {
         if let Some(db) = defs.get(&v) {
             if members.contains(db) {
                 diags.push(diag(
@@ -335,6 +340,45 @@ mod tests {
         f.block_mut(h).insts.push(z);
         let diags = lint_function(&f);
         assert!(diags.iter().any(|d| d.rule == "LINT-EQ8-LEAK"), "{diags:?}");
+    }
+
+    #[test]
+    fn handler_leaks_reported_in_value_order() {
+        let mut f = spec_fn();
+        let (r, h) = (BlockId(1), f.regions[0].handler);
+        let c = f.block(f.entry).insts[0];
+        let v = f.block(r).insts[0];
+        let w = f.add_inst(Inst::Bin {
+            op: BinOp::Add,
+            width: Width::W8,
+            lhs: c,
+            rhs: v,
+            speculative: false,
+        });
+        f.block_mut(r).insts.push(w);
+        // Mutation: the handler re-widens both region-defined values, the
+        // later one first.
+        for arg in [w, v] {
+            let z = f.add_inst(Inst::Zext {
+                to: Width::W32,
+                arg,
+            });
+            f.block_mut(h).insts.push(z);
+        }
+        let leaks = || -> Vec<String> {
+            lint_function(&f)
+                .into_iter()
+                .filter(|d| d.rule == "LINT-EQ8-LEAK")
+                .map(|d| d.to_string())
+                .collect()
+        };
+        let first = leaks();
+        assert_eq!(first.len(), 2, "{first:?}");
+        assert!(first[0].contains(&format!("{v} defined")), "{first:?}");
+        assert!(first[1].contains(&format!("{w} defined")), "{first:?}");
+        for _ in 0..8 {
+            assert_eq!(leaks(), first);
+        }
     }
 
     #[test]

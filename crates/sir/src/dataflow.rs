@@ -26,9 +26,10 @@ pub trait Graph {
     fn num_nodes(&self) -> usize;
     /// The entry node.
     fn entry(&self) -> usize;
-    /// Successor node ids of `n` (including speculative/handler edges where
-    /// the graph has them — the analysis sees the conservative CFG).
-    fn succs(&self, n: usize) -> Vec<usize>;
+    /// Calls `f` on every successor node id of `n`, without allocating
+    /// (including speculative/handler edges where the graph has them — the
+    /// analysis sees the conservative CFG).
+    fn for_each_succ(&self, n: usize, f: impl FnMut(usize));
 }
 
 /// A dataflow analysis over graph `G`.
@@ -71,31 +72,96 @@ pub struct Solution<F> {
     pub output: Vec<F>,
 }
 
+/// A graph's successor lists, flattened once: node `n`'s successors are
+/// `succs(n)`, in the graph's order.
+#[derive(Debug, Clone)]
+pub struct Edges {
+    at: Vec<usize>,
+    to: Vec<usize>,
+}
+
+impl Edges {
+    /// Collects every successor list of `g`.
+    pub fn of<G: Graph>(g: &G) -> Edges {
+        let mut at = Vec::with_capacity(g.num_nodes() + 1);
+        let mut to = Vec::new();
+        for n in 0..g.num_nodes() {
+            at.push(to.len());
+            g.for_each_succ(n, |s| to.push(s));
+        }
+        at.push(to.len());
+        Edges { at, to }
+    }
+
+    /// Successors of node `n`.
+    pub(crate) fn succs(&self, n: usize) -> &[usize] {
+        &self.to[self.at[n]..self.at[n + 1]]
+    }
+
+    /// The reversed graph: predecessor lists, each in ascending node order.
+    pub(crate) fn reversed(&self) -> Edges {
+        let mut lists = vec![Vec::new(); self.at.len() - 1];
+        for (u, w) in self.at.windows(2).enumerate() {
+            self.to[w[0]..w[1]].iter().for_each(|&s| lists[s].push(u));
+        }
+        let mut at = vec![0];
+        for l in &lists {
+            at.push(at[at.len() - 1] + l.len());
+        }
+        let to = lists.concat();
+        Edges { at, to }
+    }
+
+    /// Depth-first postorder (successors in graph order) from each of
+    /// `roots` in turn, skipping nodes an earlier root reached.
+    pub fn postorder(&self, roots: impl IntoIterator<Item = usize>) -> Vec<usize> {
+        let mut seen = vec![false; self.at.len() - 1];
+        let mut post = Vec::with_capacity(seen.len());
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        for root in roots {
+            if std::mem::replace(&mut seen[root], true) {
+                continue;
+            }
+            stack.push((root, self.at[root]));
+            while let Some(top) = stack.last_mut() {
+                let u = top.0;
+                if top.1 == self.at[u + 1] {
+                    stack.pop();
+                    post.push(u);
+                    continue;
+                }
+                let s = self.to[top.1];
+                top.1 += 1;
+                if !std::mem::replace(&mut seen[s], true) {
+                    stack.push((s, self.at[s]));
+                }
+            }
+        }
+        post
+    }
+}
+
 /// Runs `a` over `g` to a fixpoint with a worklist.
 pub fn solve<G: Graph, A: Analysis<G>>(g: &G, a: &A) -> Solution<A::Fact> {
     let n = g.num_nodes();
     let forward = a.direction() == Direction::Forward;
-    // Edge lists in iteration direction: `flow_preds[n]` are the nodes whose
-    // output feeds n's input.
-    let mut flow_preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut flow_succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for u in 0..n {
-        for v in g.succs(u) {
-            let (from, to) = if forward { (u, v) } else { (v, u) };
-            flow_preds[to].push(from);
-            flow_succs[from].push(to);
-        }
-    }
+    // Edge lists in iteration direction: `flow_preds.succs(n)` are the nodes
+    // whose output feeds n's input.
+    let succs = Edges::of(g);
+    let preds = succs.reversed();
+    let (flow_preds, flow_succs) = if forward {
+        (&preds, &succs)
+    } else {
+        (&succs, &preds)
+    };
     // Boundary nodes: the entry (forward) or every exit (backward).
-    let boundary: Vec<bool> = (0..n)
-        .map(|i| {
-            if forward {
-                i == g.entry()
-            } else {
-                g.succs(i).is_empty()
-            }
-        })
-        .collect();
+    let boundary = |i: usize| {
+        if forward {
+            i == g.entry()
+        } else {
+            succs.succs(i).is_empty()
+        }
+    };
 
     let mut input: Vec<A::Fact> = (0..n).map(|i| a.init(g, i)).collect();
     let mut output: Vec<A::Fact> = (0..n).map(|i| a.init(g, i)).collect();
@@ -109,10 +175,10 @@ pub fn solve<G: Graph, A: Analysis<G>>(g: &G, a: &A) -> Solution<A::Fact> {
         visits[u] += 1;
         // input[u] = join of boundary (if boundary node) and flow-preds.
         let mut inp = a.init(g, u);
-        if boundary[u] {
+        if boundary(u) {
             a.join(&mut inp, &a.boundary(g));
         }
-        for &p in &flow_preds[u] {
+        for &p in flow_preds.succs(u) {
             a.join(&mut inp, &output[p]);
         }
         let mut out = a.transfer(g, u, &inp);
@@ -120,7 +186,7 @@ pub fn solve<G: Graph, A: Analysis<G>>(g: &G, a: &A) -> Solution<A::Fact> {
         input[u] = inp;
         if out != output[u] {
             output[u] = out;
-            for &s in &flow_succs[u] {
+            for &s in flow_succs.succs(u) {
                 if !queued[s] {
                     queued[s] = true;
                     work.push_back(s);
@@ -142,11 +208,10 @@ impl Graph for crate::func::Function {
         self.entry.index()
     }
 
-    fn succs(&self, n: usize) -> Vec<usize> {
-        self.spec_succs(crate::types::BlockId(n as u32))
-            .into_iter()
-            .map(|b| b.index())
-            .collect()
+    fn for_each_succ(&self, n: usize, mut f: impl FnMut(usize)) {
+        for b in self.spec_succs(crate::types::BlockId(n as u32)) {
+            f(b.index());
+        }
     }
 }
 
@@ -167,8 +232,8 @@ mod tests {
         fn entry(&self) -> usize {
             self.entry
         }
-        fn succs(&self, n: usize) -> Vec<usize> {
-            self.succs[n].clone()
+        fn for_each_succ(&self, n: usize, f: impl FnMut(usize)) {
+            self.succs[n].iter().copied().for_each(f);
         }
     }
 
@@ -298,7 +363,9 @@ mod tests {
         f.block_mut(r).term = Terminator::Ret(None);
         f.block_mut(h).term = Terminator::Ret(None);
         f.add_region(vec![r], h);
-        assert_eq!(Graph::succs(&f, r.index()), vec![h.index()]);
+        let mut succs = Vec::new();
+        f.for_each_succ(r.index(), |s| succs.push(s));
+        assert_eq!(succs, vec![h.index()]);
         let s = solve(&f, &ReachSir);
         assert!(
             s.output[h.index()],

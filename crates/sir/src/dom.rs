@@ -1,5 +1,6 @@
 //! Dominator tree computation (Cooper–Harvey–Kennedy).
 
+use crate::dataflow::Edges;
 use crate::func::Function;
 use crate::types::{BlockId, ValueId};
 use std::collections::HashMap;
@@ -19,19 +20,15 @@ pub struct DomTree {
 impl DomTree {
     /// Computes the dominator tree of `f`.
     pub fn compute(f: &Function) -> DomTree {
-        let rpo = f.rpo();
+        // Traversal edges (branch + handler edges), as `Function::rpo` uses.
+        let succs = Edges::of(f);
+        let preds = succs.reversed();
+        let post = succs.postorder([f.entry.index()]);
+        let rpo: Vec<BlockId> = post.into_iter().rev().map(BlockId::from).collect();
         let n = f.blocks.len();
         let mut rpo_index = vec![None; n];
         for (i, b) in rpo.iter().enumerate() {
             rpo_index[b.index()] = Some(i);
-        }
-        // Predecessors along traversal edges (branch + handler edges), which
-        // matches the successors used by `Function::rpo`.
-        let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        for b in f.block_ids() {
-            for s in f.spec_succ_iter(b) {
-                preds[s.index()].push(b);
-            }
         }
         let mut idom: Vec<Option<BlockId>> = vec![None; n];
         idom[f.entry.index()] = Some(f.entry);
@@ -40,7 +37,7 @@ impl DomTree {
             changed = false;
             for &b in rpo.iter().skip(1) {
                 let mut new_idom: Option<BlockId> = None;
-                for &p in &preds[b.index()] {
+                for p in preds.succs(b.index()).iter().map(|&p| BlockId::from(p)) {
                     if idom[p.index()].is_none() {
                         continue;
                     }

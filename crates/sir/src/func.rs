@@ -198,12 +198,7 @@ impl Function {
     /// Control-flow successor map *including* misspeculation edges: every
     /// block of a region may transfer control to the region handler. This is
     /// the conservative view used by liveness (SMIR semantics, equation 2).
-    pub fn spec_succs(&self, b: BlockId) -> Vec<BlockId> {
-        self.spec_succ_iter(b).collect()
-    }
-
-    /// [`Function::spec_succs`] without allocating, for whole-CFG walks.
-    pub(crate) fn spec_succ_iter(&self, b: BlockId) -> impl Iterator<Item = BlockId> {
+    pub fn spec_succs(&self, b: BlockId) -> impl Iterator<Item = BlockId> {
         let slots = self.block(b).term.successor_slots();
         let handler = self
             .block(b)
@@ -213,30 +208,11 @@ impl Function {
         slots.into_iter().flatten().chain(handler)
     }
 
-    /// Reverse postorder over branch edges from the entry block.
+    /// Reverse postorder from the entry block. Handler edges count, so
+    /// handlers are reachable in RPO.
     pub fn rpo(&self) -> Vec<BlockId> {
-        let mut visited = vec![false; self.blocks.len()];
-        let mut post = Vec::with_capacity(self.blocks.len());
-        // Iterative DFS with explicit stack to avoid recursion depth limits.
-        // Handler edges count, so handlers are reachable in RPO.
-        let mut stack = vec![(self.entry, self.spec_succ_iter(self.entry))];
-        visited[self.entry.index()] = true;
-        while let Some((b, succs)) = stack.last_mut() {
-            match succs.next() {
-                Some(s) => {
-                    if !visited[s.index()] {
-                        visited[s.index()] = true;
-                        stack.push((s, self.spec_succ_iter(s)));
-                    }
-                }
-                None => {
-                    post.push(*b);
-                    stack.pop();
-                }
-            }
-        }
-        post.reverse();
-        post
+        let post = crate::dataflow::Edges::of(self).postorder([self.entry.index()]);
+        post.into_iter().rev().map(BlockId::from).collect()
     }
 
     /// Returns the number of φ-nodes at the head of `b`.
@@ -334,15 +310,8 @@ impl Function {
     /// φ edges from removed predecessors are pruned.
     pub fn remove_unreachable_blocks(&mut self) {
         let mut reach = vec![false; self.blocks.len()];
-        let mut work = vec![self.entry];
-        reach[self.entry.index()] = true;
-        while let Some(b) = work.pop() {
-            for s in self.spec_succ_iter(b) {
-                if !reach[s.index()] {
-                    reach[s.index()] = true;
-                    work.push(s);
-                }
-            }
+        for b in crate::dataflow::Edges::of(self).postorder([self.entry.index()]) {
+            reach[b] = true;
         }
         if reach.iter().all(|r| *r) {
             return;
@@ -500,7 +469,7 @@ mod tests {
         // Branch preds do not include the handler edge.
         assert!(f.branch_preds()[h.index()].is_empty());
         // spec_succs of region block includes the handler.
-        assert!(f.spec_succs(b1).contains(&h));
+        assert!(f.spec_succs(b1).any(|s| s == h));
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //! ```
 
 pub mod bitlint;
+pub mod bitset;
 pub mod builder;
 pub mod dataflow;
 pub mod diag;

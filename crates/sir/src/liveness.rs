@@ -4,105 +4,116 @@
 //! region has an implicit edge to the region's handler (equation 2 of
 //! §3.1.3), so anything live into a handler stays live throughout its region.
 //! φ-node operands are treated as uses at the end of the corresponding
-//! predecessor, in the usual SSA fashion.
+//! predecessor, in the usual SSA fashion. Live sets are word-packed
+//! [`BitRows`] solved by [`solve`], which the machine-IR register allocator
+//! shares through [`Graph`].
 
+use crate::bitset::{BitRows, Idx, Row};
+use crate::dataflow::{Edges, Graph};
 use crate::func::Function;
 use crate::inst::Inst;
 use crate::types::{BlockId, ValueId};
-use std::collections::HashSet;
 
 /// Per-block live-in/live-out sets.
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    pub live_in: Vec<HashSet<ValueId>>,
-    pub live_out: Vec<HashSet<ValueId>>,
+    live_in: BitRows<ValueId>,
+    live_out: BitRows<ValueId>,
 }
 
 impl Liveness {
-    /// Computes liveness for `f` by iterating a backward dataflow to a
-    /// fixpoint over branch + misspeculation edges.
+    /// Computes liveness for `f` over branch + misspeculation edges.
     pub fn compute(f: &Function) -> Liveness {
-        let n = f.blocks.len();
-        // Per-block upward-exposed uses (excluding φ operands) and defs.
-        let mut uevar: Vec<HashSet<ValueId>> = vec![HashSet::new(); n];
-        let mut defs: Vec<HashSet<ValueId>> = vec![HashSet::new(); n];
+        let (n, nv) = (f.blocks.len(), f.insts.len());
+        // Per-block upward-exposed uses (excluding φ operands) and defs;
+        // a φ operand flowing along edge p→b is live-out of p.
+        let mut uses = BitRows::new(n, nv);
+        let mut defs = BitRows::new(n, nv);
+        let mut phi_out = BitRows::new(n, nv);
         for b in f.block_ids() {
             let bi = b.index();
+            let mut use_op = |defs: &BitRows<ValueId>, op: ValueId| {
+                if !defs.row(bi).contains(op) {
+                    uses.insert(bi, op);
+                }
+            };
             for &v in &f.block(b).insts {
                 let inst = f.inst(v);
-                if !inst.is_phi() {
-                    for op in inst.operands() {
-                        if !defs[bi].contains(&op) {
-                            uevar[bi].insert(op);
-                        }
+                if let Inst::Phi { incomings, .. } = inst {
+                    for (p, val) in incomings {
+                        phi_out.insert(p.index(), *val);
                     }
+                } else {
+                    inst.for_each_operand(|op| use_op(&defs, op));
                 }
                 if inst.result_width().is_some() {
-                    defs[bi].insert(v);
+                    defs.insert(bi, v);
                 }
             }
             for op in f.block(b).term.operands() {
-                if !defs[bi].contains(&op) {
-                    uevar[bi].insert(op);
-                }
+                use_op(&defs, op);
             }
         }
-        // φ contributions: value v flowing along edge p→b is live-out of p.
-        let mut phi_uses_out: Vec<HashSet<ValueId>> = vec![HashSet::new(); n];
-        for b in f.block_ids() {
-            for &v in &f.block(b).insts {
-                if let Inst::Phi { incomings, .. } = f.inst(v) {
-                    for (p, val) in incomings {
-                        phi_uses_out[p.index()].insert(*val);
-                    }
-                } else {
-                    break;
-                }
-            }
-        }
-        let mut live_in: Vec<HashSet<ValueId>> = vec![HashSet::new(); n];
-        let mut live_out: Vec<HashSet<ValueId>> = vec![HashSet::new(); n];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            // Backward iteration converges faster in post-order; simple
-            // reverse block order is adequate for our sizes.
-            for bi in (0..n).rev() {
-                let b = BlockId(bi as u32);
-                let mut out: HashSet<ValueId> = phi_uses_out[bi].clone();
-                for s in f.spec_succs(b) {
-                    for &v in &live_in[s.index()] {
-                        out.insert(v);
-                    }
-                }
-                let mut inn: HashSet<ValueId> = uevar[bi].clone();
-                for &v in &out {
-                    if !defs[bi].contains(&v) {
-                        inn.insert(v);
-                    }
-                }
-                if out != live_out[bi] {
-                    live_out[bi] = out;
-                    changed = true;
-                }
-                if inn != live_in[bi] {
-                    live_in[bi] = inn;
-                    changed = true;
-                }
-            }
-        }
+        let (live_in, live_out) = solve(f, uses, defs, phi_out);
         Liveness { live_in, live_out }
     }
 
-    /// Values live on entry to `b`.
-    pub fn live_in_of(&self, b: BlockId) -> &HashSet<ValueId> {
-        &self.live_in[b.index()]
+    /// Values live on entry to `b`, iterated in `ValueId` order.
+    pub fn live_in_of(&self, b: BlockId) -> Row<'_, ValueId> {
+        self.live_in.row(b.index())
     }
 
-    /// Values live on exit from `b`.
-    pub fn live_out_of(&self, b: BlockId) -> &HashSet<ValueId> {
-        &self.live_out[b.index()]
+    /// Values live on exit from `b`, iterated in `ValueId` order.
+    pub fn live_out_of(&self, b: BlockId) -> Row<'_, ValueId> {
+        self.live_out.row(b.index())
     }
+}
+
+/// The least fixpoint of backward liveness over `g`: `out[n]` is the seed
+/// row `out[n]` (φ uses at the end of `n`, or nothing) joined with `in[s]`
+/// of every successor, and `in[n] = uses[n] ∪ (out[n] ∖ defs[n])`. Returns
+/// `(live_in, live_out)`; the transient use/def rows are freed on return.
+///
+/// A postorder worklist: nodes are swept successors first (unreachable
+/// components get their own DFS), revisiting only the predecessors of a
+/// node whose live-in grew. Rows only grow, so order cannot change the
+/// result.
+pub fn solve<G: Graph, I: Idx>(
+    g: &G,
+    uses: BitRows<I>,
+    defs: BitRows<I>,
+    mut out: BitRows<I>,
+) -> (BitRows<I>, BitRows<I>) {
+    let n = g.num_nodes();
+    let succs = Edges::of(g);
+    let preds = succs.reversed();
+    let order = succs.postorder(std::iter::once(g.entry()).chain(0..n));
+    let mut live_in = uses;
+    let mut dirty = vec![true; n];
+    while dirty.contains(&true) {
+        for &u in &order {
+            if !std::mem::replace(&mut dirty[u], false) {
+                continue;
+            }
+            let o = out.row_mut(u);
+            for &s in succs.succs(u) {
+                for (w, x) in o.iter_mut().zip(live_in.row(s).words()) {
+                    *w |= x;
+                }
+            }
+            let mut grew = false;
+            let (o, d) = (out.row(u).words(), defs.row(u).words());
+            for ((w, &x), &k) in live_in.row_mut(u).iter_mut().zip(o).zip(d) {
+                let next = *w | (x & !k);
+                grew |= next != *w;
+                *w = next;
+            }
+            if grew {
+                preds.succs(u).iter().for_each(|&p| dirty[p] = true);
+            }
+        }
+    }
+    (live_in, out)
 }
 
 #[cfg(test)]
@@ -148,13 +159,13 @@ mod tests {
         let f = b.finish();
         let lv = Liveness::compute(&f);
         // n is live into the loop body (used by the compare every iteration).
-        assert!(lv.live_in_of(body).contains(&n));
+        assert!(lv.live_in_of(body).contains(n));
         // x1 is live out of body (φ use on backedge + use in exit).
-        assert!(lv.live_out_of(body).contains(&x1));
+        assert!(lv.live_out_of(body).contains(x1));
         // zero flows into body's φ, so it is live out of entry…
-        assert!(lv.live_out_of(entry).contains(&zero));
+        assert!(lv.live_out_of(entry).contains(zero));
         // …but not live into body (φ semantics).
-        assert!(!lv.live_in_of(body).contains(&zero));
+        assert!(!lv.live_in_of(body).contains(zero));
     }
 
     #[test]
@@ -179,7 +190,7 @@ mod tests {
         f.block_mut(exit).term = Terminator::Ret(Some(zero));
         f.add_region(vec![r], h);
         let lv = Liveness::compute(&f);
-        assert!(lv.live_in_of(r).contains(&k));
-        assert!(lv.live_in_of(h).contains(&k));
+        assert!(lv.live_in_of(r).contains(k));
+        assert!(lv.live_in_of(h).contains(k));
     }
 }

@@ -21,6 +21,12 @@ macro_rules! id_type {
             }
         }
 
+        impl From<$name> for usize {
+            fn from(id: $name) -> usize {
+                id.index()
+            }
+        }
+
         impl fmt::Debug for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 write!(f, concat!($prefix, "{}"), self.0)
