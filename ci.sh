@@ -21,6 +21,10 @@ cargo run --release -q -p bench --bin tuner | diff - results/tuner.txt
 # squeezed under each distinct squeezer config of `bench::suite_configs`)
 # and on generated straight/diamond/loop/region functions.
 cargo test --release -q -p bitspec --test liveness_oracle
+# Known-bits oracle: the sparse `opt::knownbits` bound of every SSA value
+# is no looser than the dense per-block solver's, and sound against the
+# training profile, on every function of every expanded suite module.
+cargo test --release -q -p bitspec --test knownbits_oracle
 cargo test --release -q -p sir --test props
 # Verifier teeth: each planted compiler bug (an erased region, a dropped or
 # deleted slice extend, a corrupted Δ, a missing cover entry) is rejected

@@ -437,7 +437,7 @@ impl MirFunction {
 /// equation-2 misspeculation edges (region block → handler) when
 /// `handler_edges` is set.
 pub struct Cfg<'a> {
-    pub(crate) mir: &'a MirFunction,
+    mir: &'a MirFunction,
     handler_edges: bool,
 }
 

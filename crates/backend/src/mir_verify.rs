@@ -15,9 +15,11 @@
 //! * after allocation, locations agree with classes and the block order
 //!   keeps the spec segment a contiguous prefix (`MIR-LOC`, `MIR-REGION`).
 
-use crate::mir::{Cfg, MOperand, MirFunction, MirInst, MirTerm, RegClass, SAluOp, SMOperand, VReg};
+use crate::mir::{MOperand, MirFunction, MirInst, MirTerm, RegClass, SAluOp, SMOperand, VReg};
 use crate::regalloc::{AllocatedFn, Loc};
-use sir::dataflow::{self, Analysis, Direction};
+use sir::bitset::BitRows;
+use sir::dataflow::Reversed;
+use sir::liveness;
 use sir::Diag;
 
 /// Pass name used in every diagnostic this module emits.
@@ -34,52 +36,6 @@ pub fn can_misspeculate(i: &MirInst) -> bool {
         MirInst::SLoadIdx { speculative, .. } | MirInst::STrunc { speculative, .. } => *speculative,
         MirInst::SpecCheck { .. } => true,
         _ => false,
-    }
-}
-
-/// Definitely-defined vregs, as a forward intersection dataflow: a vreg is
-/// defined at a point iff it is defined on *every* path reaching it. Facts
-/// are word-packed bitsets over vreg indices (bit set = defined).
-struct Defined {
-    nwords: usize,
-}
-
-impl Analysis<Cfg<'_>> for Defined {
-    type Fact = Vec<u64>;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn boundary(&self, _g: &Cfg) -> Vec<u64> {
-        vec![0; self.nwords]
-    }
-
-    fn init(&self, _g: &Cfg, _n: usize) -> Vec<u64> {
-        // Optimistic top for an intersection join: everything defined.
-        vec![!0; self.nwords]
-    }
-
-    fn join(&self, into: &mut Vec<u64>, from: &Vec<u64>) -> bool {
-        let mut changed = false;
-        for (a, b) in into.iter_mut().zip(from) {
-            let next = *a & *b;
-            if next != *a {
-                *a = next;
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    fn transfer(&self, g: &Cfg, n: usize, input: &Vec<u64>) -> Vec<u64> {
-        let mut out = input.clone();
-        for i in &g.mir.blocks[n].insts {
-            for d in i.defs() {
-                out[d.index() >> 6] |= 1u64 << (d.index() & 63);
-            }
-        }
-        out
     }
 }
 
@@ -357,21 +313,35 @@ fn check_regions(f: &MirFunction, problems: &mut Vec<Diag>) {
     }
 }
 
+/// `MIR-UNDEF`: flags each use of a vreg that may be undefined there, i.e.
+/// that some path from the entry (misspeculation edges included) reaches
+/// without defining it. "May be undefined" is a forward union with
+/// `out = in ∖ defs`, seeded with every vreg at the entry: the gen/kill
+/// shape of [`liveness::solve`], run over the reversed CFG.
 fn check_defined(f: &MirFunction, problems: &mut Vec<Diag>) {
-    let nvregs = f.classes.len();
-    let sol = dataflow::solve(
-        &f.cfg(true),
-        &Defined {
-            nwords: nvregs.div_ceil(64),
-        },
-    );
+    let (nb, nvregs) = (f.blocks.len(), f.classes.len());
+    let mut defs: BitRows = BitRows::new(nb, nvregs);
     for b in f.block_ids() {
-        let mut defined = sol.input[b.index()].clone();
+        for inst in &f.block(b).insts {
+            for d in inst.defs().into_iter().filter(|d| d.index() < nvregs) {
+                defs.insert(b.index(), d.index());
+            }
+        }
+    }
+    let mut seed: BitRows = BitRows::new(nb, nvregs);
+    (0..nvregs).for_each(|v| seed.insert(f.entry.index(), v));
+    let rev = Reversed::of(&f.cfg(true));
+    let (_, undef_in) = liveness::solve(&rev, BitRows::new(nb, nvregs), defs, seed);
+    // `local[v] == b + 1` once block `b` has defined `v` above the cursor.
+    let mut local = vec![0u32; nvregs];
+    for b in f.block_ids() {
+        let (undef, stamp) = (undef_in.row(b.index()), b.index() as u32 + 1);
         // Locations are formatted lazily: this loop runs per instruction on
         // every (usually clean) function.
-        let mut check = |uses: Vec<VReg>, defined: &[u64], ii: Option<usize>| {
+        let mut check = |uses: Vec<VReg>, local: &[u32], ii: Option<usize>| {
             for u in uses {
-                if u.index() >= nvregs || defined[u.index() >> 6] >> (u.index() & 63) & 1 == 0 {
+                let i = u.index();
+                if i >= nvregs || (local[i] != stamp && undef.contains(i)) {
                     let loc = match ii {
                         Some(i) => format!("{b:?}[{i}]"),
                         None => format!("{b:?}"),
@@ -387,14 +357,12 @@ fn check_defined(f: &MirFunction, problems: &mut Vec<Diag>) {
             }
         };
         for (ii, inst) in f.block(b).insts.iter().enumerate() {
-            check(inst.uses(), &defined, Some(ii));
-            for d in inst.defs() {
-                if d.index() < nvregs {
-                    defined[d.index() >> 6] |= 1u64 << (d.index() & 63);
-                }
+            check(inst.uses(), &local, Some(ii));
+            for d in inst.defs().into_iter().filter(|d| d.index() < nvregs) {
+                local[d.index()] = stamp;
             }
         }
-        check(f.block(b).term.uses(), &defined, None);
+        check(f.block(b).term.uses(), &local, None);
     }
 }
 
@@ -561,6 +529,143 @@ mod tests {
             .into_iter()
             .find(|af| !af.mir.regions.is_empty())
             .expect("bitspec compile must form at least one region")
+    }
+
+    /// A hand-built function over word vregs `v0..v{nv}`: block `i` holds
+    /// `blocks[i]`, block 0 is the entry, and `regions` are `(blocks,
+    /// handler)` pairs by block index.
+    fn hand(
+        nv: usize,
+        blocks: Vec<(Vec<MirInst>, MirTerm)>,
+        regions: Vec<(Vec<u32>, u32)>,
+    ) -> MirFunction {
+        use crate::mir::{MBlockId, MirBlock};
+        let mut f = MirFunction {
+            name: "hand".into(),
+            blocks: blocks
+                .into_iter()
+                .map(|(insts, term)| MirBlock {
+                    insts,
+                    term,
+                    region: None,
+                    handler_for: None,
+                    spec_side: false,
+                })
+                .collect(),
+            entry: MBlockId(0),
+            classes: vec![RegClass::Word; nv],
+            regions: Vec::new(),
+            alloca_sizes: Vec::new(),
+            param_slots: 0,
+        };
+        for (r, (rb, h)) in regions.into_iter().enumerate() {
+            for &b in &rb {
+                f.blocks[b as usize].region = Some(r as u32);
+            }
+            f.blocks[h as usize].handler_for = Some(r as u32);
+            f.regions
+                .push((rb.into_iter().map(MBlockId).collect(), MBlockId(h)));
+        }
+        f
+    }
+
+    fn def(v: u32) -> MirInst {
+        MirInst::MovImm {
+            rd: VReg(v),
+            imm: 1,
+        }
+    }
+
+    fn br(b: u32) -> MirTerm {
+        MirTerm::Br(crate::mir::MBlockId(b))
+    }
+
+    fn bc(t: u32, e: u32) -> MirTerm {
+        MirTerm::Bc {
+            cond: isa::Cond::Eq,
+            if_true: crate::mir::MBlockId(t),
+            if_false: crate::mir::MBlockId(e),
+        }
+    }
+
+    /// `(location, message)` of every `MIR-UNDEF` diagnostic.
+    fn undefined(f: &MirFunction) -> Vec<(String, String)> {
+        let mut d = Vec::new();
+        check_defined(f, &mut d);
+        assert!(d.iter().all(|p| p.rule == "MIR-UNDEF"));
+        d.into_iter().map(|p| (p.loc, p.msg)).collect()
+    }
+
+    #[test]
+    fn use_at_a_join_defined_on_one_arm_is_undefined() {
+        // 0 -> {1, 2} -> 3; only arm 1 defines v0, and 3 returns it.
+        let f = hand(
+            1,
+            vec![
+                (vec![], bc(1, 2)),
+                (vec![def(0)], br(3)),
+                (vec![], br(3)),
+                (vec![], MirTerm::Ret(vec![VReg(0)])),
+            ],
+            vec![],
+        );
+        let want = ("mb3".to_string(), "v0 used before definition".to_string());
+        assert_eq!(undefined(&f), vec![want]);
+        // Defining it on the other arm too makes the join clean.
+        let mut g = f.clone();
+        g.blocks[2].insts.push(def(0));
+        assert_eq!(undefined(&g), vec![]);
+    }
+
+    #[test]
+    fn handler_use_of_a_vreg_defined_later_in_its_region_is_undefined() {
+        // Region {1, 2} with handler 4: a misspeculation in block 1 reaches
+        // the handler before block 2 defines v0.
+        let f = hand(
+            1,
+            vec![
+                (vec![], br(1)),
+                (vec![], br(2)),
+                (vec![def(0)], br(3)),
+                (vec![], MirTerm::Ret(vec![VReg(0)])),
+                (vec![], MirTerm::Ret(vec![VReg(0)])),
+            ],
+            vec![(vec![1, 2], 4)],
+        );
+        let locs: Vec<String> = undefined(&f).into_iter().map(|(l, _)| l).collect();
+        assert_eq!(locs, vec!["mb4"], "only the handler's use");
+    }
+
+    #[test]
+    fn loop_carried_definition_and_unreachable_block_are_clean() {
+        // 0 defines v0; loop 1 reads v0, redefines it and defines v1, which
+        // the exit 2 returns. Block 3 is unreachable and reads an
+        // otherwise-undefined v2: with no path from the entry, no use there
+        // can see an undefined vreg.
+        let f = hand(
+            3,
+            vec![
+                (vec![def(0)], br(1)),
+                (
+                    vec![
+                        MirInst::Mov {
+                            rd: VReg(1),
+                            rm: VReg(0),
+                        },
+                        def(0),
+                    ],
+                    bc(1, 2),
+                ),
+                (vec![], MirTerm::Ret(vec![VReg(0), VReg(1)])),
+                (vec![], MirTerm::Ret(vec![VReg(2)])),
+            ],
+            vec![],
+        );
+        assert_eq!(undefined(&f), vec![]);
+        // A vreg index past the class table is always flagged.
+        let mut g = f.clone();
+        g.blocks[2].term = MirTerm::Ret(vec![VReg(3)]);
+        assert_eq!(undefined(&g).len(), 1);
     }
 
     #[test]

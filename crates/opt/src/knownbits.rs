@@ -6,24 +6,22 @@
 //! statically narrowed to 8 bits only when this analysis proves its maximum
 //! possible value fits — no hardware check exists to catch a miss.
 //!
-//! The fixpoint iteration runs on the reusable [`sir::dataflow`] framework:
-//! the fact attached to each block is the whole per-value bound vector,
-//! joined by elementwise max, with the framework's widening hook jumping
-//! still-growing bounds to their width's top after 8 visits so loop-carried
-//! counters terminate.
+//! The solve is sparse: an SSA value has one definition, so it has one
+//! bound. [`max_values`] sweeps the blocks in reverse postorder (unreached
+//! blocks last), re-evaluating [`inst_max`] in place until no bound grows.
+//! A bound that has grown more than 8 times jumps to its width's mask
+//! (top), so loop-carried counters terminate.
 
-use sir::dataflow::{self, Analysis, Direction};
 use sir::{BinOp, Function, Inst, ValueId, Width};
 
-/// Max-value bound vectors over all SSA values of a function.
-struct MaxValues;
+/// Growths a bound may take before it is widened to its width's mask.
+const WIDEN_AFTER: u8 = 8;
 
 /// Per-instruction transfer: a sound upper bound on the result of `v` given
-/// operand bounds in `get`.
-fn inst_max(f: &Function, v: ValueId, get: &dyn Fn(ValueId) -> u64) -> Option<u64> {
+/// operand bounds in `get`, or `None` when `v` has no result.
+pub fn inst_max(f: &Function, v: ValueId, get: impl Fn(ValueId) -> u64) -> Option<u64> {
     let inst = f.inst(v);
     let w = inst.result_width()?;
-    let top_for = |w: Width| w.mask();
     Some(match inst {
         Inst::Const { value, .. } => *value,
         Inst::Param { width, .. } => width.mask(),
@@ -92,88 +90,52 @@ fn inst_max(f: &Function, v: ValueId, get: &dyn Fn(ValueId) -> u64) -> Option<u6
                         a.min(c - 1).min(m)
                     }
                 }
-                BinOp::Shl => {
-                    // conservative unless shift is constant
-                    if let Inst::Const { value, .. } = f.inst(*rhs) {
-                        a.checked_shl(*value as u32).unwrap_or(u64::MAX).min(m)
-                    } else {
-                        m
+                // Conservative unless the shift is a constant that drops
+                // no set bit past bit 63.
+                BinOp::Shl => match f.inst(*rhs) {
+                    Inst::Const { value, .. }
+                        if *value < 64 && u64::from(a.leading_zeros()) >= *value =>
+                    {
+                        (a << value).min(m)
                     }
-                }
+                    _ => m,
+                },
                 BinOp::Lshr => a.min(m),
                 BinOp::Ashr | BinOp::Sdiv | BinOp::Srem => m,
             }
         }
-        _ => top_for(w),
+        _ => w.mask(),
     })
-}
-
-impl Analysis<Function> for MaxValues {
-    type Fact = Vec<u64>;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn boundary(&self, g: &Function) -> Vec<u64> {
-        vec![0; g.insts.len()]
-    }
-
-    fn init(&self, g: &Function, _n: usize) -> Vec<u64> {
-        vec![0; g.insts.len()]
-    }
-
-    fn join(&self, into: &mut Vec<u64>, from: &Vec<u64>) -> bool {
-        let mut changed = false;
-        for (i, f) in into.iter_mut().zip(from) {
-            if *f > *i {
-                *i = *f;
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    fn transfer(&self, f: &Function, n: usize, input: &Vec<u64>) -> Vec<u64> {
-        let mut max = input.clone();
-        for &v in &f.blocks[n].insts {
-            let get = |x: ValueId| max[x.index()];
-            if let Some(new) = inst_max(f, v, &get) {
-                if new > max[v.index()] {
-                    max[v.index()] = new;
-                }
-            }
-        }
-        max
-    }
-
-    fn widen(&self, f: &Function, _n: usize, old: &Vec<u64>, new: &mut Vec<u64>, visits: u32) {
-        // After 8 visits, jump still-growing bounds straight to their
-        // width's top so loop-carried increments terminate.
-        if visits <= 8 {
-            return;
-        }
-        for (i, (o, n)) in old.iter().zip(new.iter_mut()).enumerate() {
-            if n != o {
-                if let Some(w) = f.value_width(ValueId(i as u32)) {
-                    *n = w.mask();
-                }
-            }
-        }
-    }
 }
 
 /// Computes, per SSA value, a sound upper bound on its (zero-extended)
 /// runtime value. `u64::MAX` means "unknown".
 pub fn max_values(f: &Function) -> Vec<u64> {
-    let sol = dataflow::solve(f, &MaxValues);
-    // A value's bound lives in its defining block's output; the elementwise
-    // max over all block outputs collapses the solution to one global
-    // vector (facts only grow along edges, so this is exact).
+    let mut order = f.rpo();
+    let mut reached = vec![false; f.blocks.len()];
+    order.iter().for_each(|b| reached[b.index()] = true);
+    order.extend(f.block_ids().filter(|b| !reached[b.index()]));
     let mut max = vec![0; f.insts.len()];
-    for out in &sol.output {
-        for (m, o) in max.iter_mut().zip(out) {
-            *m = (*m).max(*o);
+    let mut grown = vec![0u8; f.insts.len()];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &b in &order {
+            for &v in &f.block(b).insts {
+                let Some(new) = inst_max(f, v, |x| max[x.index()]) else {
+                    continue;
+                };
+                let i = v.index();
+                if new > max[i] {
+                    grown[i] = grown[i].saturating_add(1);
+                    max[i] = if grown[i] > WIDEN_AFTER {
+                        f.value_width(v).map_or(new, |w| w.mask().max(new))
+                    } else {
+                        new
+                    };
+                    changed = true;
+                }
+            }
         }
     }
     max
@@ -351,8 +313,88 @@ mod tests {
     }
 
     #[test]
+    fn shl_by_constant_shifts_the_bound() {
+        let (m, mv) = analyse("u32 f(u32 x) { return (x & 3) << 4; }", "f");
+        let f = m.func(m.func_by_name("f").unwrap());
+        let shl = (0..f.insts.len() as u32)
+            .map(ValueId)
+            .find(|v| matches!(f.inst(*v), Inst::Bin { op: BinOp::Shl, .. }))
+            .unwrap();
+        assert_eq!(mv[shl.index()], 0x30);
+    }
+
+    #[test]
+    fn shl_past_bit_63_is_top() {
+        // x % 3 is bounded by 2, and 2 << 63 wraps to 0 in a u64. The
+        // shift can set bit 63, so the bound must be top: a wrapped 0 would
+        // let NoSpec packing compute the shift in a byte slice.
+        let mut f = Function::new("sh", vec![Width::W64], Some(Width::W64));
+        let x = f.param_value(0);
+        let c3 = f.append_inst(
+            f.entry,
+            Inst::Const {
+                width: Width::W64,
+                value: 3,
+            },
+        );
+        let a = f.append_inst(
+            f.entry,
+            Inst::Bin {
+                op: BinOp::Urem,
+                width: Width::W64,
+                lhs: x,
+                rhs: c3,
+                speculative: false,
+            },
+        );
+        let c63 = f.append_inst(
+            f.entry,
+            Inst::Const {
+                width: Width::W64,
+                value: 63,
+            },
+        );
+        let s = f.append_inst(
+            f.entry,
+            Inst::Bin {
+                op: BinOp::Shl,
+                width: Width::W64,
+                lhs: a,
+                rhs: c63,
+                speculative: false,
+            },
+        );
+        f.block_mut(f.entry).term = Terminator::Ret(Some(s));
+        let mv = max_values(&f);
+        assert_eq!(mv[a.index()], 2);
+        assert_eq!(mv[s.index()], u64::MAX);
+        assert!(!provably_narrow(&f)[s.index()]);
+    }
+
+    #[test]
+    fn constant_inside_a_widened_loop_keeps_its_bound() {
+        // The counter widens to top; the constant added each iteration is
+        // defined once and never grows, so it keeps its exact bound.
+        let (m, mv) = analyse(
+            "u32 f(u32 n) { u32 i = 0; u32 s = 0; while (i < n) { s = s + 7; i = i + 1; } return s; }",
+            "f",
+        );
+        let f = m.func(m.func_by_name("f").unwrap());
+        let seven = (0..f.insts.len() as u32)
+            .map(ValueId)
+            .find(|v| matches!(f.inst(*v), Inst::Const { value: 7, .. }))
+            .unwrap();
+        assert_eq!(mv[seven.index()], 7);
+        let add = (0..f.insts.len() as u32)
+            .map(ValueId)
+            .find(|v| matches!(f.inst(*v), Inst::Bin { op: BinOp::Add, .. }))
+            .unwrap();
+        assert_eq!(mv[add.index()], Width::W32.mask());
+    }
+
+    #[test]
     fn widening_cutoff_fires_after_eight_visits() {
-        // A bare increment climbs by 1 per visit: without the cutoff the
+        // A bare increment climbs by 1 per sweep: without the cutoff the
         // fixpoint would take 2^32 rounds. The widened bound must be top,
         // and must be reached (analysis terminates).
         let (m, mv) = analyse(

@@ -6,7 +6,7 @@
 //! φ-node operands are treated as uses at the end of the corresponding
 //! predecessor, in the usual SSA fashion. Live sets are word-packed
 //! [`BitRows`] solved by [`solve`], which the machine-IR register allocator
-//! shares through [`Graph`].
+//! and verifier share through [`Graph`].
 
 use crate::bitset::{BitRows, Idx, Row};
 use crate::dataflow::{Edges, Graph};
@@ -78,6 +78,11 @@ impl Liveness {
 /// components get their own DFS), revisiting only the predecessors of a
 /// node whose live-in grew. Rows only grow, so order cannot change the
 /// result.
+///
+/// Over a [`Reversed`](crate::dataflow::Reversed) graph the same equations
+/// are a forward union problem: machine-IR definedness seeds `out[entry]`
+/// with every vreg and reads "may be undefined at block entry" from the
+/// returned `out` rows.
 pub fn solve<G: Graph, I: Idx>(
     g: &G,
     uses: BitRows<I>,
