@@ -25,6 +25,9 @@ cargo test --release -q -p bitspec --test liveness_oracle
 # is no looser than the dense per-block solver's, and sound against the
 # training profile, on every function of every expanded suite module.
 cargo test --release -q -p bitspec --test knownbits_oracle
+# IR property tests, including the dominance oracle: the O(1)
+# `DomTree::dominates` agrees with the idom-chain walk on every block pair
+# of the generated straight/diamond/loop/region functions.
 cargo test --release -q -p sir --test props
 # Verifier teeth: each planted compiler bug (an erased region, a dropped or
 # deleted slice extend, a corrupted Δ, a missing cover entry) is rejected
@@ -52,9 +55,12 @@ cargo run --release -p bench --bin buildperf -- 2
 # contention tests, -j1 vs -j8 sweeps of the suite (identical outputs
 # and cache counters on the memory + disk store tiers), an expander-grid
 # slice that computes each profile and evaluation sim once per distinct
-# expanded module and program at any -j, early cutoff below `expand`
-# (expander knobs that yield the same module reuse its profile and gate
-# leg) with the rest of the stage-cache invalidation rules,
+# expanded module and program at any -j, a gated suite slice whose one
+# `sim` stage runs each distinct evaluation or empirical-gate training
+# run once at any -j (every gated cell's evaluation is a hit), early
+# cutoff below `expand` (expander knobs that yield the same module reuse
+# its profile and gate leg) with the rest of the stage-cache invalidation
+# rules,
 # function-cache invalidation precision, pool output ordering, and the
 # fuzzer's seeded serial/parallel/incremental agreement property.
 cargo test --release -q -p bitspec --lib memo

@@ -9,7 +9,7 @@
 //! This library holds the shared run/format helpers.
 
 use bitspec::memo::{Codec, Memo};
-use bitspec::{build, simulate_with, BuildConfig, Compiled, SimConfig, SimResult, Workload};
+use bitspec::{build, stages, BuildConfig, Compiled, SimConfig, SimResult, Workload};
 use std::convert::Infallible;
 use std::sync::Arc;
 
@@ -27,27 +27,25 @@ pub fn run(w: &Workload, cfg: &BuildConfig) -> (Compiled, SimResult) {
 /// [`run`] with an explicit simulator configuration — harnesses use this
 /// to pin an engine (`SimConfig::engine`) or mode instead of the default.
 ///
-/// The evaluation simulation goes through a memory-only single-flight
-/// memo keyed by [`bitspec::fingerprint::sim_key`] (program fingerprint,
-/// resolved evaluation inputs, every `SimConfig` field and the build's
-/// DTS flag): cells whose builds link the same program — expander-tuner
-/// corners that expand to one module, gate-rejected squeezes — share one
-/// run. [`simulate_with`] itself stays un-memoized.
+/// The evaluation simulation goes through the shared [`stages::sim`]
+/// stage, keyed by [`bitspec::fingerprint::sim_key`] (program
+/// fingerprint, resolved evaluation inputs, every `SimConfig` field and
+/// the build's DTS flag). Cells whose builds link the same program —
+/// expander-tuner corners that expand to one module, gate-rejected
+/// squeezes — share one run, and a gated cell evaluated on its training
+/// inputs under the default configuration (every MiBench workload)
+/// reuses the run its empirical gate already made of the kept program.
+/// [`bitspec::simulate_with`] itself stays un-memoized.
 ///
 /// # Panics
 /// Panics on build or simulation failure.
 pub fn run_with(w: &Workload, cfg: &BuildConfig, sim_cfg: &SimConfig) -> (Compiled, SimResult) {
     let c = build(w, cfg).unwrap_or_else(|e| panic!("{}: build failed: {e}", w.name));
-    let key = bitspec::fingerprint::sim_key(&c, &w.inputs, sim_cfg);
-    let (r, _) = SIMS
-        .get(key, false, || simulate_with(&c, w, sim_cfg))
+    let inputs = bitspec::resolve_inputs(&c.module, &w.inputs);
+    let (run, _) = stages::sim(&c.program, &inputs, sim_cfg, c.config.dts)
         .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", w.name));
-    (c, SimResult::clone(&r))
+    (c, run.result.clone())
 }
-
-/// Evaluation simulations, keyed by [`bitspec::fingerprint::sim_key`]
-/// (memory only: a cell that reaches the store carries its result).
-static SIMS: Memo<SimResult> = Memo::new("sim", None);
 
 /// One build+simulate artifact, shared across harness call sites.
 pub type Cell = Arc<(Compiled, SimResult)>;
@@ -139,7 +137,7 @@ pub fn suite_configs() -> Vec<BuildConfig> {
 /// rebuilds).
 pub fn clear_cache() {
     CELLS.clear();
-    SIMS.clear();
+    stages::clear_sims();
 }
 
 /// Runs every workload under one configuration across `workers` pool

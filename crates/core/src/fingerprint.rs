@@ -209,29 +209,45 @@ fn sim_config_key(cfg: &SimConfig) -> u64 {
     h.finish()
 }
 
-/// Cache key of one evaluation simulation ([`crate::simulate_with`] of
-/// `compiled` on `inputs` under `cfg`): the linked program's
-/// [`backend::program_fingerprint`], the inputs resolved to the
+/// Cache key of one simulation run ([`crate::stages::sim`]): `program`'s
+/// [`backend::program_fingerprint`], the inputs already resolved to the
 /// `(address, bytes)` pairs the simulator installs, every `cfg` field,
-/// and the build's own DTS flag (which `simulate_with` ORs into `cfg`).
-/// Everything the simulation reads is covered, so two cells whose builds
-/// link the same program share one run.
-///
-/// # Panics
-/// Panics when an input names no global of the compiled module.
-pub fn sim_key(compiled: &Compiled, inputs: &[(String, Vec<u8>)], cfg: &SimConfig) -> u64 {
+/// and the build's own DTS flag `dts` (which the run ORs into `cfg`).
+/// Everything the simulation reads is covered, so any two callers that
+/// run the same program on the same memory image share one run.
+pub fn sim_run_key(
+    program: &backend::Program,
+    inputs: &[(u32, Vec<u8>)],
+    cfg: &SimConfig,
+    dts: bool,
+) -> u64 {
     let mut h = Fnv::new();
     h.str("sim");
-    h.u64(backend::program_fingerprint(&compiled.program));
-    let resolved = crate::resolve_inputs(&compiled.module, inputs);
-    h.u64(resolved.len() as u64);
-    for (addr, data) in &resolved {
+    h.u64(backend::program_fingerprint(program));
+    h.u64(inputs.len() as u64);
+    for (addr, data) in inputs {
         h.u32(*addr);
         h.bytes(data);
     }
     h.u64(sim_config_key(cfg));
-    h.bool(compiled.config.dts);
+    h.bool(dts);
     h.finish()
+}
+
+/// Cache key of one evaluation simulation ([`crate::simulate_with`] of
+/// `compiled` on `inputs` under `cfg`): [`sim_run_key`] of the linked
+/// program, the inputs resolved in `compiled`'s data layout, `cfg` and
+/// the build's DTS flag.
+///
+/// # Panics
+/// Panics when an input names no global of the compiled module.
+pub fn sim_key(compiled: &Compiled, inputs: &[(String, Vec<u8>)], cfg: &SimConfig) -> u64 {
+    sim_run_key(
+        &compiled.program,
+        &crate::resolve_inputs(&compiled.module, inputs),
+        cfg,
+        compiled.config.dts,
+    )
 }
 
 #[cfg(test)]

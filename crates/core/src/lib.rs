@@ -28,7 +28,6 @@ use opt::{SqueezeConfig, SqueezeReport};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 pub mod fingerprint;
 pub mod memo;
@@ -299,7 +298,18 @@ pub fn build(workload: &Workload, cfg: &BuildConfig) -> Result<Compiled, BuildEr
     // under verify-each the speculation-soundness lint (eq 4–6, eq 8,
     // Theorem 3.1 coverage).
     let pre: &sir::Module = squeezed.as_ref().unwrap_or(&expanded);
-    let pre_fp = sir::pass::ir_fingerprint(pre);
+    // The pass manager fingerprinted `pre` after the last SIR pass that
+    // produced it (the squeeze, or the expand stage's `dce`): read that
+    // record back instead of re-hashing the module.
+    let last_pass = if squeezed.is_some() { "squeeze" } else { "dce" };
+    let pre_fp = tr
+        .entries()
+        .iter()
+        .rev()
+        .find(|e| e.name == last_pass)
+        .and_then(|e| e.fingerprint)
+        .expect("the pass manager fingerprints every SIR pass");
+    debug_assert_eq!(pre_fp, sir::pass::ir_fingerprint(pre));
     if squeezed.is_none() || !cfg.verify_each {
         stages::check("verify", pre_fp, &mut tr, || {
             sir::verify::verify_module(pre)
@@ -321,26 +331,11 @@ pub fn build(workload: &Workload, cfg: &BuildConfig) -> Result<Compiled, BuildEr
     // pool jobs; the unsqueezed reference leg *is* the expanded module's
     // codegen, so it is additionally memoized process-wide
     // (`stages::gate_ref`) and shared across every gated config in a sweep.
+    // Both training runs go through the shared `stages::sim` stage, where
+    // an evaluation run on the same inputs finds them.
     let (module, program, used_squeezed) = match squeezed {
         Some(module) if cfg.empirical_gate && squeeze.narrowed > 0 => {
             let train = workload.train();
-            let energy_of = |m: &sir::Module, p: &Program| -> Result<f64, BuildError> {
-                let layout = Layout::new(m);
-                let inputs: Vec<(u32, Vec<u8>)> = train
-                    .iter()
-                    .filter_map(|(g, data)| {
-                        m.globals
-                            .iter()
-                            .position(|x| x.name == *g)
-                            .map(|gi| (layout.addr(sir::GlobalId(gi as u32)), data.clone()))
-                    })
-                    .collect();
-                sim::run_batch(p, &SimConfig::default(), std::slice::from_ref(&inputs))
-                    .pop()
-                    .expect("one result per input set")
-                    .map(|r| r.total_energy())
-                    .map_err(BuildError::TrainSim)
-            };
             let policy = tr.policy.clone();
             type Leg = (Program, f64, Vec<PassTrace>, bool, stages::FnHits);
             let mut legs = pool::run_ordered(2, 2, |i| -> Result<Leg, BuildError> {
@@ -350,9 +345,8 @@ pub fn build(workload: &Workload, cfg: &BuildConfig) -> Result<Compiled, BuildEr
                     let mut leg_tr = Tracer::new(policy.clone());
                     let (p, fns) =
                         stages::codegen(&module, &opts, &mut leg_tr).map_err(BuildError::Verify)?;
-                    let t = Instant::now();
-                    let e = energy_of(&module, &p)?;
-                    leg_tr.record(PassTrace::new("gate.sim", t.elapsed().as_nanos() as u64));
+                    let (e, entry) = gate_sim("gate.sim", &module, &p, train)?;
+                    leg_tr.record(entry);
                     Ok((p, e, leg_tr.finish(), false, fns))
                 } else {
                     let mut ref_fns = stages::FnHits::default();
@@ -362,16 +356,12 @@ pub fn build(workload: &Workload, cfg: &BuildConfig) -> Result<Compiled, BuildEr
                             let (p, fns) = stages::codegen(&expanded, &opts, &mut leg_tr)
                                 .map_err(BuildError::Verify)?;
                             ref_fns = fns;
-                            let t = Instant::now();
-                            let e = energy_of(&expanded, &p)?;
+                            let (e, sim_entry) = gate_sim("gate-ref.sim", &expanded, &p, train)?;
                             let mut traces = leg_tr.finish();
                             for entry in &mut traces {
                                 entry.name = format!("gate-ref.{}", entry.name);
                             }
-                            traces.push(PassTrace::new(
-                                "gate-ref.sim",
-                                t.elapsed().as_nanos() as u64,
-                            ));
+                            traces.push(sim_entry);
                             Ok(stages::GateRef {
                                 program: p,
                                 energy: e,
@@ -426,6 +416,25 @@ pub fn build(workload: &Workload, cfg: &BuildConfig) -> Result<Compiled, BuildEr
     })
 }
 
+/// One empirical-gate leg's training-input run of `p` (compiled from `m`)
+/// through the shared [`stages::sim`] stage, under the default simulator
+/// configuration with DTS off. Returns the run's energy and its `name`
+/// trace entry: a stage hit carries the computing run's wall time,
+/// marked cached.
+fn gate_sim(
+    name: &str,
+    m: &sir::Module,
+    p: &Program,
+    train: &[(String, Vec<u8>)],
+) -> Result<(f64, PassTrace), BuildError> {
+    let inputs = resolve_inputs(m, train);
+    let (run, hit) =
+        stages::sim(p, &inputs, &SimConfig::default(), false).map_err(BuildError::TrainSim)?;
+    let mut entry = PassTrace::new(name, run.wall_ns);
+    entry.cached = hit;
+    Ok((run.result.total_energy(), entry))
+}
+
 /// Builds one workload under every configuration in `cfgs`, fanning the
 /// per-config builds across `workers` pool threads.
 ///
@@ -474,10 +483,7 @@ pub fn simulate_with(
 ///
 /// # Panics
 /// Panics when an input names no global of `module`.
-pub(crate) fn resolve_inputs(
-    module: &sir::Module,
-    inputs: &[(String, Vec<u8>)],
-) -> Vec<(u32, Vec<u8>)> {
+pub fn resolve_inputs(module: &sir::Module, inputs: &[(String, Vec<u8>)]) -> Vec<(u32, Vec<u8>)> {
     let layout = Layout::new(module);
     inputs
         .iter()

@@ -14,10 +14,11 @@
 //! recompute; failures are never published, so they recur per caller.
 //!
 //! Waiting cannot deadlock: a leader's `make` only looks up kinds
-//! strictly below its own in the DAG `expand → front`, `gate → fnmir`,
-//! `cell → all`, so no chain of waits can close a cycle. (Content-keyed
-//! kinds such as `profile` and `gate` look their upstream artifact up
-//! *before* leading, to compute the key, never inside `make`.)
+//! strictly below its own in the DAG `expand → front`,
+//! `gate → {fnmir, sim}`, `cell → all`, so no chain of waits can close
+//! a cycle. (Content-keyed kinds such as `profile` and `gate` look their
+//! upstream artifact up *before* leading, to compute the key, never
+//! inside `make`.)
 //!
 //! **Counters.** One process-wide table keyed by kind name ([`stats`])
 //! holds every memo's [`Counts`]. Bypassed lookups and a disabled memo

@@ -6,6 +6,7 @@
 //! front(source) → expand(module, ExpanderConfig) → profile(module, train)
 //!               → squeeze + codegen (per-config, never cached)
 //!               → gate_ref (the gate's unsqueezed compile + train-sim)
+//! program + resolved inputs → sim (gate legs and evaluation runs alike)
 //! ```
 //!
 //! Keys are *recipe*-keyed down to `expand` and *content*-keyed below
@@ -20,7 +21,10 @@
 //!   expander knobs or the verify flag;
 //! - the gate-ref key hashes the same content key, the training inputs,
 //!   the backend options and the verify flag (the leg's traces record
-//!   its verify-each checks).
+//!   its verify-each checks);
+//! - the sim key ([`crate::fingerprint::sim_run_key`]) hashes the linked
+//!   program's fingerprint, the inputs resolved to `(address, bytes)`
+//!   pairs, every `SimConfig` field and the build's DTS flag.
 //!
 //! Matrix, tuner and heuristic sweeps that differ only in downstream
 //! knobs (squeezer heuristic, backend options, gate, DTS) therefore share
@@ -31,6 +35,10 @@
 //! its profile and gate leg too. Gated builds additionally share the
 //! empirical gate's unsqueezed reference leg ([`gate_ref`]), which varies
 //! with the backend options but not with the squeezer knobs under test.
+//! Every simulation the sweep needs — both gate legs on the training
+//! input and the evaluation run in `bench::run_with` — goes through the
+//! one [`sim`] stage, so a program simulated by its build's gate is not
+//! simulated again when the cell is evaluated on the same inputs.
 //! Pre-backend checks (`verify`, `bitlint`) are memoized by check name and
 //! module fingerprint ([`check_module`] is the verifier's entry point).
 //!
@@ -51,7 +59,7 @@
 
 use crate::fingerprint::{eat_inputs, Fnv};
 use crate::memo::{Codec, Memo};
-use crate::{BuildError, Workload};
+use crate::{BuildError, SimConfig, SimResult, Workload};
 use interp::{Interpreter, Profile};
 use opt::ExpanderConfig;
 use sir::pass::{ir_fingerprint, IrStats, PassTrace, PrintAfter, TracePolicy, Tracer};
@@ -158,6 +166,14 @@ pub struct GateRef {
     pub traces: Vec<PassTrace>,
 }
 
+/// One memoized simulation run ([`sim`]): the result plus the wall time
+/// of the run that computed it (replayed on hits).
+#[derive(Debug, Clone)]
+pub struct SimRun {
+    pub result: SimResult,
+    pub wall_ns: u64,
+}
+
 static FRONT: Memo<SirStage> = Memo::new("front", None);
 static EXPAND: Memo<SirStage> = Memo::new(
     "expand",
@@ -187,6 +203,9 @@ static FNS: Memo<backend::FnArtifact> = Memo::new(
         dec: crate::wire::decode_fn_artifact,
     }),
 );
+/// Simulation runs, memory only: a run is cheap next to a store round
+/// trip, and a cell that reaches the store carries its result.
+static SIMS: Memo<SimRun> = Memo::new("sim", None);
 /// Pre-backend check verdicts: `(check name, module fingerprint)` pairs
 /// that passed, mapped to the wall time of the run that proved them
 /// (replayed on hits).
@@ -201,12 +220,18 @@ pub fn clear() {
     GATE.clear();
     FNS.clear();
     CHECKS.clear();
+    SIMS.clear();
 }
 
 /// Drops only the function-level codegen artifacts (the incremental
 /// benchmark uses this to isolate the backend share of a warm rebuild).
 pub fn clear_fns() {
     FNS.clear();
+}
+
+/// Drops only the memoized simulation runs.
+pub fn clear_sims() {
+    SIMS.clear();
 }
 
 /// A pre-backend check (`verify`, `bitlint`) over a module whose
@@ -586,6 +611,44 @@ pub fn codegen(
             total: fids.len() as u32,
         },
     ))
+}
+
+/// Stage 6: one simulation of a linked `program` on `inputs`, already
+/// resolved to the `(address, bytes)` pairs the simulator installs
+/// ([`crate::resolve_inputs`]), under `cfg` with the build's DTS flag
+/// `dts` ORed in. A memory-only single-flight memo keyed by
+/// [`crate::fingerprint::sim_run_key`]: the empirical gate's two
+/// training-input legs and `bench::run_with`'s evaluation run share it,
+/// so a program is simulated once per distinct run however many of them
+/// ask. Returns the run and whether it was a hit; callers that trace the
+/// run replay its `wall_ns` marked cached on a hit. [`crate::simulate_with`]
+/// stays un-memoized.
+///
+/// # Errors
+/// Propagates simulator faults (never cached).
+pub fn sim(
+    program: &backend::Program,
+    inputs: &[(u32, Vec<u8>)],
+    cfg: &SimConfig,
+    dts: bool,
+) -> Result<(Arc<SimRun>, bool), ::sim::SimError> {
+    // A disabled memo never reads the key, so it must not pay for one.
+    let key = if crate::memo::enabled() {
+        crate::fingerprint::sim_run_key(program, inputs, cfg, dts)
+    } else {
+        0
+    };
+    let (run, src) = SIMS.get(key, false, || {
+        let mut cfg = cfg.clone();
+        cfg.dts |= dts;
+        let t = Instant::now();
+        let result = ::sim::run_program(program, &cfg, inputs)?;
+        Ok(SimRun {
+            result,
+            wall_ns: t.elapsed().as_nanos() as u64,
+        })
+    })?;
+    Ok((run, src.hit()))
 }
 
 /// Runs the profiler over the training inputs.

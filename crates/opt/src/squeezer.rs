@@ -764,7 +764,7 @@ fn squeeze_function(
         let live_in = live.live_in_of(ob);
         for u in live_in
             .iter()
-            .filter(|u| def_block.get(u).map(|b| *b != setup) == Some(true))
+            .filter(|u| def_block[u.index()].is_some_and(|b| b != setup))
         {
             // Only proper narrow *candidates* have a slice definition at
             // their own def site; a spec-trunc in the narrow map lives at a
@@ -809,7 +809,7 @@ fn squeeze_function(
             let w = f.value_width(*u).expect("repaired value has width");
             let var = repair.fresh_var(w);
             vars.insert(*u, var);
-            repair.define(var, def_block[u], *u);
+            repair.define(var, def_block[u.index()].expect("placed"), *u);
             for (h, ext) in defs {
                 repair.define(var, *h, *ext);
             }
@@ -832,7 +832,7 @@ fn squeeze_function(
                     let mut changed = false;
                     for (pb, pv) in &mut incomings {
                         if let Some(&var) = vars.get(pv) {
-                            if def_block[pv] != *pb {
+                            if def_block[pv.index()] != Some(*pb) {
                                 *pv = repair.read_at_exit(f, var, *pb);
                                 changed = true;
                             }
@@ -846,7 +846,7 @@ fn squeeze_function(
                     let needs: Vec<ValueId> = ops
                         .iter()
                         .copied()
-                        .filter(|o| vars.contains_key(o) && def_block[o] != b)
+                        .filter(|o| vars.contains_key(o) && def_block[o.index()] != Some(b))
                         .collect();
                     if needs.is_empty() {
                         continue;
@@ -865,7 +865,7 @@ fn squeeze_function(
             let needs: Vec<ValueId> = term_ops
                 .iter()
                 .copied()
-                .filter(|o| vars.contains_key(o) && def_block[o] != b)
+                .filter(|o| vars.contains_key(o) && def_block[o.index()] != Some(b))
                 .collect();
             if !needs.is_empty() {
                 let mut map = HashMap::new();
@@ -1280,7 +1280,7 @@ fn pack_function_static(f: &mut Function, report: &mut SqueezeReport) {
                 let z = *zext_cache.entry(o).or_insert_with(|| {
                     let ow = f.value_width(o).unwrap();
                     let z = f.add_inst(Inst::Zext { to: ow, arg: n });
-                    let db = def_block[&o];
+                    let db = def_block[o.index()].expect("placed");
                     let p = f.block(db).insts.iter().position(|x| *x == n).unwrap() + 1;
                     f.block_mut(db).insts.insert(p, z);
                     z

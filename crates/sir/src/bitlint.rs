@@ -151,13 +151,13 @@ fn check_handler_leak(
     ri: usize,
     handler: BlockId,
     members: &HashSet<BlockId>,
-    defs: &std::collections::HashMap<crate::types::ValueId, BlockId>,
+    defs: &[Option<BlockId>],
     lv: &Liveness,
     diags: &mut Vec<Diag>,
 ) {
     for v in lv.live_in_of(handler).iter() {
-        if let Some(db) = defs.get(&v) {
-            if members.contains(db) {
+        if let Some(db) = defs[v.index()] {
+            if members.contains(&db) {
                 diags.push(diag(
                     f,
                     "LINT-EQ8-LEAK",

@@ -1,9 +1,9 @@
-//! Dominator tree computation (Cooper–Harvey–Kennedy).
+//! Dominator tree computation (Cooper–Harvey–Kennedy), with O(1)
+//! dominance queries from preorder intervals over the tree.
 
 use crate::dataflow::Edges;
 use crate::func::Function;
-use crate::types::{BlockId, ValueId};
-use std::collections::HashMap;
+use crate::types::BlockId;
 
 /// The dominator tree of a function's CFG (branch + handler edges).
 #[derive(Debug, Clone)]
@@ -15,6 +15,11 @@ pub struct DomTree {
     rpo_index: Vec<Option<usize>>,
     /// RPO ordering used for the fixpoint.
     pub rpo: Vec<BlockId>,
+    /// Preorder number of each reachable block in the dominator tree.
+    pre: Vec<u32>,
+    /// Dominator-subtree size of each block (0 for unreachable blocks):
+    /// `a` dominates `b` iff `pre[b]` lies in `pre[a]..pre[a] + size[a]`.
+    size: Vec<u32>,
 }
 
 impl DomTree {
@@ -54,11 +59,42 @@ impl DomTree {
                 }
             }
         }
+        let (pre, size) = Self::number(&idom, &rpo);
         DomTree {
             idom,
             rpo_index,
             rpo,
+            pre,
+            size,
         }
+    }
+
+    /// Numbers the dominator tree in preorder without building child
+    /// lists. A block's idom precedes it in RPO, so one backward sweep
+    /// sums subtree sizes and one forward sweep hands each child the next
+    /// free slot of its parent's interval.
+    fn number(idom: &[Option<BlockId>], rpo: &[BlockId]) -> (Vec<u32>, Vec<u32>) {
+        let n = idom.len();
+        let mut size = vec![0u32; n];
+        for &b in rpo.iter().rev() {
+            size[b.index()] += 1;
+            let p = idom[b.index()].expect("reachable");
+            if p != b {
+                size[p.index()] += size[b.index()];
+            }
+        }
+        let mut pre = vec![0u32; n];
+        // `next[b]`: the first preorder slot not yet handed to a child of b.
+        let mut next = vec![0u32; n];
+        for &b in rpo {
+            let p = idom[b.index()].expect("reachable");
+            if p != b {
+                pre[b.index()] = next[p.index()];
+                next[p.index()] += size[b.index()];
+            }
+            next[b.index()] = pre[b.index()] + 1;
+        }
+        (pre, size)
     }
 
     fn intersect(
@@ -79,18 +115,17 @@ impl DomTree {
         a
     }
 
-    /// Whether `a` dominates `b` (reflexive).
+    /// Whether `a` dominates `b` (reflexive; an unreachable block
+    /// dominates only itself and is dominated by nothing else). O(1).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let mut x = b;
-        loop {
-            if x == a {
-                return true;
-            }
-            match self.idom[x.index()] {
-                Some(i) if i != x => x = i,
-                _ => return false,
-            }
+        if a == b {
+            return true;
         }
+        let (a, b) = (a.index(), b.index());
+        self.size[a] > 0
+            && self.size[b] > 0
+            && self.pre[a] <= self.pre[b]
+            && self.pre[b] < self.pre[a] + self.size[a]
     }
 
     /// Whether block `b` is reachable from the entry.
@@ -99,13 +134,14 @@ impl DomTree {
     }
 }
 
-/// Maps every value to its defining block. Values not placed in any block
-/// (detached) are absent.
-pub fn def_blocks(f: &Function) -> HashMap<ValueId, BlockId> {
-    let mut m = HashMap::new();
+/// The defining block of every value, indexed by value id: `None` for a
+/// value placed in no block (detached). A value placed more than once maps
+/// to its last placement in block order.
+pub fn def_blocks(f: &Function) -> Vec<Option<BlockId>> {
+    let mut m = vec![None; f.insts.len()];
     for b in f.block_ids() {
         for &v in &f.block(b).insts {
-            m.insert(v, b);
+            m[v.index()] = Some(b);
         }
     }
     m
@@ -171,7 +207,7 @@ mod tests {
             },
         );
         let map = def_blocks(&f);
-        assert_eq!(map[&v], m);
-        assert_eq!(map[&f.param_value(0)], f.entry);
+        assert_eq!(map[v.index()], Some(m));
+        assert_eq!(map[f.param_value(0).index()], Some(f.entry));
     }
 }

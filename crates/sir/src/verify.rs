@@ -118,11 +118,14 @@ fn verify_function_in(f: &Function, m: Option<&Module>) -> Result<(), VerifyErro
         func: &f.name,
         problems: Vec::new(),
     };
+    // One predecessor map and one def-block table, shared by the checks.
+    let preds = f.branch_preds();
+    let defs = def_blocks(f);
     check_params(f, &mut d);
-    check_blocks(f, &mut d);
+    check_blocks(f, &preds, &mut d);
     check_widths(f, m, &mut d);
-    check_ssa(f, &mut d);
-    check_regions(f, &mut d);
+    check_ssa(f, &defs, &mut d);
+    check_regions(f, &preds, &defs, &mut d);
     VerifyError::check(d.problems)
 }
 
@@ -161,8 +164,13 @@ fn check_params(f: &Function, d: &mut Diags) {
     }
 }
 
-fn check_blocks(f: &Function, d: &mut Diags) {
-    let preds = f.branch_preds();
+/// The defining block of `v` in a [`def_blocks`] table; `None` when `v`
+/// is unplaced or out of range.
+fn def_of(defs: &[Option<BlockId>], v: ValueId) -> Option<BlockId> {
+    defs.get(v.index()).copied().flatten()
+}
+
+fn check_blocks(f: &Function, preds: &[Vec<BlockId>], d: &mut Diags) {
     for b in f.block_ids() {
         let blk = f.block(b);
         // φ-nodes first.
@@ -178,11 +186,13 @@ fn check_blocks(f: &Function, d: &mut Diags) {
             }
         }
         // φ incoming edges must exactly match branch predecessors.
-        let pred_set: HashSet<BlockId> = preds[b.index()].iter().copied().collect();
+        let mut pred_set: Option<HashSet<BlockId>> = None;
         for &v in &blk.insts {
             if let Inst::Phi { incomings, .. } = f.inst(v) {
+                let pred_set =
+                    pred_set.get_or_insert_with(|| preds[b.index()].iter().copied().collect());
                 let inc: HashSet<BlockId> = incomings.iter().map(|(p, _)| *p).collect();
-                if inc != pred_set {
+                if inc != *pred_set {
                     d.push(
                         "SIR-PHI-EDGES",
                         b,
@@ -335,33 +345,33 @@ fn check_widths(f: &Function, m: Option<&Module>, d: &mut Diags) {
     }
 }
 
-fn check_ssa(f: &Function, d: &mut Diags) {
-    let defs = def_blocks(f);
+fn check_ssa(f: &Function, defs: &[Option<BlockId>], d: &mut Diags) {
     let dt = DomTree::compute(f);
     // Each value placed at most once.
-    let mut placed: HashSet<ValueId> = HashSet::new();
+    let mut placed = vec![false; f.insts.len()];
     for b in f.block_ids() {
         for &v in &f.block(b).insts {
-            if !placed.insert(v) {
+            if std::mem::replace(&mut placed[v.index()], true) {
                 d.push("SIR-SSA-PLACE", v, "placed in more than one block");
             }
         }
     }
-    // Dominance of uses. Within a block, a def must precede its use.
+    // Dominance of uses. Within a block, a def must precede its use:
+    // `seen[v]` is stamped with the block once `v` has been passed in it.
+    let mut seen = vec![0u32; f.insts.len()];
     for b in f.block_ids() {
         if !dt.is_reachable(b) {
             continue;
         }
-        let mut seen: HashSet<ValueId> = HashSet::new();
         for &v in &f.block(b).insts {
             let inst = f.inst(v);
             if let Inst::Phi { incomings, .. } = inst {
                 for (p, val) in incomings {
-                    if let Some(db) = defs.get(val) {
+                    if let Some(db) = def_of(defs, *val) {
                         if !dt.is_reachable(*p) {
                             continue;
                         }
-                        if !dt.dominates(*db, *p) {
+                        if !dt.dominates(db, *p) {
                             d.push(
                                 "SIR-SSA-DOM",
                                 v,
@@ -377,60 +387,62 @@ fn check_ssa(f: &Function, d: &mut Diags) {
                     }
                 }
             } else {
-                for op in inst.operands() {
-                    check_use(f, &defs, &dt, b, &seen, &format!("{v}"), op, d);
-                }
+                inst.for_each_operand(|op| check_use(defs, &dt, &seen, b, Some(v), op, d));
             }
-            seen.insert(v);
+            seen[v.index()] = stamp(b);
         }
-        let term_ops = f.block(b).term.operands();
-        for op in term_ops {
-            check_use(f, &defs, &dt, b, &seen, "terminator", op, d);
+        for op in f.block(b).term.operands() {
+            check_use(defs, &dt, &seen, b, None, op, d);
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The [`check_ssa`] `seen` stamp of block `b` (0 means "not seen").
+fn stamp(b: BlockId) -> u32 {
+    b.index() as u32 + 1
+}
+
+/// Checks that `op`, used in block `b` by `user` (`None` for the
+/// terminator), is placed and its definition dominates the use. The user
+/// label is only formatted for a diagnostic.
 fn check_use(
-    _f: &Function,
-    defs: &std::collections::HashMap<ValueId, BlockId>,
+    defs: &[Option<BlockId>],
     dt: &DomTree,
+    seen: &[u32],
     b: BlockId,
-    seen: &HashSet<ValueId>,
-    user: &str,
+    user: Option<ValueId>,
     op: ValueId,
     d: &mut Diags,
 ) {
-    match defs.get(&op) {
+    let user = || user.map_or_else(|| "terminator".to_string(), |v| v.to_string());
+    match def_of(defs, op) {
         None => d.push(
             "SIR-SSA-PLACE",
             b,
-            format!("{user}: operand {op} is not placed"),
+            format!("{}: operand {op} is not placed", user()),
         ),
-        Some(db) if *db == b => {
-            if !seen.contains(&op) {
+        Some(db) if db == b => {
+            if seen[op.index()] != stamp(b) {
                 d.push(
                     "SIR-SSA-DOM",
                     b,
-                    format!("{user}: use of {op} before its definition"),
+                    format!("{}: use of {op} before its definition", user()),
                 );
             }
         }
         Some(db) => {
-            if dt.is_reachable(*db) && !dt.dominates(*db, b) {
+            if dt.is_reachable(db) && !dt.dominates(db, b) {
                 d.push(
                     "SIR-SSA-DOM",
                     b,
-                    format!("{user}: def of {op} in {db} does not dominate use"),
+                    format!("{}: def of {op} in {db} does not dominate use", user()),
                 );
             }
         }
     }
 }
 
-fn check_regions(f: &Function, d: &mut Diags) {
-    let preds = f.branch_preds();
-    let defs = def_blocks(f);
+fn check_regions(f: &Function, preds: &[Vec<BlockId>], defs: &[Option<BlockId>], d: &mut Diags) {
     let mut handler_of: Vec<Option<usize>> = vec![None; f.blocks.len()];
     for (ri, r) in f.regions.iter().enumerate() {
         if r.blocks.is_empty() {
@@ -502,8 +514,8 @@ fn check_regions(f: &Function, d: &mut Diags) {
         // Theorem 3.1: handler must not use values defined in the region.
         for &v in &f.block(r.handler).insts {
             for op in f.inst(v).operands() {
-                if let Some(db) = defs.get(&op) {
-                    if members.contains(db) {
+                if let Some(db) = def_of(defs, op) {
+                    if members.contains(&db) {
                         d.push(
                             "SIR-THM31",
                             r.handler,
@@ -516,8 +528,8 @@ fn check_regions(f: &Function, d: &mut Diags) {
             }
         }
         for op in f.block(r.handler).term.operands() {
-            if let Some(db) = defs.get(&op) {
-                if members.contains(db) {
+            if let Some(db) = def_of(defs, op) {
+                if members.contains(&db) {
                     d.push(
                         "SIR-THM31",
                         r.handler,
@@ -602,6 +614,110 @@ mod tests {
             .problems
             .iter()
             .any(|p| p.msg.contains("before its definition")));
+    }
+
+    fn const32(value: u64) -> Inst {
+        Inst::Const {
+            width: Width::W32,
+            value,
+        }
+    }
+
+    fn add32(lhs: ValueId, rhs: ValueId) -> Inst {
+        Inst::Bin {
+            op: BinOp::Add,
+            width: Width::W32,
+            lhs,
+            rhs,
+            speculative: false,
+        }
+    }
+
+    /// entry → a | b → m, branching on the i1 parameter.
+    fn diamond(name: &str) -> (Function, [BlockId; 3]) {
+        let mut f = Function::new(name, vec![Width::W1], Some(Width::W32));
+        let (a, b, m) = (f.add_block(), f.add_block(), f.add_block());
+        f.block_mut(f.entry).term = Terminator::CondBr {
+            cond: f.param_value(0),
+            if_true: a,
+            if_false: b,
+        };
+        f.block_mut(a).term = Terminator::Br(m);
+        f.block_mut(b).term = Terminator::Br(m);
+        (f, [a, b, m])
+    }
+
+    /// Asserts `f` is rejected with a `rule` diagnostic whose message
+    /// contains `msg`.
+    fn assert_rejects(f: &Function, rule: &str, msg: &str) {
+        let err = verify_function(f).unwrap_err();
+        assert!(
+            err.problems
+                .iter()
+                .any(|p| p.rule == rule && p.msg.contains(msg)),
+            "expected {rule} `{msg}`, got: {err}"
+        );
+    }
+
+    #[test]
+    fn def_not_dominating_use_rejected() {
+        let (mut f, [a, _, m]) = diamond("nodom");
+        let x = f.append_inst(a, const32(1));
+        let y = f.append_inst(m, add32(x, x));
+        f.block_mut(m).term = Terminator::Ret(Some(y));
+        assert_rejects(
+            &f,
+            "SIR-SSA-DOM",
+            &format!("{y}: def of {x} in {a} does not dominate use"),
+        );
+    }
+
+    #[test]
+    fn undominated_phi_incoming_rejected() {
+        let (mut f, [a, b, m]) = diamond("phidom");
+        let x = f.append_inst(a, const32(1));
+        let p = f.append_inst(
+            m,
+            Inst::Phi {
+                width: Width::W32,
+                incomings: vec![(a, x), (b, x)],
+            },
+        );
+        f.block_mut(m).term = Terminator::Ret(Some(p));
+        assert_rejects(
+            &f,
+            "SIR-SSA-DOM",
+            &format!("φ incoming {x} from {b} not dominated by def in {a}"),
+        );
+    }
+
+    #[test]
+    fn unplaced_operands_rejected() {
+        let mut f = Function::new("unplaced", vec![], Some(Width::W32));
+        let e = f.entry;
+        let c = f.add_inst(const32(1));
+        let y = f.append_inst(e, add32(c, c));
+        f.block_mut(e).term = Terminator::Ret(Some(c));
+        assert_rejects(
+            &f,
+            "SIR-SSA-PLACE",
+            &format!("{y}: operand {c} is not placed"),
+        );
+        assert_rejects(
+            &f,
+            "SIR-SSA-PLACE",
+            &format!("terminator: operand {c} is not placed"),
+        );
+    }
+
+    #[test]
+    fn double_placement_rejected() {
+        let (mut f, [a, b, m]) = diamond("twice");
+        let x = f.append_inst(a, const32(1));
+        f.block_mut(b).insts.push(x);
+        f.block_mut(m).term = Terminator::Ret(None);
+        f.ret = None;
+        assert_rejects(&f, "SIR-SSA-PLACE", "placed in more than one block");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use sir::builder::FunctionBuilder;
 use sir::dom::DomTree;
 use sir::liveness::Liveness;
 use sir::types::required_bits;
-use sir::{BinOp, Cc, Function, Inst, Terminator, Width};
+use sir::{BinOp, BlockId, Cc, Function, Inst, Terminator, Width};
 
 /// Boundary-heavy 64-bit values: powers of two and their neighbours, plus
 /// mixed bit patterns — the cases where bit-length and sign logic break.
@@ -232,6 +232,51 @@ fn liveness_matches_hashset_oracle_on_generated_functions() {
             for region in [false, true] {
                 let f = chain_fn(&steps, region);
                 liveness_oracle::assert_matches(&f, &format!("steps {steps:?} region {region}"));
+            }
+        }
+    }
+}
+
+/// Dominance by walking `b`'s idom chain up to the entry — the query
+/// `DomTree::dominates` answered before it used preorder intervals, kept
+/// here as its oracle.
+fn dominates_by_walk(dt: &DomTree, a: BlockId, b: BlockId) -> bool {
+    let mut x = b;
+    loop {
+        if x == a {
+            return true;
+        }
+        match dt.idom[x.index()] {
+            Some(i) if i != x => x = i,
+            _ => return false,
+        }
+    }
+}
+
+/// The O(1) `DomTree::dominates` agrees with the idom-chain walk on every
+/// ordered block pair of every generated chain (straight, diamond and loop
+/// steps, with and without a speculative region), each with an extra
+/// unreachable block that dominates only itself.
+#[test]
+fn dominates_matches_idom_walk_on_generated_functions() {
+    for len in 1u32..=5 {
+        for code in 0..3u32.pow(len) {
+            let steps: Vec<u32> = (0..len).map(|i| code / 3u32.pow(i) % 3).collect();
+            for region in [false, true] {
+                let mut f = chain_fn(&steps, region);
+                let dead = f.add_block();
+                f.block_mut(dead).term = Terminator::Br(f.entry);
+                let dt = DomTree::compute(&f);
+                assert!(!dt.is_reachable(dead));
+                for a in f.block_ids() {
+                    for b in f.block_ids() {
+                        assert_eq!(
+                            dt.dominates(a, b),
+                            dominates_by_walk(&dt, a, b),
+                            "steps {steps:?} region {region}: dominates({a}, {b})"
+                        );
+                    }
+                }
             }
         }
     }

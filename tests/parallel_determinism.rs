@@ -22,14 +22,18 @@
 //! Every artifact is also computed *once*: on a slice of the expander
 //! tuner's grid, where several corners expand a workload to the same
 //! module, the profile and evaluation-sim memos must miss exactly once per
-//! distinct expanded module and linked program, at any `-j`.
+//! distinct expanded module and linked program, at any `-j`. On a gated
+//! slice of the suite the one `sim` stage serves the empirical gate's
+//! training runs and the evaluation runs alike, so it misses exactly once
+//! per distinct run over both, and every gated cell's evaluation is a hit.
 //!
 //! The stage caches and store configuration are process-global, so the
 //! tests take a file-wide lock.
 
 use bitspec::memo::Stats;
 use bitspec::{
-    build_matrix, program_fingerprint, stages, Arch, BuildConfig, ExpanderConfig, Workload,
+    build, build_matrix, pipeline, program_fingerprint, resolve_inputs, simulate_with, stages,
+    Arch, BuildConfig, BuildError, Compiled, ExpanderConfig, SimConfig, Workload,
 };
 use mibench::{names, workload, Input};
 use std::collections::BTreeSet;
@@ -271,4 +275,158 @@ fn expander_grid_computes_each_profile_and_sim_once_at_any_job_count() {
         moved[0], moved[1],
         "cache counters diverged between -j1 and -j8"
     );
+}
+
+/// One simulation run as the `sim` stage tells runs apart: the program
+/// fingerprint, the inputs resolved to `(address, bytes)` pairs and the
+/// build's DTS flag. Every run of the gated slice uses
+/// `SimConfig::default()`, so the configuration adds no distinction.
+type SimRun = (u64, Vec<(u32, Vec<u8>)>, bool);
+
+fn sim_run(
+    module: &sir::Module,
+    program: &bitspec::Program,
+    inputs: &[(String, Vec<u8>)],
+    dts: bool,
+) -> SimRun {
+    (
+        program_fingerprint(program),
+        resolve_inputs(module, inputs),
+        dts,
+    )
+}
+
+/// The two training runs the empirical gate of a gated cell made: the
+/// squeezed candidate (which the same config with the gate off links) and
+/// the memoized unsqueezed reference leg. Call with the sweep's stage
+/// memos still warm: the reference comes off the `gate` memo.
+fn gate_runs(w: &Workload, cfg: &BuildConfig) -> [SimRun; 2] {
+    let train = if w.train_inputs.is_empty() {
+        &w.inputs
+    } else {
+        &w.train_inputs
+    };
+    let cand = build(
+        w,
+        &BuildConfig {
+            empirical_gate: false,
+            ..cfg.clone()
+        },
+    )
+    .unwrap();
+    let opts = backend::CodegenOpts {
+        bitspec: true,
+        compact: false,
+        spill_prefer_orig: cfg.spill_prefer_orig,
+    };
+    let (gref, hit) = stages::gate_ref(
+        w,
+        &cfg.expander,
+        &pipeline::policy(cfg.verify_each),
+        &opts,
+        || -> Result<stages::GateRef, BuildError> { panic!("the sweep computed this leg") },
+    )
+    .unwrap();
+    assert!(hit);
+    let (expanded, _) = stages::expand(
+        w,
+        &cfg.expander,
+        &mut sir::pass::Tracer::new(pipeline::policy(cfg.verify_each)),
+    )
+    .unwrap();
+    [
+        sim_run(&cand.module, &cand.program, train, false),
+        sim_run(&expanded, &gref.program, train, false),
+    ]
+}
+
+fn gated(c: &Compiled) -> bool {
+    c.config.empirical_gate && c.squeeze.narrowed > 0
+}
+
+#[test]
+fn gated_suite_slice_simulates_each_distinct_run_once_at_any_job_count() {
+    let _g = serial();
+    let workloads: Vec<_> = ["crc32", "dijkstra"]
+        .iter()
+        .map(|n| workload(n, Input::Large))
+        .collect();
+    let cfgs = bench::suite_configs();
+    let mut moved = Vec::new();
+    for jobs in [1, 8] {
+        stages::clear();
+        bench::clear_cache();
+        let before = stages::stats();
+        stages::set_codegen_workers(jobs);
+        let rows = bench::run_matrix(&workloads, &cfgs, jobs);
+        stages::set_codegen_workers(1);
+        let delta = stages::stats().since(&before);
+        let mut runs = BTreeSet::new();
+        let mut gated_cells = 0;
+        for (w, row) in workloads.iter().zip(&rows) {
+            for (cfg, cell) in cfgs.iter().zip(row) {
+                let (c, r) = &**cell;
+                let fresh = simulate_with(c, w, &SimConfig::default()).unwrap();
+                assert_eq!(r.outputs, fresh.outputs, "{}: outputs", w.name);
+                assert_eq!(r.cycles, fresh.cycles, "{}: cycles", w.name);
+                assert_eq!(r.counts, fresh.counts, "{}: counts", w.name);
+                assert_eq!(
+                    r.total_energy().to_bits(),
+                    fresh.total_energy().to_bits(),
+                    "{}: energy",
+                    w.name
+                );
+                assert_eq!(format!("{r:?}"), format!("{fresh:?}"), "{}", w.name);
+                let eval = sim_run(&c.module, &c.program, &w.inputs, c.config.dts);
+                if gated(c) {
+                    gated_cells += 1;
+                    let legs = gate_runs(w, cfg);
+                    assert!(
+                        legs.contains(&eval),
+                        "-j{jobs}: {} under {cfg:?}: the gate never ran the kept program",
+                        w.name
+                    );
+                    runs.extend(legs);
+                }
+                runs.insert(eval);
+            }
+        }
+        assert!(gated_cells > 0, "-j{jobs}: the slice gates nothing");
+        assert_eq!(
+            delta.get("sim").misses,
+            runs.len() as u64,
+            "-j{jobs}: one sim per distinct evaluation or gate run"
+        );
+        moved.push(accounting(&delta));
+    }
+    assert_eq!(
+        moved[0], moved[1],
+        "cache counters diverged between -j1 and -j8"
+    );
+    // Cell by cell from cold memos: a gated cell's evaluation lookup is
+    // served by the run its gate just made.
+    for w in &workloads {
+        for cfg in cfgs
+            .iter()
+            .filter(|c| c.empirical_gate && c.squeeze_config().is_some())
+        {
+            stages::clear();
+            bench::clear_cache();
+            let before = stages::stats();
+            let (c, _) = bench::run(w, cfg);
+            let sims = stages::stats().since(&before).get("sim");
+            if gated(&c) {
+                let legs = gate_runs(w, cfg);
+                let distinct = if legs[0] == legs[1] { 1 } else { 2 };
+                assert_eq!(
+                    (sims.misses, sims.hits + sims.misses),
+                    (distinct, 3),
+                    "{} under {cfg:?}: the evaluation run missed",
+                    w.name
+                );
+            }
+        }
+    }
+    stages::clear();
+    bench::clear_cache();
 }
