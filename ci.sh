@@ -14,6 +14,10 @@ cargo test -q
 # byte (including its BEST line).
 cargo test --release -q -p bitspec --test expand_golden
 cargo run --release -q -p bench --bin tuner | diff - results/tuner.txt
+# Codegen determinism: every suite cell (14 workloads × bench::suite_configs)
+# keeps its golden linked-program fingerprint, cycle count and energy bits,
+# so a back-end refactor that claims to be output-neutral is one.
+cargo test --release -q -p bitspec --test codegen_golden
 
 # Liveness oracle: the word-packed `sir::liveness` solver gives the same
 # live-in and live-out set per block as the plain HashSet fixpoint, on every
@@ -30,9 +34,14 @@ cargo test --release -q -p bitspec --test knownbits_oracle
 # of the generated straight/diamond/loop/region functions.
 cargo test --release -q -p sir --test props
 # Verifier teeth: each planted compiler bug (an erased region, a dropped or
-# deleted slice extend, a corrupted Δ, a missing cover entry) is rejected
-# with its rule ID, and the unmutated pipeline verifies clean.
+# deleted slice extend, a deleted select default, a corrupted Δ, a missing
+# cover entry) is rejected with its rule ID, and the unmutated pipeline
+# verifies clean.
 cargo test --release -q -p backend --test mutations
+# Allocation invariants: regalloc::validate and the post-allocation SMIR
+# verifier accept every function of generated programs and of every suite
+# cell's final module under that cell's codegen options.
+cargo test --release -q -p fuzz --test regalloc_props
 
 # Smoke the perf harnesses: the substrate microbenchmarks (turbo + reference
 # simulator engines) and the engine-comparison target (minimum 5 reps, a

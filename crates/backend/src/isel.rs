@@ -20,7 +20,6 @@ use crate::mir::{
 use interp::Layout;
 use isa::{AluOp, Cond, MemWidth};
 use sir::{BinOp, BlockId, Cc, FuncId, Function, Inst, Module, Terminator, ValueId, Width};
-use std::collections::HashMap;
 
 /// Code generation options (architecture selection).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,30 +79,24 @@ pub fn select_function(
     split_critical_edges(&mut f);
     let mut use_counts = vec![0u32; f.insts.len()];
     let mut count = |v: ValueId| {
-        if (v.index()) < use_counts.len() {
-            use_counts[v.index()] += 1;
+        if let Some(n) = use_counts.get_mut(v.index()) {
+            *n += 1;
         }
     };
     for i in &f.insts {
-        for o in i.operands() {
-            count(o);
-        }
+        i.for_each_operand(&mut count);
     }
     for b in &f.blocks {
-        for o in b.term.operands() {
-            count(o);
-        }
+        b.term.for_each_operand(&mut count);
     }
     let sel = Selector {
-        m,
         f: &f,
         layout,
         opts,
         classes: Vec::new(),
-        vals: HashMap::new(),
+        vals: vec![None; f.insts.len()],
         blocks: Vec::new(),
         alloca_sizes: Vec::new(),
-        alloca_ids: HashMap::new(),
         cur: Vec::new(),
         use_counts,
     };
@@ -168,17 +161,16 @@ fn split_critical_edges(f: &mut Function) {
     }
 }
 
-#[allow(dead_code)]
 struct Selector<'a> {
-    m: &'a Module,
     f: &'a Function,
     layout: &'a Layout,
     opts: &'a CodegenOpts,
     classes: Vec<RegClass>,
-    vals: HashMap<ValueId, Val>,
+    /// Virtual registers per SIR value, indexed by `ValueId` (`None` for
+    /// values without a result).
+    vals: Vec<Option<Val>>,
     blocks: Vec<MirBlock>,
     alloca_sizes: Vec<u32>,
-    alloca_ids: HashMap<ValueId, u32>,
     cur: Vec<MirInst>,
     /// Operand occurrences per SIR value across the whole function
     /// (instruction operands + terminator operands), indexed by `ValueId`.
@@ -193,9 +185,10 @@ impl<'a> Selector<'a> {
     }
 
     fn val_of(&self, v: ValueId) -> Val {
-        *self
-            .vals
-            .get(&v)
+        self.vals
+            .get(v.index())
+            .copied()
+            .flatten()
             .unwrap_or_else(|| panic!("no vreg for {v}"))
     }
 
@@ -226,7 +219,7 @@ impl<'a> Selector<'a> {
                 Width::W8 if self.opts.bitspec => Val::B(self.new_vreg(RegClass::Byte)),
                 _ => Val::W(self.new_vreg(RegClass::Word)),
             };
-            self.vals.insert(v, val);
+            self.vals[vi as usize] = Some(val);
         }
         // Create MIR blocks 1:1.
         let spec_side = spec_side_blocks(f);
@@ -584,7 +577,6 @@ impl<'a> Selector<'a> {
             Inst::Alloca { size } => {
                 let id = self.alloca_sizes.len() as u32;
                 self.alloca_sizes.push(*size);
-                self.alloca_ids.insert(v, id);
                 let rd = self.word_of(v);
                 self.emit(MirInst::FrameAddr { rd, alloca: id });
             }
@@ -1758,32 +1750,81 @@ fn word_slots(w: Width) -> u32 {
 }
 
 /// Removes MIR instructions with unused defs and no side effects.
+///
+/// An instruction is dead when it has defs, no side effects, and none of
+/// its defs is read by another live instruction or a terminator (a read of
+/// its own def — `MovCc`'s `rd` — keeps nothing alive). Removal only ever
+/// lowers use counts, so one use-count worklist reaches the same fixpoint
+/// as rescanning the function until nothing changes.
 fn mir_dce(f: &mut MirFunction) {
-    loop {
-        let mut used = vec![false; f.classes.len()];
-        for b in &f.blocks {
-            for i in &b.insts {
-                for u in i.uses() {
-                    used[u.index()] = true;
+    let nv = f.classes.len();
+    // Every instruction by flat index, in block order.
+    let insts: Vec<&MirInst> = f.blocks.iter().flat_map(|b| &b.insts).collect();
+    let mut uses = vec![0u32; nv];
+    // Def sites per vreg as compressed rows of flat indices: a φ
+    // destination is defined once per predecessor copy.
+    let mut def_start = vec![0u32; nv + 1];
+    for i in &insts {
+        i.for_each_use(|u| {
+            if !i.defines(u) {
+                uses[u.index()] += 1;
+            }
+        });
+        i.for_each_def(|d| def_start[d.index() + 1] += 1);
+    }
+    for b in &f.blocks {
+        b.term.for_each_use(|u| uses[u.index()] += 1);
+    }
+    for v in 0..nv {
+        def_start[v + 1] += def_start[v];
+    }
+    let mut fill = def_start.clone();
+    let mut def_sites = vec![0u32; def_start[nv] as usize];
+    for (k, i) in insts.iter().enumerate() {
+        i.for_each_def(|d| {
+            def_sites[fill[d.index()] as usize] = k as u32;
+            fill[d.index()] += 1;
+        });
+    }
+    let removable = |i: &MirInst, uses: &[u32]| {
+        let (mut any_def, mut all_unused) = (false, true);
+        i.for_each_def(|d| {
+            any_def = true;
+            all_unused &= uses[d.index()] == 0;
+        });
+        any_def && all_unused && !i.has_side_effects()
+    };
+    let mut work: Vec<usize> = (0..insts.len())
+        .filter(|&k| removable(insts[k], &uses))
+        .collect();
+    let mut dead = vec![false; insts.len()];
+    work.iter().for_each(|&k| dead[k] = true);
+    while let Some(k) = work.pop() {
+        let i = insts[k];
+        i.for_each_use(|u| {
+            if i.defines(u) {
+                return;
+            }
+            uses[u.index()] -= 1;
+            if uses[u.index()] != 0 {
+                return;
+            }
+            let sites = def_start[u.index()] as usize..def_start[u.index() + 1] as usize;
+            for &s in &def_sites[sites] {
+                let s = s as usize;
+                if !dead[s] && removable(insts[s], &uses) {
+                    dead[s] = true;
+                    work.push(s);
                 }
             }
-            for u in b.term.uses() {
-                used[u.index()] = true;
-            }
-        }
-        let mut removed = false;
-        for b in &mut f.blocks {
-            let before = b.insts.len();
-            b.insts.retain(|i| {
-                i.has_side_effects()
-                    || i.defs().is_empty()
-                    || i.defs().iter().any(|d| used[d.index()])
-            });
-            removed |= b.insts.len() != before;
-        }
-        if !removed {
-            break;
-        }
+        });
+    }
+    let mut k = 0;
+    for b in &mut f.blocks {
+        b.insts.retain(|_| {
+            k += 1;
+            !dead[k - 1]
+        });
     }
 }
 

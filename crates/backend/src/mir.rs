@@ -210,62 +210,61 @@ pub enum MirInst {
 }
 
 impl MirInst {
-    /// The virtual registers this instruction reads.
-    pub fn uses(&self) -> Vec<VReg> {
+    /// Calls `f` on every virtual register this instruction reads, in
+    /// operand order, without allocating. `MovCc` writes `rd` only when its
+    /// condition holds, so it reads `rd`'s previous value too.
+    pub fn for_each_use(&self, mut f: impl FnMut(VReg)) {
         use MirInst::*;
         match self {
-            Alu { rn, src2, .. } => {
-                let mut u = vec![*rn];
+            Alu { rn, src2, .. } | Cmp { rn, src2 } => {
+                f(*rn);
                 if let MOperand::VReg(v) = src2 {
-                    u.push(*v);
+                    f(*v);
                 }
-                u
+            }
+            SAlu { bn, src2, .. } | SCmp { bn, src2 } => {
+                f(*bn);
+                if let SMOperand::VReg(v) = src2 {
+                    f(*v);
+                }
             }
             MovImm { .. }
             | CSet { .. }
             | GlobalAddr { .. }
             | FrameAddr { .. }
             | GetParam { .. }
-            | SMovImm { .. } => vec![],
-            Mov { rm, .. } | MovCc { rm, .. } => vec![*rm],
-            Cmp { rn, src2 } => {
-                let mut u = vec![*rn];
-                if let MOperand::VReg(v) = src2 {
-                    u.push(*v);
-                }
-                u
+            | SMovImm { .. } => {}
+            MovCc { rd, rm, .. } => {
+                f(*rm);
+                f(*rd);
             }
-            Extend { rm, .. } => vec![*rm],
-            Umull { rn, rm, .. } => vec![*rn, *rm],
-            Load { rn, .. } => vec![*rn],
-            Store { rs, rn, .. } => vec![*rs, *rn],
-            Call { args, .. } => args.clone(),
-            Out { rn } | SpecCheck { rn } => vec![*rn],
-            SAlu { bn, src2, .. } => {
-                let mut u = vec![*bn];
-                if let SMOperand::VReg(v) = src2 {
-                    u.push(*v);
-                }
-                u
+            Mov { rm, .. } | Extend { rm, .. } => f(*rm),
+            Umull { rn, rm, .. } => {
+                f(*rn);
+                f(*rm);
             }
-            SCmp { bn, src2 } => {
-                let mut u = vec![*bn];
-                if let SMOperand::VReg(v) = src2 {
-                    u.push(*v);
-                }
-                u
+            Store { rs: a, rn: b, .. }
+            | SStore { bs: a, rn: b, .. }
+            | LoadIdx { rn: a, bidx: b, .. }
+            | SLoadIdx { rn: a, bidx: b, .. } => {
+                f(*a);
+                f(*b);
             }
-            SLoadSpec { rn, .. } | SLoad { rn, .. } => vec![*rn],
-            LoadIdx { rn, bidx, .. } | SLoadIdx { rn, bidx, .. } => vec![*rn, *bidx],
-            SStore { bs, rn, .. } => vec![*bs, *rn],
-            SExtend { bn, .. } => vec![*bn],
-            STrunc { rn, .. } => vec![*rn],
-            SMov { bs, .. } => vec![*bs],
+            Call { args, .. } => args.iter().copied().for_each(f),
+            Out { rn }
+            | SpecCheck { rn }
+            | Load { rn, .. }
+            | SLoadSpec { rn, .. }
+            | SLoad { rn, .. }
+            | STrunc { rn, .. } => f(*rn),
+            SExtend { bn, .. } => f(*bn),
+            SMov { bs, .. } => f(*bs),
         }
     }
 
-    /// The virtual registers this instruction writes.
-    pub fn defs(&self) -> Vec<VReg> {
+    /// Calls `f` on every virtual register this instruction writes, without
+    /// allocating.
+    pub fn for_each_def(&self, mut f: impl FnMut(VReg)) {
         use MirInst::*;
         match self {
             Alu { rd, .. }
@@ -275,29 +274,37 @@ impl MirInst {
             | CSet { rd, .. }
             | Extend { rd, .. }
             | Load { rd, .. }
+            | LoadIdx { rd, .. }
             | GlobalAddr { rd, .. }
             | FrameAddr { rd, .. }
             | GetParam { rd, .. }
-            | SExtend { rd, .. } => vec![*rd],
-            Umull { rdlo, rdhi, .. } => vec![*rdlo, *rdhi],
-            Call { rets, .. } => rets.clone(),
+            | SExtend { rd, .. } => f(*rd),
+            Umull { rdlo, rdhi, .. } => {
+                f(*rdlo);
+                f(*rdhi);
+            }
+            Call { rets, .. } => rets.iter().copied().for_each(f),
             SAlu { bd, .. }
             | SLoadSpec { bd, .. }
             | SLoad { bd, .. }
             | STrunc { bd, .. }
             | SMov { bd, .. }
             | SMovImm { bd, .. }
-            | SLoadIdx { bd, .. } => vec![*bd],
-            LoadIdx { rd, .. } => vec![*rd],
+            | SLoadIdx { bd, .. } => f(*bd),
             Cmp { .. }
             | Store { .. }
             | Out { .. }
             | SpecCheck { .. }
             | SCmp { .. }
-            | SStore { .. } => {
-                vec![]
-            }
+            | SStore { .. } => {}
         }
+    }
+
+    /// Whether `v` is one of this instruction's defs.
+    pub(crate) fn defines(&self, v: VReg) -> bool {
+        let mut hit = false;
+        self.for_each_def(|d| hit |= d == v);
+        hit
     }
 
     /// Whether this is a call pseudo (interval-crossing constraint for the
@@ -369,10 +376,10 @@ impl MirTerm {
         }
     }
 
-    pub fn uses(&self) -> Vec<VReg> {
-        match self {
-            MirTerm::Ret(vs) => vs.clone(),
-            _ => vec![],
+    /// Calls `f` on every virtual register the terminator reads.
+    pub fn for_each_use(&self, f: impl FnMut(VReg)) {
+        if let MirTerm::Ret(vs) = self {
+            vs.iter().copied().for_each(f);
         }
     }
 }
@@ -510,27 +517,50 @@ pub fn print_mir(f: &MirFunction) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isa::Reg;
+
+    fn uses(i: &MirInst) -> Vec<VReg> {
+        let mut out = Vec::new();
+        i.for_each_use(|v| out.push(v));
+        out
+    }
+
+    fn defs(i: &MirInst) -> Vec<VReg> {
+        let mut out = Vec::new();
+        i.for_each_def(|v| out.push(v));
+        out
+    }
 
     #[test]
     fn uses_and_defs() {
-        let _ = Reg(0);
         let i = MirInst::Alu {
             op: AluOp::Add,
             rd: VReg(0),
             rn: VReg(1),
             src2: MOperand::VReg(VReg(2)),
         };
-        assert_eq!(i.defs(), vec![VReg(0)]);
-        assert_eq!(i.uses(), vec![VReg(1), VReg(2)]);
+        assert_eq!(defs(&i), vec![VReg(0)]);
+        assert_eq!(uses(&i), vec![VReg(1), VReg(2)]);
         let s = MirInst::Store {
             rs: VReg(3),
             rn: VReg(4),
             offset: 0,
             width: MemWidth::W,
         };
-        assert!(s.defs().is_empty());
+        assert!(defs(&s).is_empty());
+        assert_eq!(uses(&s), vec![VReg(3), VReg(4)]);
         assert!(s.has_side_effects());
+    }
+
+    #[test]
+    fn movcc_reads_its_destination() {
+        let i = MirInst::MovCc {
+            rd: VReg(5),
+            rm: VReg(6),
+            cond: Cond::Eq,
+        };
+        assert_eq!(uses(&i), vec![VReg(6), VReg(5)]);
+        assert_eq!(defs(&i), vec![VReg(5)]);
+        assert!(i.defines(VReg(5)) && !i.defines(VReg(6)));
     }
 
     #[test]
@@ -541,6 +571,7 @@ mod tests {
             rets: vec![VReg(2)],
         };
         assert!(c.is_call());
-        assert_eq!(c.defs(), vec![VReg(2)]);
+        assert_eq!(defs(&c), vec![VReg(2)]);
+        assert_eq!(uses(&c), vec![VReg(1)]);
     }
 }

@@ -39,108 +39,104 @@ pub fn can_misspeculate(i: &MirInst) -> bool {
     }
 }
 
-/// Expected register class for every vreg operand of `i`, as
-/// `(vreg, class, role)` triples covering both uses and defs.
-fn operand_classes(i: &MirInst) -> Vec<(VReg, RegClass, &'static str)> {
+/// Calls `f` with the expected register class of every vreg operand of
+/// `i`, as `(vreg, class, role)`, covering both uses and defs.
+fn for_each_operand_class(i: &MirInst, mut f: impl FnMut(VReg, RegClass, &'static str)) {
     use RegClass::{Byte, Word};
-    let mut out: Vec<(VReg, RegClass, &'static str)> = Vec::new();
-    let word = |out: &mut Vec<_>, v: VReg, role| out.push((v, Word, role));
-    let byte = |out: &mut Vec<_>, v: VReg, role| out.push((v, Byte, role));
     match i {
         MirInst::Alu { rd, rn, src2, .. } => {
-            word(&mut out, *rd, "rd");
-            word(&mut out, *rn, "rn");
+            f(*rd, Word, "rd");
+            f(*rn, Word, "rn");
             if let MOperand::VReg(v) = src2 {
-                word(&mut out, *v, "src2");
+                f(*v, Word, "src2");
             }
         }
-        MirInst::MovImm { rd, .. } | MirInst::CSet { rd, .. } => word(&mut out, *rd, "rd"),
+        MirInst::MovImm { rd, .. } | MirInst::CSet { rd, .. } => f(*rd, Word, "rd"),
         MirInst::Mov { rd, rm } | MirInst::MovCc { rd, rm, .. } => {
-            word(&mut out, *rd, "rd");
-            word(&mut out, *rm, "rm");
+            f(*rd, Word, "rd");
+            f(*rm, Word, "rm");
         }
         MirInst::Cmp { rn, src2 } => {
-            word(&mut out, *rn, "rn");
+            f(*rn, Word, "rn");
             if let MOperand::VReg(v) = src2 {
-                word(&mut out, *v, "src2");
+                f(*v, Word, "src2");
             }
         }
         MirInst::Extend { rd, rm, .. } => {
-            word(&mut out, *rd, "rd");
-            word(&mut out, *rm, "rm");
+            f(*rd, Word, "rd");
+            f(*rm, Word, "rm");
         }
         MirInst::Umull { rdlo, rdhi, rn, rm } => {
-            word(&mut out, *rdlo, "rdlo");
-            word(&mut out, *rdhi, "rdhi");
-            word(&mut out, *rn, "rn");
-            word(&mut out, *rm, "rm");
+            f(*rdlo, Word, "rdlo");
+            f(*rdhi, Word, "rdhi");
+            f(*rn, Word, "rn");
+            f(*rm, Word, "rm");
         }
         MirInst::Load { rd, rn, .. } => {
-            word(&mut out, *rd, "rd");
-            word(&mut out, *rn, "rn");
+            f(*rd, Word, "rd");
+            f(*rn, Word, "rn");
         }
         MirInst::LoadIdx { rd, rn, bidx, .. } => {
-            word(&mut out, *rd, "rd");
-            word(&mut out, *rn, "rn");
-            byte(&mut out, *bidx, "bidx");
+            f(*rd, Word, "rd");
+            f(*rn, Word, "rn");
+            f(*bidx, Byte, "bidx");
         }
         MirInst::SLoadIdx { bd, rn, bidx, .. } => {
-            byte(&mut out, *bd, "bd");
-            word(&mut out, *rn, "rn");
-            byte(&mut out, *bidx, "bidx");
+            f(*bd, Byte, "bd");
+            f(*rn, Word, "rn");
+            f(*bidx, Byte, "bidx");
         }
         MirInst::Store { rs, rn, .. } => {
-            word(&mut out, *rs, "rs");
-            word(&mut out, *rn, "rn");
+            f(*rs, Word, "rs");
+            f(*rn, Word, "rn");
         }
         MirInst::GlobalAddr { rd, .. }
         | MirInst::FrameAddr { rd, .. }
-        | MirInst::GetParam { rd, .. } => word(&mut out, *rd, "rd"),
+        | MirInst::GetParam { rd, .. } => f(*rd, Word, "rd"),
         MirInst::Call { args, rets, .. } => {
             for a in args {
-                word(&mut out, *a, "arg");
+                f(*a, Word, "arg");
             }
             for r in rets {
-                word(&mut out, *r, "ret");
+                f(*r, Word, "ret");
             }
         }
-        MirInst::Out { rn } | MirInst::SpecCheck { rn } => word(&mut out, *rn, "rn"),
+        MirInst::Out { rn } | MirInst::SpecCheck { rn } => f(*rn, Word, "rn"),
         MirInst::SAlu { bd, bn, src2, .. } => {
-            byte(&mut out, *bd, "bd");
-            byte(&mut out, *bn, "bn");
+            f(*bd, Byte, "bd");
+            f(*bn, Byte, "bn");
             if let SMOperand::VReg(v) = src2 {
-                byte(&mut out, *v, "src2");
+                f(*v, Byte, "src2");
             }
         }
         MirInst::SCmp { bn, src2 } => {
-            byte(&mut out, *bn, "bn");
+            f(*bn, Byte, "bn");
             if let SMOperand::VReg(v) = src2 {
-                byte(&mut out, *v, "src2");
+                f(*v, Byte, "src2");
             }
         }
         MirInst::SLoadSpec { bd, rn, .. } | MirInst::SLoad { bd, rn, .. } => {
-            byte(&mut out, *bd, "bd");
-            word(&mut out, *rn, "rn");
+            f(*bd, Byte, "bd");
+            f(*rn, Word, "rn");
         }
         MirInst::SStore { bs, rn, .. } => {
-            byte(&mut out, *bs, "bs");
-            word(&mut out, *rn, "rn");
+            f(*bs, Byte, "bs");
+            f(*rn, Word, "rn");
         }
         MirInst::SExtend { rd, bn, .. } => {
-            word(&mut out, *rd, "rd");
-            byte(&mut out, *bn, "bn");
+            f(*rd, Word, "rd");
+            f(*bn, Byte, "bn");
         }
         MirInst::STrunc { bd, rn, .. } => {
-            byte(&mut out, *bd, "bd");
-            word(&mut out, *rn, "rn");
+            f(*bd, Byte, "bd");
+            f(*rn, Word, "rn");
         }
         MirInst::SMov { bd, bs } => {
-            byte(&mut out, *bd, "bd");
-            byte(&mut out, *bs, "bs");
+            f(*bd, Byte, "bd");
+            f(*bs, Byte, "bs");
         }
-        MirInst::SMovImm { bd, .. } => byte(&mut out, *bd, "bd"),
+        MirInst::SMovImm { bd, .. } => f(*bd, Byte, "bd"),
     }
-    out
 }
 
 /// Verifies a post-isel MIR function. Returns diagnostics (empty = clean).
@@ -169,7 +165,7 @@ fn diag(f: &MirFunction, rule: &'static str, loc: impl ToString, msg: impl Into<
 fn check_classes(f: &MirFunction, problems: &mut Vec<Diag>) {
     for b in f.block_ids() {
         for (ii, inst) in f.block(b).insts.iter().enumerate() {
-            for (v, expected, role) in operand_classes(inst) {
+            for_each_operand_class(inst, |v, expected, role| {
                 if v.index() >= f.classes.len() {
                     problems.push(diag(
                         f,
@@ -188,7 +184,7 @@ fn check_classes(f: &MirFunction, problems: &mut Vec<Diag>) {
                         ),
                     ));
                 }
-            }
+            });
         }
         if let MirTerm::Ret(vals) = &f.block(b).term {
             for v in vals {
@@ -323,9 +319,11 @@ fn check_defined(f: &MirFunction, problems: &mut Vec<Diag>) {
     let mut defs: BitRows = BitRows::new(nb, nvregs);
     for b in f.block_ids() {
         for inst in &f.block(b).insts {
-            for d in inst.defs().into_iter().filter(|d| d.index() < nvregs) {
-                defs.insert(b.index(), d.index());
-            }
+            inst.for_each_def(|d| {
+                if d.index() < nvregs {
+                    defs.insert(b.index(), d.index());
+                }
+            });
         }
     }
     let mut seed: BitRows = BitRows::new(nb, nvregs);
@@ -336,33 +334,33 @@ fn check_defined(f: &MirFunction, problems: &mut Vec<Diag>) {
     let mut local = vec![0u32; nvregs];
     for b in f.block_ids() {
         let (undef, stamp) = (undef_in.row(b.index()), b.index() as u32 + 1);
-        // Locations are formatted lazily: this loop runs per instruction on
-        // every (usually clean) function.
-        let mut check = |uses: Vec<VReg>, local: &[u32], ii: Option<usize>| {
-            for u in uses {
-                let i = u.index();
-                if i >= nvregs || (local[i] != stamp && undef.contains(i)) {
-                    let loc = match ii {
-                        Some(i) => format!("{b:?}[{i}]"),
-                        None => format!("{b:?}"),
-                    };
-                    problems.push(Diag::new(
-                        "MIR-UNDEF",
-                        PASS,
-                        f.name.clone(),
-                        loc,
-                        format!("{u:?} used before definition"),
-                    ));
-                }
+        // Locations are formatted lazily: this runs per operand on every
+        // (usually clean) function.
+        let mut check = |u: VReg, local: &[u32], ii: Option<usize>| {
+            let i = u.index();
+            if i >= nvregs || (local[i] != stamp && undef.contains(i)) {
+                let loc = match ii {
+                    Some(i) => format!("{b:?}[{i}]"),
+                    None => format!("{b:?}"),
+                };
+                problems.push(Diag::new(
+                    "MIR-UNDEF",
+                    PASS,
+                    f.name.clone(),
+                    loc,
+                    format!("{u:?} used before definition"),
+                ));
             }
         };
         for (ii, inst) in f.block(b).insts.iter().enumerate() {
-            check(inst.uses(), &local, Some(ii));
-            for d in inst.defs().into_iter().filter(|d| d.index() < nvregs) {
-                local[d.index()] = stamp;
-            }
+            inst.for_each_use(|u| check(u, &local, Some(ii)));
+            inst.for_each_def(|d| {
+                if d.index() < nvregs {
+                    local[d.index()] = stamp;
+                }
+            });
         }
-        check(f.block(b).term.uses(), &local, None);
+        f.block(b).term.for_each_use(|u| check(u, &local, None));
     }
 }
 

@@ -25,7 +25,6 @@ use isa::Reg;
 use sir::bitset::BitRows;
 use sir::dataflow::Edges;
 use sir::liveness;
-use std::collections::HashSet;
 
 /// Where a virtual register ended up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,7 +115,9 @@ pub fn allocate(mir: MirFunction, opts: &CodegenOpts) -> AllocatedFn {
     } else {
         &CALLEE_SAVED
     };
-    let caller: &[Reg] = &CALLER_SAVED;
+    // Values live across a call take callee-saved registers only; the rest
+    // try caller-saved registers first.
+    let any_reg: Vec<Reg> = CALLER_SAVED.iter().chain(callee).copied().collect();
 
     // Allocation order: the prioritized side first (RQ5 heuristic); within
     // a side, values *without* handler-edge range extensions first — they
@@ -143,26 +144,24 @@ pub fn allocate(mir: MirFunction, opts: &CodegenOpts) -> AllocatedFn {
     let mut hosts_bytes = [false; 16];
     let mut locs: Vec<Loc> = vec![Loc::Spill(u32::MAX); n];
     let mut next_spill = 0u32;
-    let mut used_callee: HashSet<Reg> = HashSet::new();
+    let mut used_callee = [false; 16];
 
     // Claims `loc` for `v` in the occupancy tables.
     macro_rules! claim {
         ($v:expr, $loc:expr, $segs:expr) => {{
             let loc = $loc;
-            let (r, slice_list): (Reg, Vec<usize>) = match loc {
-                Loc::Reg(r) | Loc::WriteThrough { reg: r, .. } => (r, vec![0, 1, 2, 3]),
+            let (r, slices) = match loc {
+                Loc::Reg(r) | Loc::WriteThrough { reg: r, .. } => (r, 0..4),
                 Loc::Slice(sl) | Loc::WriteThroughSlice { slice: sl, .. } => {
                     hosts_bytes[sl.reg.index()] = true;
-                    (sl.reg, vec![sl.byte as usize])
+                    (sl.reg, sl.byte as usize..sl.byte as usize + 1)
                 }
                 Loc::Spill(_) => unreachable!(),
             };
-            for sidx in slice_list {
-                occupancy[r.index()][sidx].insert($segs, $v as u32);
+            for slice_occ in &mut occupancy[r.index()][slices] {
+                slice_occ.insert($segs, $v as u32);
             }
-            if callee.contains(&r) {
-                used_callee.insert(r);
-            }
+            used_callee[r.index()] |= callee.contains(&r);
             locs[$v] = loc;
         }};
     }
@@ -199,24 +198,15 @@ pub fn allocate(mir: MirFunction, opts: &CodegenOpts) -> AllocatedFn {
     };
 
     for &v in &vregs {
-        let segs = lv.segs[v].clone();
-        // "Crossing" includes being *used by* the call (s < c, e == c+1):
-        // argument marshalling writes r0–r3, so argument sources must live
-        // elsewhere. Return-value vregs (s == c) are exempt.
-        let needs_callee = lv
-            .call_positions
-            .iter()
-            .any(|&c| segs.iter().any(|&(s, e)| s < c && e > c));
-        let pool: Vec<Reg> = if needs_callee {
-            callee.to_vec()
+        let segs = &lv.segs[v];
+        let pool = if crosses_call(segs, &lv.call_positions) {
+            callee
         } else {
-            let mut p = caller.to_vec();
-            p.extend_from_slice(callee);
-            p
+            &any_reg
         };
         let class = mir.classes[v];
-        if let Some(loc) = find_free(&occupancy, &hosts_bytes, class, &pool, &segs) {
-            claim!(v, loc, &segs);
+        if let Some(loc) = find_free(&occupancy, &hosts_bytes, class, pool, segs) {
+            claim!(v, loc, segs);
             continue;
         }
         // No register: write-through on the handler-edge-free range, else
@@ -226,8 +216,8 @@ pub fn allocate(mir: MirFunction, opts: &CodegenOpts) -> AllocatedFn {
             &mir,
             &lv,
             lv_plain.as_ref(),
+            pool,
             callee,
-            caller,
             &mut occupancy,
             &mut hosts_bytes,
             &mut locs,
@@ -239,8 +229,11 @@ pub fn allocate(mir: MirFunction, opts: &CodegenOpts) -> AllocatedFn {
         .blocks
         .iter()
         .any(|b| b.insts.iter().any(MirInst::is_call));
-    let mut used_callee_saved: Vec<Reg> = used_callee.into_iter().collect();
-    used_callee_saved.sort();
+    let used_callee_saved: Vec<Reg> = callee
+        .iter()
+        .copied()
+        .filter(|r| used_callee[r.index()])
+        .collect();
     AllocatedFn {
         mir,
         locs,
@@ -421,27 +414,16 @@ fn rehome(
     mir: &MirFunction,
     lv: &LiveRanges,
     lv_plain: Option<&LiveRanges>,
+    pool: &[Reg],
     callee: &[Reg],
-    caller: &[Reg],
     occupancy: &mut [[SliceOccupancy; 4]],
     hosts_bytes: &mut [bool; 16],
     locs: &mut [Loc],
     next_spill: &mut u32,
-    used_callee: &mut HashSet<Reg>,
+    used_callee: &mut [bool; 16],
 ) {
     let class = mir.classes[v];
     let segs = &lv.segs[v];
-    let needs_callee = lv
-        .call_positions
-        .iter()
-        .any(|&c| segs.iter().any(|&(s, e)| s < c && e > c));
-    let pool: Vec<Reg> = if needs_callee {
-        callee.to_vec()
-    } else {
-        let mut p = caller.to_vec();
-        p.extend_from_slice(callee);
-        p
-    };
     let try_place = |segs: &Segments,
                      wt: bool,
                      occupancy: &mut [[SliceOccupancy; 4]],
@@ -450,7 +432,7 @@ fn rehome(
      -> Option<Loc> {
         match class {
             RegClass::Word => {
-                for &r in &pool {
+                for &r in pool {
                     if (0..4).all(|s| !occupancy[r.index()][s].conflicts(segs)) {
                         let loc = if wt {
                             let slot = *next_spill;
@@ -468,7 +450,7 @@ fn rehome(
                 None
             }
             RegClass::Byte => {
-                for &r in &pool {
+                for &r in pool {
                     for sl in 0..4u8 {
                         if occupancy[r.index()][sl as usize].conflicts(segs) {
                             continue;
@@ -512,9 +494,7 @@ fn rehome(
                 ..
             } = loc
             {
-                if callee.contains(&r) {
-                    used_callee.insert(r);
-                }
+                used_callee[r.index()] |= callee.contains(&r);
             }
             locs[v] = loc;
         }
@@ -538,111 +518,104 @@ fn build_ranges(mir: &MirFunction, order: &[MBlockId], with_handler_edges: bool)
     let mut def_side = vec![true; n];
     for b in mir.block_ids() {
         let bi = b.index();
-        for i in &mir.block(b).insts {
-            for u in i.uses() {
-                if !defs.row(bi).contains(u.index()) {
-                    uevar.insert(bi, u.index());
-                }
-            }
-            for d in i.defs() {
-                defs.insert(bi, d.index());
-                def_side[d.index()] = mir.block(b).spec_side;
-            }
-        }
-        for u in mir.block(b).term.uses() {
+        let spec_side = mir.block(b).spec_side;
+        let upward = |uevar: &mut BitRows, defs: &BitRows, u: VReg| {
             if !defs.row(bi).contains(u.index()) {
                 uevar.insert(bi, u.index());
             }
+        };
+        for i in &mir.block(b).insts {
+            i.for_each_use(|u| upward(&mut uevar, &defs, u));
+            i.for_each_def(|d| {
+                defs.insert(bi, d.index());
+                def_side[d.index()] = spec_side;
+            });
         }
+        mir.block(b)
+            .term
+            .for_each_use(|u| upward(&mut uevar, &defs, u));
     }
     let cfg = mir.cfg(with_handler_edges);
     let (live_in, live_out) = liveness::solve(&cfg, uevar, defs, BitRows::new(nb, n));
     // Per-block segments with intra-block precision: [first event, last
     // event], stretched to the block boundary on the live-in / live-out
-    // side.
+    // side. Blocks are walked in layout order and each gives a vreg at most
+    // one segment, so segments arrive sorted by start: pushing one either
+    // extends the vreg's last segment (touching or overlapping) or appends.
     let mut segs: Vec<Segments> = vec![Vec::new(); n];
     let mut call_positions = Vec::new();
     let mut first_ev: Vec<u32> = vec![u32::MAX; n];
     let mut last_ev: Vec<u32> = vec![0; n];
+    let mut touched: Vec<usize> = Vec::new();
     let mut pos: u32 = 0;
     for &b in order {
         let bi = b.index();
         let bstart = pos;
-        let mut touched: Vec<usize> = Vec::new();
-        let touch = |v: VReg,
-                     p: u32,
-                     first_ev: &mut Vec<u32>,
-                     last_ev: &mut Vec<u32>,
-                     touched: &mut Vec<usize>| {
+        let mut touch = |v: VReg, p: u32| {
             let i = v.index();
             if first_ev[i] == u32::MAX {
                 touched.push(i);
                 first_ev[i] = p;
             }
-            last_ev[i] = last_ev[i].max(p + 1);
+            last_ev[i] = p + 1;
         };
         for inst in &mir.block(b).insts {
             pos += 1;
             if inst.is_call() {
                 call_positions.push(pos);
             }
-            for u in inst.uses() {
-                touch(u, pos, &mut first_ev, &mut last_ev, &mut touched);
-            }
-            for d in inst.defs() {
-                touch(d, pos, &mut first_ev, &mut last_ev, &mut touched);
-            }
+            inst.for_each_use(|u| touch(u, pos));
+            inst.for_each_def(|d| touch(d, pos));
         }
         pos += 1; // terminator position
-        for u in mir.block(b).term.uses() {
-            touch(u, pos, &mut first_ev, &mut last_ev, &mut touched);
-        }
+        mir.block(b).term.for_each_use(|u| touch(u, pos));
         let bend = pos + 1;
         let (lin, lout) = (live_in.row(bi), live_out.row(bi));
         // Emit a segment for every vreg live in this block.
-        for &vi in &touched {
+        for vi in touched.drain(..) {
             let s = if lin.contains(vi) {
                 bstart
             } else {
                 first_ev[vi]
             };
             let e = if lout.contains(vi) { bend } else { last_ev[vi] };
-            segs[vi].push((s, e.max(s + 1)));
+            push_segment(&mut segs[vi], s, e.max(s + 1));
             first_ev[vi] = u32::MAX;
-            last_ev[vi] = 0;
         }
         // Live-through values with no local event.
         for vi in lin.and(lout) {
-            // (events were reset above; untouched live-through values
-            // still have MAX)
-            if first_ev[vi] == u32::MAX {
-                let already = segs[vi].last().map(|&(_, e)| e >= bend).unwrap_or(false);
-                if !already {
-                    segs[vi].push((bstart, bend));
-                }
+            let already = segs[vi].last().is_some_and(|&(_, e)| e >= bend);
+            if !already {
+                push_segment(&mut segs[vi], bstart, bend);
             }
         }
         pos += 1;
-    }
-    // Normalize: sort and merge adjacent/overlapping segments.
-    for s in &mut segs {
-        s.sort_unstable();
-        let mut merged: Segments = Vec::with_capacity(s.len());
-        for &(a, b) in s.iter() {
-            if let Some(last) = merged.last_mut() {
-                if a <= last.1 {
-                    last.1 = last.1.max(b);
-                    continue;
-                }
-            }
-            merged.push((a, b));
-        }
-        *s = merged;
     }
     LiveRanges {
         segs,
         def_side,
         call_positions,
+    }
+}
+
+/// Whether some call position `c` lies inside a segment with `s < c < e`,
+/// by binary search in the sorted `calls`. "Crossing" includes being *used
+/// by* the call (`e == c + 1`): argument marshalling writes r0–r3, so
+/// argument sources must live elsewhere. Return-value vregs (`s == c`) are
+/// exempt.
+fn crosses_call(segs: &Segments, calls: &[u32]) -> bool {
+    segs.iter().any(|&(s, e)| {
+        let i = calls.partition_point(|&c| c <= s);
+        calls.get(i).is_some_and(|&c| c < e)
+    })
+}
+
+/// Appends `[s, e)` to segments that all start before `s`, merging it into
+/// the last one when they touch or overlap.
+fn push_segment(segs: &mut Segments, s: u32, e: u32) {
+    match segs.last_mut() {
+        Some(last) if s <= last.1 => last.1 = last.1.max(e),
+        _ => segs.push((s, e)),
     }
 }
 
@@ -666,9 +639,11 @@ mod tests {
         assert_eq!(a.spill_slots, 0);
         for b in a.mir.block_ids() {
             for i in &a.mir.block(b).insts {
-                for v in i.uses().into_iter().chain(i.defs()) {
+                let check = |v: VReg| {
                     assert_ne!(a.locs[v.index()], Loc::Spill(u32::MAX), "{v:?} unallocated");
-                }
+                };
+                i.for_each_use(check);
+                i.for_each_def(check);
             }
         }
     }
@@ -772,6 +747,71 @@ mod tests {
                 assert!(!seen_nonspec, "spec block after non-spec in layout");
             }
         }
+    }
+
+    /// Every vreg's segments are strictly increasing and pairwise disjoint,
+    /// with a gap between neighbours (touching segments are merged) — the
+    /// invariant extend-on-push relies on and `SliceOccupancy` assumes.
+    #[test]
+    fn segments_are_sorted_disjoint_and_merged() {
+        let src = "
+            u32 g(u32 x) { return x * 3; }
+            u32 f(u32 n) {
+                u32 s = 0; u32 k = 7;
+                for (u32 i = 0; i < n; i++) {
+                    if (i & 1) { s += g(i); } else { s ^= k; }
+                    k = k + s;
+                }
+                return s + k;
+            }
+        ";
+        let a = alloc_for(src, "f");
+        for handler_edges in [true, false] {
+            let lv = build_ranges(&a.mir, &a.order, handler_edges);
+            assert!(lv.call_positions.windows(2).all(|w| w[0] < w[1]));
+            let mut multi = 0;
+            for (v, segs) in lv.segs.iter().enumerate() {
+                assert!(
+                    segs.iter().all(|&(s, e)| s < e),
+                    "v{v}: empty segment {segs:?}"
+                );
+                assert!(
+                    segs.windows(2).all(|w| w[0].1 < w[1].0),
+                    "v{v}: segments not strictly increasing and disjoint: {segs:?}"
+                );
+                multi += usize::from(segs.len() > 1);
+            }
+            assert!(
+                multi > 0,
+                "the loop must leave some vreg with a lifetime hole"
+            );
+        }
+    }
+
+    #[test]
+    fn push_segment_extends_touching_and_overlapping() {
+        let mut segs: Segments = Vec::new();
+        push_segment(&mut segs, 2, 5);
+        push_segment(&mut segs, 5, 8);
+        push_segment(&mut segs, 6, 7);
+        push_segment(&mut segs, 10, 12);
+        assert_eq!(segs, vec![(2, 8), (10, 12)]);
+    }
+
+    #[test]
+    fn call_crossing_is_strictly_inside() {
+        let calls = [10, 20];
+        assert!(crosses_call(&vec![(5, 11)], &calls), "used by the call");
+        assert!(
+            !crosses_call(&vec![(10, 15)], &calls),
+            "defined by the call"
+        );
+        assert!(
+            !crosses_call(&vec![(11, 20)], &calls),
+            "dies before the call"
+        );
+        assert!(crosses_call(&vec![(0, 3), (19, 30)], &calls));
+        assert!(!crosses_call(&vec![(0, 10), (21, 30)], &calls));
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! * erase a speculative region (handler-edge deletion) → `LINT-COVER`;
 //! * drop the extend between a slice and a word read → `MIR-CLASS` /
 //!   `MIR-UNDEF`;
+//! * delete a select's default move, so its conditional move reads an
+//!   undefined destination → `MIR-UNDEF`;
 //! * corrupt the emitted `Δ` → `EMIT-DELTA`.
 //!
 //! These are exactly the bug classes the paper's soundness argument
@@ -15,10 +17,12 @@
 
 use backend::emit::verify_layout;
 use backend::isel::CodegenOpts;
-use backend::mir::{MirInst, RegClass, VReg};
+use backend::mir::{MirInst, MirTerm, RegClass, VReg};
 use backend::mir_verify::{verify_allocated, verify_mir};
 use backend::{isel, regalloc};
 use isa::MInst;
+use sir::builder::FunctionBuilder;
+use sir::{Cc, Width};
 
 const SRC: &str = "
     u32 sum(u32 n) {
@@ -50,6 +54,20 @@ fn squeezed_module() -> sir::Module {
     sir::verify::verify_module(&m).unwrap();
     sir::bitlint::lint_module(&m).expect("squeezer output must lint clean");
     m
+}
+
+/// Whether `inst` reads `v`.
+fn reads(inst: &MirInst, v: VReg) -> bool {
+    let mut hit = false;
+    inst.for_each_use(|u| hit |= u == v);
+    hit
+}
+
+/// Whether `term` reads `v`.
+fn term_reads(term: &MirTerm, v: VReg) -> bool {
+    let mut hit = false;
+    term.for_each_use(|u| hit |= u == v);
+    hit
 }
 
 fn opts() -> CodegenOpts {
@@ -134,8 +152,8 @@ fn deleted_extend_is_rejected_with_mir_undef() {
                         blk.insts
                             .iter()
                             .enumerate()
-                            .any(|(ij, inst)| (bj != b || ij > i) && inst.uses().contains(&rd))
-                            || blk.term.uses().contains(&rd)
+                            .any(|(ij, inst)| (bj != b || ij > i) && reads(inst, rd))
+                            || term_reads(&blk.term, rd)
                     });
                     if read_later {
                         victim = Some((b, i));
@@ -154,6 +172,48 @@ fn deleted_extend_is_rejected_with_mir_undef() {
         return;
     }
     panic!("no live SExtend found in bitspec isel output");
+}
+
+/// Mutation 2c: delete the default `Mov` of a lowered select. `MovCc`
+/// writes its destination only when the condition holds, so it reads the
+/// destination's previous value, which is now undefined on every path.
+#[test]
+fn deleted_select_default_is_rejected_with_mir_undef() {
+    let mut b = FunctionBuilder::new("pick", vec![Width::W32, Width::W32], Some(Width::W32));
+    let (x, y) = (b.param(0), b.param(1));
+    let c = b.icmp(Cc::Ult, Width::W32, x, y);
+    let s = b.select(Width::W32, c, x, y);
+    b.ret(Some(s));
+    let mut m = sir::Module::new("sel");
+    let fid = m.add_function(b.finish());
+    sir::verify::verify_module(&m).unwrap();
+    let layout = interp::Layout::new(&m);
+    let mut mir = isel::select_function(&m, fid, &layout, &opts());
+    assert!(verify_mir(&mir).is_empty(), "clean isel must verify");
+    let (bi, i, rd) = mir
+        .blocks
+        .iter()
+        .enumerate()
+        .find_map(|(bi, blk)| {
+            blk.insts
+                .iter()
+                .enumerate()
+                .find_map(|(i, inst)| match inst {
+                    MirInst::MovCc { rd, .. } => Some((bi, i, *rd)),
+                    _ => None,
+                })
+        })
+        .expect("select lowers to MovCc");
+    let default = mir.blocks[bi].insts[..i]
+        .iter()
+        .rposition(|inst| matches!(inst, MirInst::Mov { rd: d, .. } if *d == rd))
+        .expect("select default move precedes the MovCc");
+    mir.blocks[bi].insts.remove(default);
+    let diags = verify_mir(&mir);
+    assert!(
+        diags.iter().any(|d| d.rule == "MIR-UNDEF"),
+        "want MIR-UNDEF, got {diags:?}"
+    );
 }
 
 /// Mutation 3: corrupt the patched `SetDelta` displacement in the linked

@@ -6,12 +6,18 @@
 //! no two live-overlapping vregs share a register slice, and frame slots
 //! are pairwise disjoint. The squeezed variants matter most: handler-edge
 //! liveness (equation 2) and write-through homing only arise there.
+//!
+//! The same invariants, plus the post-allocation SMIR verifier, are checked
+//! on real workloads: every function of every suite cell's final module
+//! under that cell's codegen options.
 
+use backend::mir_verify::verify_allocated;
 use backend::regalloc::{allocate, validate};
 use backend::{isel, CodegenOpts};
-use bitspec::{BuildConfig, Workload};
+use bitspec::{Arch, BuildConfig, Workload};
 use fuzz::gen::generate;
 use interp::Heuristic;
+use std::collections::HashSet;
 
 /// Allocates every function of `m` under `opts` and validates it.
 fn validate_module(m: &sir::Module, opts: &CodegenOpts, what: &str) {
@@ -95,6 +101,62 @@ fn compact_mode_allocates_validly() {
             ..CodegenOpts::default()
         };
         validate_module(&m, &opts, &format!("seed {seed} (compact)"));
+    }
+    bitspec::stages::clear();
+}
+
+/// The codegen options `bitspec::build` derives from a configuration.
+fn codegen_opts(cfg: &BuildConfig) -> CodegenOpts {
+    CodegenOpts {
+        bitspec: matches!(cfg.arch, Arch::BitSpec | Arch::NoSpec),
+        compact: cfg.arch == Arch::Compact,
+        spill_prefer_orig: cfg.spill_prefer_orig,
+    }
+}
+
+#[test]
+fn suite_cells_allocate_validly() {
+    let mut seen = HashSet::new();
+    for name in mibench::names() {
+        let w = mibench::workload(name, mibench::Input::Large);
+        for cfg in bench::suite_configs() {
+            let c = bitspec::build(&w, &cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let opts = codegen_opts(&cfg);
+            // The options are the cell's own: recompiling reproduces its program.
+            let p = backend::compile_module(&c.module, &opts);
+            assert_eq!(
+                backend::program_fingerprint(&p),
+                backend::program_fingerprint(&c.program),
+                "{name} {:?}: codegen options differ from the build's",
+                cfg.arch
+            );
+            // Cells that share a final module and options allocate identically.
+            let CodegenOpts {
+                bitspec,
+                compact,
+                spill_prefer_orig,
+            } = opts;
+            let key = (
+                sir::pass::ir_fingerprint(&c.module),
+                bitspec,
+                compact,
+                spill_prefer_orig,
+            );
+            if !seen.insert(key) {
+                continue;
+            }
+            let layout = interp::Layout::new(&c.module);
+            for fid in c.module.func_ids() {
+                let mir = isel::select_function(&c.module, fid, &layout, &opts);
+                let a = allocate(mir, &opts);
+                let what = format!("{name} {:?} {}", cfg.arch, a.mir.name);
+                if let Err(e) = validate(&a) {
+                    panic!("{what}: allocation invariant violated: {e}");
+                }
+                let diags = verify_allocated(&a);
+                assert!(diags.is_empty(), "{what}: {diags:?}");
+            }
+        }
     }
     bitspec::stages::clear();
 }

@@ -1,47 +1,39 @@
 //! Dead code elimination.
 
 use sir::{Function, Module, ValueId};
-use std::collections::HashSet;
 
 /// Removes instructions whose results are unused and that have no side
 /// effects. Returns the number of instructions removed.
+///
+/// One mark-and-sweep: roots (side-effecting instructions, parameters and
+/// terminator operands) are marked live, marks propagate backwards through
+/// operands on a worklist, and every unmarked instruction is dropped.
 pub fn run_function(f: &mut Function) -> usize {
-    let mut live: HashSet<ValueId> = HashSet::new();
+    let mut live = vec![false; f.insts.len()];
     let mut work: Vec<ValueId> = Vec::new();
-    // Roots: side-effecting instructions and terminator operands.
+    let mut mark = |v: ValueId, work: &mut Vec<ValueId>| {
+        if !live[v.index()] {
+            live[v.index()] = true;
+            work.push(v);
+        }
+    };
     for b in f.block_ids() {
         for &v in &f.block(b).insts {
             let inst = f.inst(v);
-            if (inst.has_side_effects() || matches!(inst, sir::Inst::Param { .. }))
-                && live.insert(v)
-            {
-                work.push(v);
+            if inst.has_side_effects() || matches!(inst, sir::Inst::Param { .. }) {
+                mark(v, &mut work);
             }
         }
-        for op in f.block(b).term.operands() {
-            if live.insert(op) {
-                work.push(op);
-            }
-        }
+        f.block(b).term.for_each_operand(|op| mark(op, &mut work));
     }
     while let Some(v) = work.pop() {
-        for op in f.inst(v).operands() {
-            if live.insert(op) {
-                work.push(op);
-            }
-        }
+        f.inst(v).for_each_operand(|op| mark(op, &mut work));
     }
     let mut removed = 0;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let keep: Vec<ValueId> = f
-            .block(b)
-            .insts
-            .iter()
-            .copied()
-            .filter(|v| live.contains(v))
-            .collect();
-        removed += f.block(b).insts.len() - keep.len();
-        f.block_mut(b).insts = keep;
+    for blk in &mut f.blocks {
+        let before = blk.insts.len();
+        blk.insts.retain(|v| live[v.index()]);
+        removed += before - blk.insts.len();
     }
     removed
 }

@@ -532,9 +532,9 @@ fn prune_unprofitable(
                 };
                 inst.for_each_operand(|op| uses[op.index()] += 1);
             }
-            for op in f.block(b).term.operands() {
-                wide_uses[op.index()] += 1;
-            }
+            f.block(b)
+                .term
+                .for_each_operand(|op| wide_uses[op.index()] += 1);
         }
         let before = narrow.len();
         narrow.retain(|v| {

@@ -436,10 +436,17 @@ impl Terminator {
 
     /// The value operands of the terminator.
     pub fn operands(&self) -> Vec<ValueId> {
+        let mut out = Vec::new();
+        self.for_each_operand(|v| out.push(v));
+        out
+    }
+
+    /// Calls `f` on every value operand, without allocating.
+    pub fn for_each_operand(&self, mut f: impl FnMut(ValueId)) {
         match self {
-            Terminator::CondBr { cond, .. } => vec![*cond],
-            Terminator::Ret(Some(v)) => vec![*v],
-            _ => vec![],
+            Terminator::CondBr { cond, .. } => f(*cond),
+            Terminator::Ret(Some(v)) => f(*v),
+            _ => {}
         }
     }
 

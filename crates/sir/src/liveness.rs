@@ -50,9 +50,7 @@ impl Liveness {
                     defs.insert(bi, v);
                 }
             }
-            for op in f.block(b).term.operands() {
-                use_op(&defs, op);
-            }
+            f.block(b).term.for_each_operand(|op| use_op(&defs, op));
         }
         let (live_in, live_out) = solve(f, uses, defs, phi_out);
         Liveness { live_in, live_out }

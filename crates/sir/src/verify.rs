@@ -391,9 +391,9 @@ fn check_ssa(f: &Function, defs: &[Option<BlockId>], d: &mut Diags) {
             }
             seen[v.index()] = stamp(b);
         }
-        for op in f.block(b).term.operands() {
-            check_use(defs, &dt, &seen, b, None, op, d);
-        }
+        f.block(b)
+            .term
+            .for_each_operand(|op| check_use(defs, &dt, &seen, b, None, op, d));
     }
 }
 
