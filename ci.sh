@@ -96,6 +96,11 @@ cargo test --release -q -p fuzz --test fuzz_corpus
 # second cold process (memory caches necessarily empty, so every cell
 # must come off disk bit-identically), and diff the result streams.
 cargo test --release -q -p bitspec --test store --test wire_roundtrip
+# Wire golden: every suite cell's encoding and every entry a cold suite
+# sweep publishes (its kind, file name — the versioned store key — and
+# re-encoded payload, wall-clock fields zeroed) keep their golden hashes,
+# so a codec refactor that claims to be byte-neutral is one.
+cargo test --release -q -p bitspec --test wire_golden
 cargo test --release -q -p serve --test serve_integration
 STORE_DIR=$(mktemp -d)
 cat > "$STORE_DIR/batch.txt" <<'EOF'

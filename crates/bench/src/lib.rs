@@ -54,18 +54,14 @@ pub type Cell = Arc<(Compiled, SimResult)>;
 /// serve layer streams back per request.
 pub use bitspec::memo::Source as CellSource;
 
-fn encode_cell(cell: &(Compiled, SimResult)) -> Vec<u8> {
-    bitspec::wire::encode_cell(&cell.0, &cell.1)
-}
-
 /// Whole cells, keyed by the structural [`bitspec::fingerprint::cell_key`]
 /// (workload contents plus every `BuildConfig` field) and stored under
 /// the `cell` kind.
 static CELLS: Memo<(Compiled, SimResult)> = Memo::new(
     "cell",
     Some(Codec {
-        enc: encode_cell,
-        dec: bitspec::wire::decode_cell,
+        enc: bitspec::wire::encode,
+        dec: bitspec::wire::decode,
     }),
 );
 

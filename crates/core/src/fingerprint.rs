@@ -8,8 +8,7 @@
 //! length-prefixed so adjacent variable-length inputs cannot alias
 //! (`"ab" + "c"` vs `"a" + "bc"`).
 
-use crate::{Arch, BuildConfig, Compiled, SimConfig, Workload};
-use interp::Heuristic;
+use crate::{wire, BuildConfig, Compiled, SimConfig, Workload};
 use sim::{EnergyModel, Engine};
 
 /// An FNV-1a accumulator with length-prefixed framing helpers.
@@ -72,23 +71,6 @@ impl Fnv {
     }
 }
 
-fn arch_tag(a: Arch) -> u8 {
-    match a {
-        Arch::Baseline => 0,
-        Arch::BitSpec => 1,
-        Arch::NoSpec => 2,
-        Arch::Compact => 3,
-    }
-}
-
-fn heuristic_tag(h: Heuristic) -> u8 {
-    match h {
-        Heuristic::Max => 0,
-        Heuristic::Avg => 1,
-        Heuristic::Min => 2,
-    }
-}
-
 /// Feeds a named-input list ((global, bytes) pairs), framed.
 pub(crate) fn eat_inputs(h: &mut Fnv, inputs: &[(String, Vec<u8>)]) {
     h.u64(inputs.len() as u64);
@@ -127,8 +109,9 @@ pub fn config_key(cfg: &BuildConfig) -> u64 {
         reference_profiler,
     } = cfg;
     let mut h = Fnv::new();
-    h.u8(arch_tag(*arch));
-    h.u8(heuristic_tag(*heuristic));
+    // The wire codec's one-byte tags: one tag table for store and keys.
+    h.write_raw(&wire::encode(arch));
+    h.write_raw(&wire::encode(heuristic));
     let (unroll, max_func, max_loop, enabled) = expander.key_fields();
     h.u32(unroll);
     h.u64(max_func);

@@ -178,29 +178,29 @@ static FRONT: Memo<SirStage> = Memo::new("front", None);
 static EXPAND: Memo<SirStage> = Memo::new(
     "expand",
     Some(Codec {
-        enc: crate::wire::encode_sir_stage,
-        dec: crate::wire::decode_sir_stage,
+        enc: crate::wire::encode::<SirStage>,
+        dec: crate::wire::decode::<SirStage>,
     }),
 );
 static PROFILE: Memo<ProfileData> = Memo::new(
     "profile",
     Some(Codec {
-        enc: crate::wire::encode_profile_data,
-        dec: crate::wire::decode_profile_data,
+        enc: crate::wire::encode::<ProfileData>,
+        dec: crate::wire::decode::<ProfileData>,
     }),
 );
 static GATE: Memo<GateRef> = Memo::new(
     "gate",
     Some(Codec {
-        enc: crate::wire::encode_gate_ref,
-        dec: crate::wire::decode_gate_ref,
+        enc: crate::wire::encode::<GateRef>,
+        dec: crate::wire::decode::<GateRef>,
     }),
 );
 static FNS: Memo<backend::FnArtifact> = Memo::new(
     "fnmir",
     Some(Codec {
-        enc: crate::wire::encode_fn_artifact,
-        dec: crate::wire::decode_fn_artifact,
+        enc: crate::wire::encode::<backend::FnArtifact>,
+        dec: crate::wire::decode::<backend::FnArtifact>,
     }),
 );
 /// Simulation runs, memory only: a run is cheap next to a store round

@@ -4,32 +4,46 @@
 //! two processes encoding the same artifact must produce identical
 //! payloads, and `encode(decode(bytes)) == bytes` must hold so artifacts
 //! can be republished without churn. The workspace is std-only, so this
-//! is a hand-rolled codec: LEB128 varints for integers, fixed 8-byte
-//! `to_bits` for floats (bit-exact round-trip), length-prefixed byte
-//! strings, and explicit one-byte tags for enums.
+//! is a hand-rolled codec over one trait, [`Wire`], whose bytes follow
+//! the Rust type of each field:
+//! * `u8` is one raw byte, `bool` one byte (0/1);
+//! * `u32`, `u64` and `usize` are LEB128 varints, `i32` a zigzag varint;
+//! * `f64` is its 8 `to_bits` bytes, little-endian (bit-exact);
+//! * `String` and `Vec<T>` are a varint length, then the bytes or elements;
+//! * `Option<T>` is a 0/1 tag then the value, tuples are their fields in
+//!   order, `Arc<T>` is `T`, and an enum is a one-byte tag then its fields.
 //!
 //! Determinism rules:
-//! * Struct fields are encoded in declaration order, via *exhaustive
-//!   destructuring* — adding a field without deciding how it serializes
-//!   is a compile error, not a silently stale store.
+//! * Struct fields are encoded in the order `wire_struct!` lists them,
+//!   via *exhaustive destructuring* — adding a field without deciding how
+//!   it serializes is a compile error, not a silently stale store. Each
+//!   enum's tag table is one `wire_enum!` list that drives both
+//!   directions.
 //! * Nothing derived from a `HashMap` is ever written. The two derived
 //!   fields of [`backend::Program`] (`addr_index`, `pre`) are rebuilt on
 //!   decode exactly as `emit::link` builds them.
-//! * Decoding validates every enum tag and checks the payload is fully
-//!   consumed; any mismatch is a [`WireError`], which the store treats
-//!   as a corrupt entry (recompute + rewrite).
+//! * Decoding is canonical and never panics: it validates every enum tag,
+//!   register and id range, rejects overlong varints, bounds every length
+//!   prefix by the bytes left, and checks the payload is fully consumed.
+//!   Any accepted payload re-encodes to exactly itself; anything else is a
+//!   [`WireError`], which the store treats as a corrupt entry (recompute +
+//!   rewrite).
 
 use crate::stages::{GateRef, ProfileData, SirStage, StageHits};
 use crate::{Arch, BuildConfig, BuildTrace, Compiled, SimResult};
+use backend::emit::{FnCode, FnFixup};
+use backend::mir::MBlockId;
+use backend::{FnArtifact, Program};
 use interp::profile::VarStats;
 use interp::{Heuristic, Profile};
 use isa::inst::SAluOp;
 use isa::{AluOp, Cond, MInst, MemWidth, Operand, Reg, Slice, SliceOperand};
 use opt::{ExpanderConfig, SqueezeReport};
+use sim::energy::{Activity, EnergyBreakdown};
 use sim::machine::Counts;
 use sir::pass::{IrStats, PassTrace};
 use sir::{
-    Block, BlockId, Cc, FuncId, Function, Global, GlobalId, Inst, Module, Region, RegionId,
+    BinOp, Block, BlockId, Cc, FuncId, Function, Global, GlobalId, Inst, Module, Region, RegionId,
     Terminator, ValueId, Width,
 };
 use std::sync::Arc;
@@ -128,6 +142,12 @@ impl<'a> Dec<'a> {
         Dec { buf, pos: 0 }
     }
 
+    /// Bytes not yet consumed.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    #[inline]
     pub fn u8(&mut self) -> Res<u8> {
         let b = *self.buf.get(self.pos).ok_or_else(|| bad("eof"))?;
         self.pos += 1;
@@ -142,7 +162,20 @@ impl<'a> Dec<'a> {
         }
     }
 
+    /// LEB128 unsigned varint, canonical only: an overlong encoding (a
+    /// zero final byte after the first) would not re-encode to itself.
+    #[inline]
     pub fn vu(&mut self) -> Res<u64> {
+        match self.buf.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(b))
+            }
+            _ => self.vu_multi(),
+        }
+    }
+
+    fn vu_multi(&mut self) -> Res<u64> {
         let mut x = 0u64;
         let mut shift = 0u32;
         loop {
@@ -152,6 +185,9 @@ impl<'a> Dec<'a> {
             }
             x |= u64::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    return Err(bad("overlong varint"));
+                }
                 return Ok(x);
             }
             shift += 7;
@@ -164,7 +200,7 @@ impl<'a> Dec<'a> {
     }
 
     pub fn f64(&mut self) -> Res<f64> {
-        if self.pos + 8 > self.buf.len() {
+        if self.remaining() < 8 {
             return Err(bad("eof in f64"));
         }
         let mut b = [0u8; 8];
@@ -174,10 +210,11 @@ impl<'a> Dec<'a> {
     }
 
     pub fn bytes(&mut self) -> Res<Vec<u8>> {
-        let n = self.vu()? as usize;
-        if self.pos + n > self.buf.len() {
+        let n = self.vu()?;
+        if n > self.remaining() as u64 {
             return Err(bad("eof in bytes"));
         }
+        let n = n as usize;
         let v = self.buf[self.pos..self.pos + n].to_vec();
         self.pos += n;
         Ok(v)
@@ -185,14 +222,6 @@ impl<'a> Dec<'a> {
 
     pub fn str(&mut self) -> Res<String> {
         String::from_utf8(self.bytes()?).map_err(|_| bad("invalid utf-8"))
-    }
-
-    fn vu32(&mut self) -> Res<u32> {
-        u32::try_from(self.vu()?).map_err(|_| bad("u32 overflow"))
-    }
-
-    fn vusize(&mut self) -> Res<usize> {
-        usize::try_from(self.vu()?).map_err(|_| bad("usize overflow"))
     }
 
     /// Checks the whole payload was consumed (trailing garbage is a
@@ -206,1667 +235,45 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn dec_vec<T>(d: &mut Dec, mut f: impl FnMut(&mut Dec) -> Res<T>) -> Res<Vec<T>> {
-    let n = d.vusize()?;
-    // Sanity bound: no artifact holds more elements than payload bytes.
-    if n > d.buf.len() {
-        return Err(bad("vec length exceeds payload"));
-    }
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(f(d)?);
-    }
+// ---------------------------------------------------------------------------
+// The trait, its entry points and the declaration macros
+// ---------------------------------------------------------------------------
+
+/// A type with one deterministic byte encoding.
+pub trait Wire: Sized {
+    fn put(&self, e: &mut Enc);
+    /// # Errors
+    /// Returns a [`WireError`] on truncation, a bad tag or an out-of-range
+    /// value.
+    fn get(d: &mut Dec) -> Res<Self>;
+}
+
+/// Encodes one artifact.
+pub fn encode<T: Wire>(v: &T) -> Vec<u8> {
+    let mut e = Enc::new();
+    v.put(&mut e);
+    e.into_bytes()
+}
+
+/// Decodes one artifact from a whole payload.
+///
+/// # Errors
+/// Returns a [`WireError`] on truncation, bad tags, out-of-range values
+/// or trailing bytes.
+pub fn decode<T: Wire>(bytes: &[u8]) -> Res<T> {
+    let mut d = Dec::new(bytes);
+    let v = T::get(&mut d)?;
+    d.finish()?;
     Ok(v)
 }
 
-// ---------------------------------------------------------------------------
-// SIR
-// ---------------------------------------------------------------------------
-
-fn put_width(e: &mut Enc, w: Width) {
-    e.u8(match w {
-        Width::W1 => 0,
-        Width::W8 => 1,
-        Width::W16 => 2,
-        Width::W32 => 3,
-        Width::W64 => 4,
-    });
-}
-
-fn get_width(d: &mut Dec) -> Res<Width> {
-    Ok(match d.u8()? {
-        0 => Width::W1,
-        1 => Width::W8,
-        2 => Width::W16,
-        3 => Width::W32,
-        4 => Width::W64,
-        _ => return Err(bad("width tag")),
-    })
-}
-
-fn put_opt_width(e: &mut Enc, w: Option<Width>) {
-    match w {
-        None => e.u8(0),
-        Some(w) => {
-            e.u8(1);
-            put_width(e, w);
-        }
-    }
-}
-
-fn get_opt_width(d: &mut Dec) -> Res<Option<Width>> {
-    Ok(match d.u8()? {
-        0 => None,
-        1 => Some(get_width(d)?),
-        _ => return Err(bad("option tag")),
-    })
-}
-
-fn put_binop(e: &mut Enc, op: sir::BinOp) {
-    use sir::BinOp::*;
-    e.u8(match op {
-        Add => 0,
-        Sub => 1,
-        Mul => 2,
-        Udiv => 3,
-        Urem => 4,
-        Sdiv => 5,
-        Srem => 6,
-        And => 7,
-        Or => 8,
-        Xor => 9,
-        Shl => 10,
-        Lshr => 11,
-        Ashr => 12,
-    });
-}
-
-fn get_binop(d: &mut Dec) -> Res<sir::BinOp> {
-    use sir::BinOp::*;
-    Ok(match d.u8()? {
-        0 => Add,
-        1 => Sub,
-        2 => Mul,
-        3 => Udiv,
-        4 => Urem,
-        5 => Sdiv,
-        6 => Srem,
-        7 => And,
-        8 => Or,
-        9 => Xor,
-        10 => Shl,
-        11 => Lshr,
-        12 => Ashr,
-        _ => return Err(bad("binop tag")),
-    })
-}
-
-fn put_cc(e: &mut Enc, cc: Cc) {
-    use Cc::*;
-    e.u8(match cc {
-        Eq => 0,
-        Ne => 1,
-        Ult => 2,
-        Ule => 3,
-        Ugt => 4,
-        Uge => 5,
-        Slt => 6,
-        Sle => 7,
-        Sgt => 8,
-        Sge => 9,
-    });
-}
-
-fn get_cc(d: &mut Dec) -> Res<Cc> {
-    use Cc::*;
-    Ok(match d.u8()? {
-        0 => Eq,
-        1 => Ne,
-        2 => Ult,
-        3 => Ule,
-        4 => Ugt,
-        5 => Uge,
-        6 => Slt,
-        7 => Sle,
-        8 => Sgt,
-        9 => Sge,
-        _ => return Err(bad("cc tag")),
-    })
-}
-
-fn put_inst(e: &mut Enc, i: &Inst) {
-    match i {
-        Inst::Param { index, width } => {
-            e.u8(0);
-            e.vu(u64::from(*index));
-            put_width(e, *width);
-        }
-        Inst::Const { width, value } => {
-            e.u8(1);
-            put_width(e, *width);
-            e.vu(*value);
-        }
-        Inst::GlobalAddr { global } => {
-            e.u8(2);
-            e.vu(u64::from(global.0));
-        }
-        Inst::Alloca { size } => {
-            e.u8(3);
-            e.vu(u64::from(*size));
-        }
-        Inst::Bin {
-            op,
-            width,
-            lhs,
-            rhs,
-            speculative,
-        } => {
-            e.u8(4);
-            put_binop(e, *op);
-            put_width(e, *width);
-            e.vu(u64::from(lhs.0));
-            e.vu(u64::from(rhs.0));
-            e.bool(*speculative);
-        }
-        Inst::Icmp {
-            cc,
-            width,
-            lhs,
-            rhs,
-        } => {
-            e.u8(5);
-            put_cc(e, *cc);
-            put_width(e, *width);
-            e.vu(u64::from(lhs.0));
-            e.vu(u64::from(rhs.0));
-        }
-        Inst::Zext { to, arg } => {
-            e.u8(6);
-            put_width(e, *to);
-            e.vu(u64::from(arg.0));
-        }
-        Inst::Sext { to, arg } => {
-            e.u8(7);
-            put_width(e, *to);
-            e.vu(u64::from(arg.0));
-        }
-        Inst::Trunc {
-            to,
-            arg,
-            speculative,
-        } => {
-            e.u8(8);
-            put_width(e, *to);
-            e.vu(u64::from(arg.0));
-            e.bool(*speculative);
-        }
-        Inst::Load {
-            width,
-            addr,
-            volatile,
-            speculative,
-        } => {
-            e.u8(9);
-            put_width(e, *width);
-            e.vu(u64::from(addr.0));
-            e.bool(*volatile);
-            e.bool(*speculative);
-        }
-        Inst::Store {
-            width,
-            addr,
-            value,
-            volatile,
-        } => {
-            e.u8(10);
-            put_width(e, *width);
-            e.vu(u64::from(addr.0));
-            e.vu(u64::from(value.0));
-            e.bool(*volatile);
-        }
-        Inst::Select {
-            width,
-            cond,
-            tval,
-            fval,
-        } => {
-            e.u8(11);
-            put_width(e, *width);
-            e.vu(u64::from(cond.0));
-            e.vu(u64::from(tval.0));
-            e.vu(u64::from(fval.0));
-        }
-        Inst::Call { callee, args, ret } => {
-            e.u8(12);
-            e.vu(u64::from(callee.0));
-            e.vu(args.len() as u64);
-            for a in args {
-                e.vu(u64::from(a.0));
-            }
-            put_opt_width(e, *ret);
-        }
-        Inst::Phi { width, incomings } => {
-            e.u8(13);
-            put_width(e, *width);
-            e.vu(incomings.len() as u64);
-            for (b, v) in incomings {
-                e.vu(u64::from(b.0));
-                e.vu(u64::from(v.0));
-            }
-        }
-        Inst::Output { value } => {
-            e.u8(14);
-            e.vu(u64::from(value.0));
-        }
-    }
-}
-
-fn get_inst(d: &mut Dec) -> Res<Inst> {
-    Ok(match d.u8()? {
-        0 => Inst::Param {
-            index: d.vu32()?,
-            width: get_width(d)?,
-        },
-        1 => Inst::Const {
-            width: get_width(d)?,
-            value: d.vu()?,
-        },
-        2 => Inst::GlobalAddr {
-            global: GlobalId(d.vu32()?),
-        },
-        3 => Inst::Alloca { size: d.vu32()? },
-        4 => Inst::Bin {
-            op: get_binop(d)?,
-            width: get_width(d)?,
-            lhs: ValueId(d.vu32()?),
-            rhs: ValueId(d.vu32()?),
-            speculative: d.bool()?,
-        },
-        5 => Inst::Icmp {
-            cc: get_cc(d)?,
-            width: get_width(d)?,
-            lhs: ValueId(d.vu32()?),
-            rhs: ValueId(d.vu32()?),
-        },
-        6 => Inst::Zext {
-            to: get_width(d)?,
-            arg: ValueId(d.vu32()?),
-        },
-        7 => Inst::Sext {
-            to: get_width(d)?,
-            arg: ValueId(d.vu32()?),
-        },
-        8 => Inst::Trunc {
-            to: get_width(d)?,
-            arg: ValueId(d.vu32()?),
-            speculative: d.bool()?,
-        },
-        9 => Inst::Load {
-            width: get_width(d)?,
-            addr: ValueId(d.vu32()?),
-            volatile: d.bool()?,
-            speculative: d.bool()?,
-        },
-        10 => Inst::Store {
-            width: get_width(d)?,
-            addr: ValueId(d.vu32()?),
-            value: ValueId(d.vu32()?),
-            volatile: d.bool()?,
-        },
-        11 => Inst::Select {
-            width: get_width(d)?,
-            cond: ValueId(d.vu32()?),
-            tval: ValueId(d.vu32()?),
-            fval: ValueId(d.vu32()?),
-        },
-        12 => Inst::Call {
-            callee: FuncId(d.vu32()?),
-            args: dec_vec(d, |d| Ok(ValueId(d.vu32()?)))?,
-            ret: get_opt_width(d)?,
-        },
-        13 => Inst::Phi {
-            width: get_width(d)?,
-            incomings: dec_vec(d, |d| Ok((BlockId(d.vu32()?), ValueId(d.vu32()?))))?,
-        },
-        14 => Inst::Output {
-            value: ValueId(d.vu32()?),
-        },
-        _ => return Err(bad("inst tag")),
-    })
-}
-
-fn put_term(e: &mut Enc, t: &Terminator) {
-    match t {
-        Terminator::Br(b) => {
-            e.u8(0);
-            e.vu(u64::from(b.0));
-        }
-        Terminator::CondBr {
-            cond,
-            if_true,
-            if_false,
-        } => {
-            e.u8(1);
-            e.vu(u64::from(cond.0));
-            e.vu(u64::from(if_true.0));
-            e.vu(u64::from(if_false.0));
-        }
-        Terminator::Ret(v) => {
-            e.u8(2);
-            match v {
-                None => e.u8(0),
-                Some(v) => {
-                    e.u8(1);
-                    e.vu(u64::from(v.0));
-                }
-            }
-        }
-        Terminator::Unreachable => e.u8(3),
-    }
-}
-
-fn get_term(d: &mut Dec) -> Res<Terminator> {
-    Ok(match d.u8()? {
-        0 => Terminator::Br(BlockId(d.vu32()?)),
-        1 => Terminator::CondBr {
-            cond: ValueId(d.vu32()?),
-            if_true: BlockId(d.vu32()?),
-            if_false: BlockId(d.vu32()?),
-        },
-        2 => Terminator::Ret(match d.u8()? {
-            0 => None,
-            1 => Some(ValueId(d.vu32()?)),
-            _ => return Err(bad("option tag")),
-        }),
-        3 => Terminator::Unreachable,
-        _ => return Err(bad("terminator tag")),
-    })
-}
-
-fn put_opt_region(e: &mut Enc, r: Option<RegionId>) {
-    match r {
-        None => e.u8(0),
-        Some(r) => {
-            e.u8(1);
-            e.vu(u64::from(r.0));
-        }
-    }
-}
-
-fn get_opt_region(d: &mut Dec) -> Res<Option<RegionId>> {
-    Ok(match d.u8()? {
-        0 => None,
-        1 => Some(RegionId(d.vu32()?)),
-        _ => return Err(bad("option tag")),
-    })
-}
-
-fn put_function(e: &mut Enc, f: &Function) {
-    let Function {
-        name,
-        params,
-        ret,
-        insts,
-        blocks,
-        regions,
-        entry,
-    } = f;
-    e.str(name);
-    e.vu(params.len() as u64);
-    for w in params {
-        put_width(e, *w);
-    }
-    put_opt_width(e, *ret);
-    e.vu(insts.len() as u64);
-    for i in insts {
-        put_inst(e, i);
-    }
-    e.vu(blocks.len() as u64);
-    for b in blocks {
-        let Block {
-            insts,
-            term,
-            region,
-            handler_for,
-        } = b;
-        e.vu(insts.len() as u64);
-        for v in insts {
-            e.vu(u64::from(v.0));
-        }
-        put_term(e, term);
-        put_opt_region(e, *region);
-        put_opt_region(e, *handler_for);
-    }
-    e.vu(regions.len() as u64);
-    for r in regions {
-        let Region { blocks, handler } = r;
-        e.vu(blocks.len() as u64);
-        for b in blocks {
-            e.vu(u64::from(b.0));
-        }
-        e.vu(u64::from(handler.0));
-    }
-    e.vu(u64::from(entry.0));
-}
-
-fn get_function(d: &mut Dec) -> Res<Function> {
-    let name = d.str()?;
-    let params = dec_vec(d, get_width)?;
-    let ret = get_opt_width(d)?;
-    let insts = dec_vec(d, get_inst)?;
-    let blocks = dec_vec(d, |d| {
-        Ok(Block {
-            insts: dec_vec(d, |d| Ok(ValueId(d.vu32()?)))?,
-            term: get_term(d)?,
-            region: get_opt_region(d)?,
-            handler_for: get_opt_region(d)?,
-        })
-    })?;
-    let regions = dec_vec(d, |d| {
-        Ok(Region {
-            blocks: dec_vec(d, |d| Ok(BlockId(d.vu32()?)))?,
-            handler: BlockId(d.vu32()?),
-        })
-    })?;
-    let entry = BlockId(d.vu32()?);
-    Ok(Function {
-        name,
-        params,
-        ret,
-        insts,
-        blocks,
-        regions,
-        entry,
-    })
-}
-
-fn put_module(e: &mut Enc, m: &Module) {
-    let Module {
-        name,
-        funcs,
-        globals,
-    } = m;
-    e.str(name);
-    e.vu(funcs.len() as u64);
-    for f in funcs {
-        put_function(e, f);
-    }
-    e.vu(globals.len() as u64);
-    for g in globals {
-        let Global {
-            name,
-            size,
-            init,
-            align,
-        } = g;
-        e.str(name);
-        e.vu(u64::from(*size));
-        e.bytes(init);
-        e.vu(u64::from(*align));
-    }
-}
-
-fn get_module(d: &mut Dec) -> Res<Module> {
-    let name = d.str()?;
-    let funcs = dec_vec(d, get_function)?;
-    let globals = dec_vec(d, |d| {
-        Ok(Global {
-            name: d.str()?,
-            size: d.vu32()?,
-            init: d.bytes()?,
-            align: d.vu32()?,
-        })
-    })?;
-    Ok(Module {
-        name,
-        funcs,
-        globals,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Pass traces
-// ---------------------------------------------------------------------------
-
-fn put_ir_stats(e: &mut Enc, s: &IrStats) {
-    let IrStats {
-        funcs,
-        blocks,
-        insts,
-        regions,
-        slices,
-    } = s;
-    e.vu(u64::from(*funcs));
-    e.vu(u64::from(*blocks));
-    e.vu(u64::from(*insts));
-    e.vu(u64::from(*regions));
-    e.vu(u64::from(*slices));
-}
-
-fn get_ir_stats(d: &mut Dec) -> Res<IrStats> {
-    Ok(IrStats {
-        funcs: d.vu32()?,
-        blocks: d.vu32()?,
-        insts: d.vu32()?,
-        regions: d.vu32()?,
-        slices: d.vu32()?,
-    })
-}
-
-fn put_pass_trace(e: &mut Enc, t: &PassTrace) {
-    let PassTrace {
-        name,
-        wall_ns,
-        before,
-        after,
-        fingerprint,
-        cached,
-        verified,
-        dump,
-    } = t;
-    e.str(name);
-    e.vu(*wall_ns);
-    put_ir_stats(e, before);
-    put_ir_stats(e, after);
-    match fingerprint {
-        None => e.u8(0),
-        Some(fp) => {
-            e.u8(1);
-            e.vu(*fp);
-        }
-    }
-    e.bool(*cached);
-    e.bool(*verified);
-    match dump {
-        None => e.u8(0),
-        Some(s) => {
-            e.u8(1);
-            e.str(s);
-        }
-    }
-}
-
-fn get_pass_trace(d: &mut Dec) -> Res<PassTrace> {
-    let name = d.str()?;
-    let wall_ns = d.vu()?;
-    let before = get_ir_stats(d)?;
-    let after = get_ir_stats(d)?;
-    let fingerprint = match d.u8()? {
-        0 => None,
-        1 => Some(d.vu()?),
-        _ => return Err(bad("option tag")),
-    };
-    let cached = d.bool()?;
-    let verified = d.bool()?;
-    let dump = match d.u8()? {
-        0 => None,
-        1 => Some(d.str()?),
-        _ => return Err(bad("option tag")),
-    };
-    Ok(PassTrace {
-        name,
-        wall_ns,
-        before,
-        after,
-        fingerprint,
-        cached,
-        verified,
-        dump,
-    })
-}
-
-fn put_traces(e: &mut Enc, ts: &[PassTrace]) {
-    e.vu(ts.len() as u64);
-    for t in ts {
-        put_pass_trace(e, t);
-    }
-}
-
-fn get_traces(d: &mut Dec) -> Res<Vec<PassTrace>> {
-    dec_vec(d, get_pass_trace)
-}
-
-// ---------------------------------------------------------------------------
-// Machine instructions / programs
-// ---------------------------------------------------------------------------
-
-fn put_reg(e: &mut Enc, r: Reg) {
-    e.u8(r.0);
-}
-
-fn get_reg(d: &mut Dec) -> Res<Reg> {
-    let n = d.u8()?;
-    if n > 15 {
-        return Err(bad("register index"));
-    }
-    Ok(Reg(n))
-}
-
-fn put_slice(e: &mut Enc, s: Slice) {
-    e.u8(s.reg.0);
-    e.u8(s.byte);
-}
-
-fn get_slice(d: &mut Dec) -> Res<Slice> {
-    let reg = get_reg(d)?;
-    let byte = d.u8()?;
-    if byte > 3 {
-        return Err(bad("slice byte index"));
-    }
-    Ok(Slice { reg, byte })
-}
-
-fn put_alu_op(e: &mut Enc, op: AluOp) {
-    use AluOp::*;
-    e.u8(match op {
-        Add => 0,
-        Adds => 1,
-        Adc => 2,
-        Sub => 3,
-        Subs => 4,
-        Sbc => 5,
-        Sbcs => 6,
-        And => 7,
-        Orr => 8,
-        Eor => 9,
-        Lsl => 10,
-        Lsr => 11,
-        Asr => 12,
-        Mul => 13,
-        Udiv => 14,
-        Sdiv => 15,
-    });
-}
-
-fn get_alu_op(d: &mut Dec) -> Res<AluOp> {
-    use AluOp::*;
-    Ok(match d.u8()? {
-        0 => Add,
-        1 => Adds,
-        2 => Adc,
-        3 => Sub,
-        4 => Subs,
-        5 => Sbc,
-        6 => Sbcs,
-        7 => And,
-        8 => Orr,
-        9 => Eor,
-        10 => Lsl,
-        11 => Lsr,
-        12 => Asr,
-        13 => Mul,
-        14 => Udiv,
-        15 => Sdiv,
-        _ => return Err(bad("alu op tag")),
-    })
-}
-
-fn put_salu_op(e: &mut Enc, op: SAluOp) {
-    use SAluOp::*;
-    e.u8(match op {
-        Add => 0,
-        Sub => 1,
-        And => 2,
-        Orr => 3,
-        Eor => 4,
-        Lsl => 5,
-        Lsr => 6,
-        Asr => 7,
-    });
-}
-
-fn get_salu_op(d: &mut Dec) -> Res<SAluOp> {
-    use SAluOp::*;
-    Ok(match d.u8()? {
-        0 => Add,
-        1 => Sub,
-        2 => And,
-        3 => Orr,
-        4 => Eor,
-        5 => Lsl,
-        6 => Lsr,
-        7 => Asr,
-        _ => return Err(bad("slice alu op tag")),
-    })
-}
-
-fn put_cond(e: &mut Enc, c: Cond) {
-    use Cond::*;
-    e.u8(match c {
-        Eq => 0,
-        Ne => 1,
-        Lo => 2,
-        Ls => 3,
-        Hi => 4,
-        Hs => 5,
-        Lt => 6,
-        Le => 7,
-        Gt => 8,
-        Ge => 9,
-    });
-}
-
-fn get_cond(d: &mut Dec) -> Res<Cond> {
-    use Cond::*;
-    Ok(match d.u8()? {
-        0 => Eq,
-        1 => Ne,
-        2 => Lo,
-        3 => Ls,
-        4 => Hi,
-        5 => Hs,
-        6 => Lt,
-        7 => Le,
-        8 => Gt,
-        9 => Ge,
-        _ => return Err(bad("cond tag")),
-    })
-}
-
-fn put_mem_width(e: &mut Enc, w: MemWidth) {
-    e.u8(match w {
-        MemWidth::B => 0,
-        MemWidth::H => 1,
-        MemWidth::W => 2,
-    });
-}
-
-fn get_mem_width(d: &mut Dec) -> Res<MemWidth> {
-    Ok(match d.u8()? {
-        0 => MemWidth::B,
-        1 => MemWidth::H,
-        2 => MemWidth::W,
-        _ => return Err(bad("mem width tag")),
-    })
-}
-
-fn put_operand(e: &mut Enc, o: &Operand) {
-    match o {
-        Operand::Reg(r) => {
-            e.u8(0);
-            put_reg(e, *r);
-        }
-        Operand::Imm(x) => {
-            e.u8(1);
-            e.vu(u64::from(*x));
-        }
-    }
-}
-
-fn get_operand(d: &mut Dec) -> Res<Operand> {
-    Ok(match d.u8()? {
-        0 => Operand::Reg(get_reg(d)?),
-        1 => Operand::Imm(d.vu32()?),
-        _ => return Err(bad("operand tag")),
-    })
-}
-
-fn put_slice_operand(e: &mut Enc, o: &SliceOperand) {
-    match o {
-        SliceOperand::Slice(s) => {
-            e.u8(0);
-            put_slice(e, *s);
-        }
-        SliceOperand::Imm(x) => {
-            e.u8(1);
-            e.u8(*x);
-        }
-    }
-}
-
-fn get_slice_operand(d: &mut Dec) -> Res<SliceOperand> {
-    Ok(match d.u8()? {
-        0 => SliceOperand::Slice(get_slice(d)?),
-        1 => SliceOperand::Imm(d.u8()?),
-        _ => return Err(bad("slice operand tag")),
-    })
-}
-
-fn put_minst(e: &mut Enc, i: &MInst) {
-    match i {
-        MInst::Alu { op, rd, rn, src2 } => {
-            e.u8(0);
-            put_alu_op(e, *op);
-            put_reg(e, *rd);
-            put_reg(e, *rn);
-            put_operand(e, src2);
-        }
-        MInst::MovImm { rd, imm } => {
-            e.u8(1);
-            put_reg(e, *rd);
-            e.vu(u64::from(*imm));
-        }
-        MInst::Mov { rd, rm } => {
-            e.u8(2);
-            put_reg(e, *rd);
-            put_reg(e, *rm);
-        }
-        MInst::Cmp { rn, src2 } => {
-            e.u8(3);
-            put_reg(e, *rn);
-            put_operand(e, src2);
-        }
-        MInst::CSet { rd, cond } => {
-            e.u8(4);
-            put_reg(e, *rd);
-            put_cond(e, *cond);
-        }
-        MInst::MovCc { rd, rm, cond } => {
-            e.u8(5);
-            put_reg(e, *rd);
-            put_reg(e, *rm);
-            put_cond(e, *cond);
-        }
-        MInst::Umull { rdlo, rdhi, rn, rm } => {
-            e.u8(6);
-            put_reg(e, *rdlo);
-            put_reg(e, *rdhi);
-            put_reg(e, *rn);
-            put_reg(e, *rm);
-        }
-        MInst::Extend {
-            rd,
-            rm,
-            from,
-            signed,
-        } => {
-            e.u8(7);
-            put_reg(e, *rd);
-            put_reg(e, *rm);
-            put_mem_width(e, *from);
-            e.bool(*signed);
-        }
-        MInst::Load {
-            rd,
-            rn,
-            offset,
-            width,
-            spill,
-        } => {
-            e.u8(8);
-            put_reg(e, *rd);
-            put_reg(e, *rn);
-            e.vi(i64::from(*offset));
-            put_mem_width(e, *width);
-            e.bool(*spill);
-        }
-        MInst::LoadIdx {
-            rd,
-            rn,
-            bidx,
-            shift,
-            width,
-        } => {
-            e.u8(9);
-            put_reg(e, *rd);
-            put_reg(e, *rn);
-            put_slice(e, *bidx);
-            e.u8(*shift);
-            put_mem_width(e, *width);
-        }
-        MInst::Store {
-            rs,
-            rn,
-            offset,
-            width,
-            spill,
-        } => {
-            e.u8(10);
-            put_reg(e, *rs);
-            put_reg(e, *rn);
-            e.vi(i64::from(*offset));
-            put_mem_width(e, *width);
-            e.bool(*spill);
-        }
-        MInst::Push { regs } => {
-            e.u8(11);
-            e.vu(regs.len() as u64);
-            for r in regs {
-                put_reg(e, *r);
-            }
-        }
-        MInst::Pop { regs } => {
-            e.u8(12);
-            e.vu(regs.len() as u64);
-            for r in regs {
-                put_reg(e, *r);
-            }
-        }
-        MInst::B { target } => {
-            e.u8(13);
-            e.vu(*target as u64);
-        }
-        MInst::Bc { cond, target } => {
-            e.u8(14);
-            put_cond(e, *cond);
-            e.vu(*target as u64);
-        }
-        MInst::Bl { target } => {
-            e.u8(15);
-            e.vu(*target as u64);
-        }
-        MInst::Ret => e.u8(16),
-        MInst::Out { rn } => {
-            e.u8(17);
-            put_reg(e, *rn);
-        }
-        MInst::Halt => e.u8(18),
-        MInst::Nop => e.u8(19),
-        MInst::SAlu {
-            op,
-            bd,
-            bn,
-            src2,
-            speculative,
-        } => {
-            e.u8(20);
-            put_salu_op(e, *op);
-            put_slice(e, *bd);
-            put_slice(e, *bn);
-            put_slice_operand(e, src2);
-            e.bool(*speculative);
-        }
-        MInst::SCmp { bn, src2 } => {
-            e.u8(21);
-            put_slice(e, *bn);
-            put_slice_operand(e, src2);
-        }
-        MInst::SLoadSpec { bd, rn, offset } => {
-            e.u8(22);
-            put_slice(e, *bd);
-            put_reg(e, *rn);
-            e.vi(i64::from(*offset));
-        }
-        MInst::SLoadIdx {
-            bd,
-            rn,
-            bidx,
-            shift,
-            speculative,
-        } => {
-            e.u8(23);
-            put_slice(e, *bd);
-            put_reg(e, *rn);
-            put_slice(e, *bidx);
-            e.u8(*shift);
-            e.bool(*speculative);
-        }
-        MInst::SLoad {
-            bd,
-            rn,
-            offset,
-            spill,
-        } => {
-            e.u8(24);
-            put_slice(e, *bd);
-            put_reg(e, *rn);
-            e.vi(i64::from(*offset));
-            e.bool(*spill);
-        }
-        MInst::SStore {
-            bs,
-            rn,
-            offset,
-            spill,
-        } => {
-            e.u8(25);
-            put_slice(e, *bs);
-            put_reg(e, *rn);
-            e.vi(i64::from(*offset));
-            e.bool(*spill);
-        }
-        MInst::SExtend { rd, bn, signed } => {
-            e.u8(26);
-            put_reg(e, *rd);
-            put_slice(e, *bn);
-            e.bool(*signed);
-        }
-        MInst::STrunc {
-            bd,
-            rn,
-            speculative,
-        } => {
-            e.u8(27);
-            put_slice(e, *bd);
-            put_reg(e, *rn);
-            e.bool(*speculative);
-        }
-        MInst::SMov { bd, bs } => {
-            e.u8(28);
-            put_slice(e, *bd);
-            put_slice(e, *bs);
-        }
-        MInst::SMovImm { bd, imm } => {
-            e.u8(29);
-            put_slice(e, *bd);
-            e.u8(*imm);
-        }
-        MInst::SetDelta { bytes } => {
-            e.u8(30);
-            e.vu(u64::from(*bytes));
-        }
-        MInst::SpecCheck { rn } => {
-            e.u8(31);
-            put_reg(e, *rn);
-        }
-    }
-}
-
-fn get_minst(d: &mut Dec) -> Res<MInst> {
-    Ok(match d.u8()? {
-        0 => MInst::Alu {
-            op: get_alu_op(d)?,
-            rd: get_reg(d)?,
-            rn: get_reg(d)?,
-            src2: get_operand(d)?,
-        },
-        1 => MInst::MovImm {
-            rd: get_reg(d)?,
-            imm: d.vu32()?,
-        },
-        2 => MInst::Mov {
-            rd: get_reg(d)?,
-            rm: get_reg(d)?,
-        },
-        3 => MInst::Cmp {
-            rn: get_reg(d)?,
-            src2: get_operand(d)?,
-        },
-        4 => MInst::CSet {
-            rd: get_reg(d)?,
-            cond: get_cond(d)?,
-        },
-        5 => MInst::MovCc {
-            rd: get_reg(d)?,
-            rm: get_reg(d)?,
-            cond: get_cond(d)?,
-        },
-        6 => MInst::Umull {
-            rdlo: get_reg(d)?,
-            rdhi: get_reg(d)?,
-            rn: get_reg(d)?,
-            rm: get_reg(d)?,
-        },
-        7 => MInst::Extend {
-            rd: get_reg(d)?,
-            rm: get_reg(d)?,
-            from: get_mem_width(d)?,
-            signed: d.bool()?,
-        },
-        8 => MInst::Load {
-            rd: get_reg(d)?,
-            rn: get_reg(d)?,
-            offset: i32::try_from(d.vi()?).map_err(|_| bad("offset overflow"))?,
-            width: get_mem_width(d)?,
-            spill: d.bool()?,
-        },
-        9 => MInst::LoadIdx {
-            rd: get_reg(d)?,
-            rn: get_reg(d)?,
-            bidx: get_slice(d)?,
-            shift: d.u8()?,
-            width: get_mem_width(d)?,
-        },
-        10 => MInst::Store {
-            rs: get_reg(d)?,
-            rn: get_reg(d)?,
-            offset: i32::try_from(d.vi()?).map_err(|_| bad("offset overflow"))?,
-            width: get_mem_width(d)?,
-            spill: d.bool()?,
-        },
-        11 => MInst::Push {
-            regs: dec_vec(d, get_reg)?,
-        },
-        12 => MInst::Pop {
-            regs: dec_vec(d, get_reg)?,
-        },
-        13 => MInst::B {
-            target: d.vusize()?,
-        },
-        14 => MInst::Bc {
-            cond: get_cond(d)?,
-            target: d.vusize()?,
-        },
-        15 => MInst::Bl {
-            target: d.vusize()?,
-        },
-        16 => MInst::Ret,
-        17 => MInst::Out { rn: get_reg(d)? },
-        18 => MInst::Halt,
-        19 => MInst::Nop,
-        20 => MInst::SAlu {
-            op: get_salu_op(d)?,
-            bd: get_slice(d)?,
-            bn: get_slice(d)?,
-            src2: get_slice_operand(d)?,
-            speculative: d.bool()?,
-        },
-        21 => MInst::SCmp {
-            bn: get_slice(d)?,
-            src2: get_slice_operand(d)?,
-        },
-        22 => MInst::SLoadSpec {
-            bd: get_slice(d)?,
-            rn: get_reg(d)?,
-            offset: i32::try_from(d.vi()?).map_err(|_| bad("offset overflow"))?,
-        },
-        23 => MInst::SLoadIdx {
-            bd: get_slice(d)?,
-            rn: get_reg(d)?,
-            bidx: get_slice(d)?,
-            shift: d.u8()?,
-            speculative: d.bool()?,
-        },
-        24 => MInst::SLoad {
-            bd: get_slice(d)?,
-            rn: get_reg(d)?,
-            offset: i32::try_from(d.vi()?).map_err(|_| bad("offset overflow"))?,
-            spill: d.bool()?,
-        },
-        25 => MInst::SStore {
-            bs: get_slice(d)?,
-            rn: get_reg(d)?,
-            offset: i32::try_from(d.vi()?).map_err(|_| bad("offset overflow"))?,
-            spill: d.bool()?,
-        },
-        26 => MInst::SExtend {
-            rd: get_reg(d)?,
-            bn: get_slice(d)?,
-            signed: d.bool()?,
-        },
-        27 => MInst::STrunc {
-            bd: get_slice(d)?,
-            rn: get_reg(d)?,
-            speculative: d.bool()?,
-        },
-        28 => MInst::SMov {
-            bd: get_slice(d)?,
-            bs: get_slice(d)?,
-        },
-        29 => MInst::SMovImm {
-            bd: get_slice(d)?,
-            imm: d.u8()?,
-        },
-        30 => MInst::SetDelta { bytes: d.vu32()? },
-        31 => MInst::SpecCheck { rn: get_reg(d)? },
-        _ => return Err(bad("minst tag")),
-    })
-}
-
-fn put_program(e: &mut Enc, p: &backend::Program) {
-    // `addr_index` and `pre` are derived (HashMap iteration order would
-    // break byte-stability); they are rebuilt on decode.
-    let backend::Program {
-        insts,
-        addrs,
-        entry,
-        halt,
-        func_entries,
-        func_names,
-        global_inits,
-        mem_size,
-        compact,
-        addr_index: _,
-        spec_targets,
-        pre: _,
-    } = p;
-    e.vu(insts.len() as u64);
-    for i in insts {
-        put_minst(e, i);
-    }
-    e.vu(addrs.len() as u64);
-    for a in addrs {
-        e.vu(u64::from(*a));
-    }
-    e.vu(*entry as u64);
-    e.vu(*halt as u64);
-    e.vu(func_entries.len() as u64);
-    for f in func_entries {
-        e.vu(*f as u64);
-    }
-    e.vu(func_names.len() as u64);
-    for n in func_names {
-        e.str(n);
-    }
-    e.vu(global_inits.len() as u64);
-    for (addr, bytes) in global_inits {
-        e.vu(u64::from(*addr));
-        e.bytes(bytes);
-    }
-    e.vu(u64::from(*mem_size));
-    e.bool(*compact);
-    e.vu(spec_targets.len() as u64);
-    for (s, b, h) in spec_targets {
-        e.vu(*s as u64);
-        e.vu(*b as u64);
-        e.vu(*h as u64);
-    }
-}
-
-fn get_program(d: &mut Dec) -> Res<backend::Program> {
-    let insts = dec_vec(d, get_minst)?;
-    let addrs = dec_vec(d, |d| d.vu32())?;
-    let entry = d.vusize()?;
-    let halt = d.vusize()?;
-    let func_entries = dec_vec(d, |d| d.vusize())?;
-    let func_names = dec_vec(d, |d| d.str())?;
-    let global_inits = dec_vec(d, |d| Ok((d.vu32()?, d.bytes()?)))?;
-    let mem_size = d.vu32()?;
-    let compact = d.bool()?;
-    let spec_targets = dec_vec(d, |d| Ok((d.vusize()?, d.vusize()?, d.vusize()?)))?;
-    if addrs.len() != insts.len() {
-        return Err(bad("addrs/insts length mismatch"));
-    }
-    // Rebuild the derived tables exactly as `emit::link` does.
-    let addr_index = addrs.iter().enumerate().map(|(i, a)| (*a, i)).collect();
-    let pre = insts
-        .iter()
-        .map(|i| backend::PreInst::of(i, compact))
-        .collect();
-    Ok(backend::Program {
-        insts,
-        addrs,
-        entry,
-        halt,
-        func_entries,
-        func_names,
-        global_inits,
-        mem_size,
-        compact,
-        addr_index,
-        spec_targets,
-        pre,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Profiles, sim results
-// ---------------------------------------------------------------------------
-
-fn put_profile(e: &mut Enc, p: &Profile) {
-    let funcs = p.raw();
-    e.vu(funcs.len() as u64);
-    for f in funcs {
-        e.vu(f.len() as u64);
-        for s in f {
-            let VarStats {
-                count,
-                sum_bits,
-                max_bits,
-                min_bits,
-            } = s;
-            e.vu(*count);
-            e.vu(*sum_bits);
-            e.vu(u64::from(*max_bits));
-            e.vu(u64::from(*min_bits));
-        }
-    }
-}
-
-fn get_profile(d: &mut Dec) -> Res<Profile> {
-    let funcs = dec_vec(d, |d| {
-        dec_vec(d, |d| {
-            Ok(VarStats {
-                count: d.vu()?,
-                sum_bits: d.vu()?,
-                max_bits: d.vu32()?,
-                min_bits: d.vu32()?,
-            })
-        })
-    })?;
-    Ok(Profile::from_raw(funcs))
-}
-
-fn put_sim_result(e: &mut Enc, r: &SimResult) {
-    let SimResult {
-        outputs,
-        cycles,
-        counts,
-        activity,
-        energy,
-    } = r;
-    e.vu(outputs.len() as u64);
-    for o in outputs {
-        e.vu(u64::from(*o));
-    }
-    e.vu(*cycles);
-    let Counts {
-        dyn_insts,
-        branches,
-        taken_branches,
-        misspecs,
-        spill_loads,
-        spill_stores,
-        copies,
-        loads,
-        stores,
-    } = counts;
-    e.vu(*dyn_insts);
-    e.vu(*branches);
-    e.vu(*taken_branches);
-    e.vu(*misspecs);
-    e.vu(*spill_loads);
-    e.vu(*spill_stores);
-    e.vu(*copies);
-    e.vu(*loads);
-    e.vu(*stores);
-    let sim::energy::Activity {
-        alu_word_ops,
-        alu_slice_ops,
-        spec_monitored_ops,
-        speccheck_ops,
-        mul_ops,
-        umull_ops,
-        div_ops,
-        extend_ops,
-        rf_read_units,
-        rf_write_units,
-        reg_accesses_32,
-        reg_accesses_8,
-        fetch_slots,
-        l1d_accesses,
-        l2_accesses,
-        dram_accesses,
-        l2_from_i,
-        dram_from_i,
-        cycles: a_cycles,
-        dts_core_scaled,
-    } = activity;
-    e.vu(*alu_word_ops);
-    e.vu(*alu_slice_ops);
-    e.vu(*spec_monitored_ops);
-    e.vu(*speccheck_ops);
-    e.vu(*mul_ops);
-    e.vu(*umull_ops);
-    e.vu(*div_ops);
-    e.vu(*extend_ops);
-    e.vu(*rf_read_units);
-    e.vu(*rf_write_units);
-    e.vu(*reg_accesses_32);
-    e.vu(*reg_accesses_8);
-    e.vu(*fetch_slots);
-    e.vu(*l1d_accesses);
-    e.vu(*l2_accesses);
-    e.vu(*dram_accesses);
-    e.vu(*l2_from_i);
-    e.vu(*dram_from_i);
-    e.vu(*a_cycles);
-    e.f64(*dts_core_scaled);
-    let sim::energy::EnergyBreakdown {
-        alu,
-        regfile,
-        icache,
-        dcache,
-        pipeline,
-    } = energy;
-    e.f64(*alu);
-    e.f64(*regfile);
-    e.f64(*icache);
-    e.f64(*dcache);
-    e.f64(*pipeline);
-}
-
-fn get_sim_result(d: &mut Dec) -> Res<SimResult> {
-    let outputs = dec_vec(d, |d| d.vu32())?;
-    let cycles = d.vu()?;
-    let counts = Counts {
-        dyn_insts: d.vu()?,
-        branches: d.vu()?,
-        taken_branches: d.vu()?,
-        misspecs: d.vu()?,
-        spill_loads: d.vu()?,
-        spill_stores: d.vu()?,
-        copies: d.vu()?,
-        loads: d.vu()?,
-        stores: d.vu()?,
-    };
-    let activity = sim::energy::Activity {
-        alu_word_ops: d.vu()?,
-        alu_slice_ops: d.vu()?,
-        spec_monitored_ops: d.vu()?,
-        speccheck_ops: d.vu()?,
-        mul_ops: d.vu()?,
-        umull_ops: d.vu()?,
-        div_ops: d.vu()?,
-        extend_ops: d.vu()?,
-        rf_read_units: d.vu()?,
-        rf_write_units: d.vu()?,
-        reg_accesses_32: d.vu()?,
-        reg_accesses_8: d.vu()?,
-        fetch_slots: d.vu()?,
-        l1d_accesses: d.vu()?,
-        l2_accesses: d.vu()?,
-        dram_accesses: d.vu()?,
-        l2_from_i: d.vu()?,
-        dram_from_i: d.vu()?,
-        cycles: d.vu()?,
-        dts_core_scaled: d.f64()?,
-    };
-    let energy = sim::energy::EnergyBreakdown {
-        alu: d.f64()?,
-        regfile: d.f64()?,
-        icache: d.f64()?,
-        dcache: d.f64()?,
-        pipeline: d.f64()?,
-    };
-    Ok(SimResult {
-        outputs,
-        cycles,
-        counts,
-        activity,
-        energy,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Build configuration + Compiled
-// ---------------------------------------------------------------------------
-
-fn put_config(e: &mut Enc, c: &BuildConfig) {
-    let BuildConfig {
-        arch,
-        heuristic,
-        expander,
-        compare_elim,
-        bitmask_elision,
-        spill_prefer_orig,
-        dts,
-        empirical_gate,
-        verify_each,
-        reference_profiler,
-    } = c;
-    e.u8(match arch {
-        Arch::Baseline => 0,
-        Arch::BitSpec => 1,
-        Arch::NoSpec => 2,
-        Arch::Compact => 3,
-    });
-    e.u8(match heuristic {
-        Heuristic::Max => 0,
-        Heuristic::Avg => 1,
-        Heuristic::Min => 2,
-    });
-    let ExpanderConfig {
-        unroll_factor,
-        max_func_size,
-        max_loop_size,
-        enabled,
-    } = expander;
-    e.vu(u64::from(*unroll_factor));
-    e.vu(*max_func_size as u64);
-    e.vu(*max_loop_size as u64);
-    e.bool(*enabled);
-    e.bool(*compare_elim);
-    e.bool(*bitmask_elision);
-    e.bool(*spill_prefer_orig);
-    e.bool(*dts);
-    e.bool(*empirical_gate);
-    e.bool(*verify_each);
-    e.bool(*reference_profiler);
-}
-
-fn get_config(d: &mut Dec) -> Res<BuildConfig> {
-    let arch = match d.u8()? {
-        0 => Arch::Baseline,
-        1 => Arch::BitSpec,
-        2 => Arch::NoSpec,
-        3 => Arch::Compact,
-        _ => return Err(bad("arch tag")),
-    };
-    let heuristic = match d.u8()? {
-        0 => Heuristic::Max,
-        1 => Heuristic::Avg,
-        2 => Heuristic::Min,
-        _ => return Err(bad("heuristic tag")),
-    };
-    let expander = ExpanderConfig {
-        unroll_factor: d.vu32()?,
-        max_func_size: d.vusize()?,
-        max_loop_size: d.vusize()?,
-        enabled: d.bool()?,
-    };
-    Ok(BuildConfig {
-        arch,
-        heuristic,
-        expander,
-        compare_elim: d.bool()?,
-        bitmask_elision: d.bool()?,
-        spill_prefer_orig: d.bool()?,
-        dts: d.bool()?,
-        empirical_gate: d.bool()?,
-        verify_each: d.bool()?,
-        reference_profiler: d.bool()?,
-    })
-}
-
-fn put_compiled(e: &mut Enc, c: &Compiled) {
-    let Compiled {
-        module,
-        program,
-        profile,
-        squeeze,
-        config,
-        profile_dyn_insts,
-        used_squeezed,
-        stage_hits,
-        trace,
-    } = c;
-    put_module(e, module);
-    put_program(e, program);
-    put_profile(e, profile);
-    let SqueezeReport {
-        narrowed,
-        regions,
-        spec_truncs,
-        compares_eliminated,
-        bitmasks_elided,
-    } = squeeze;
-    e.vu(*narrowed as u64);
-    e.vu(*regions as u64);
-    e.vu(*spec_truncs as u64);
-    e.vu(*compares_eliminated as u64);
-    e.vu(*bitmasks_elided as u64);
-    put_config(e, config);
-    e.vu(*profile_dyn_insts);
-    e.bool(*used_squeezed);
-    let StageHits {
-        front,
-        expand,
-        profile: profile_hit,
-        fn_hits,
-        fn_total,
-    } = stage_hits;
-    e.bool(*front);
-    e.bool(*expand);
-    e.bool(*profile_hit);
-    e.vu(u64::from(*fn_hits));
-    e.vu(u64::from(*fn_total));
-    put_traces(e, &trace.passes);
-}
-
-fn get_compiled(d: &mut Dec) -> Res<Compiled> {
-    let module = Arc::new(get_module(d)?);
-    let program = get_program(d)?;
-    let profile = Arc::new(get_profile(d)?);
-    let squeeze = SqueezeReport {
-        narrowed: d.vusize()?,
-        regions: d.vusize()?,
-        spec_truncs: d.vusize()?,
-        compares_eliminated: d.vusize()?,
-        bitmasks_elided: d.vusize()?,
-    };
-    let config = get_config(d)?;
-    let profile_dyn_insts = d.vu()?;
-    let used_squeezed = d.bool()?;
-    let stage_hits = StageHits {
-        front: d.bool()?,
-        expand: d.bool()?,
-        profile: d.bool()?,
-        fn_hits: d.vu32()?,
-        fn_total: d.vu32()?,
-    };
-    let trace = BuildTrace {
-        passes: get_traces(d)?,
-    };
-    Ok(Compiled {
-        module,
-        program,
-        profile,
-        squeeze,
-        config,
-        profile_dyn_insts,
-        used_squeezed,
-        stage_hits,
-        trace,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Top-level artifact entry points
-// ---------------------------------------------------------------------------
-
-/// Encodes a [`Compiled`] artifact.
-pub fn encode_compiled(c: &Compiled) -> Vec<u8> {
-    let mut e = Enc::new();
-    put_compiled(&mut e, c);
-    e.into_bytes()
-}
-
-/// Decodes a [`Compiled`] artifact, rebuilding the derived program tables.
-///
-/// # Errors
-/// Returns a [`WireError`] on truncation, bad tags or trailing bytes.
-pub fn decode_compiled(bytes: &[u8]) -> Res<Compiled> {
-    let mut d = Dec::new(bytes);
-    let c = get_compiled(&mut d)?;
-    d.finish()?;
-    Ok(c)
-}
-
-/// Encodes a [`SimResult`].
-pub fn encode_sim_result(r: &SimResult) -> Vec<u8> {
-    let mut e = Enc::new();
-    put_sim_result(&mut e, r);
-    e.into_bytes()
-}
-
-/// Decodes a [`SimResult`].
-///
-/// # Errors
-/// Returns a [`WireError`] on truncation, bad tags or trailing bytes.
-pub fn decode_sim_result(bytes: &[u8]) -> Res<SimResult> {
-    let mut d = Dec::new(bytes);
-    let r = get_sim_result(&mut d)?;
-    d.finish()?;
-    Ok(r)
-}
-
 /// Encodes one bench cell: a build artifact plus its evaluation-input
-/// simulation result.
+/// simulation result (the `(Compiled, SimResult)` encoding, without
+/// cloning either half).
 pub fn encode_cell(c: &Compiled, r: &SimResult) -> Vec<u8> {
     let mut e = Enc::new();
-    put_compiled(&mut e, c);
-    put_sim_result(&mut e, r);
+    c.put(&mut e);
+    r.put(&mut e);
     e.into_bytes()
 }
 
@@ -1875,235 +282,699 @@ pub fn encode_cell(c: &Compiled, r: &SimResult) -> Vec<u8> {
 /// # Errors
 /// Returns a [`WireError`] on truncation, bad tags or trailing bytes.
 pub fn decode_cell(bytes: &[u8]) -> Res<(Compiled, SimResult)> {
-    let mut d = Dec::new(bytes);
-    let c = get_compiled(&mut d)?;
-    let r = get_sim_result(&mut d)?;
-    d.finish()?;
-    Ok((c, r))
+    decode(bytes)
 }
 
-/// Encodes a stage-cache SIR artifact (frontend or expanded module).
-pub fn encode_sir_stage(s: &SirStage) -> Vec<u8> {
-    // `content` is derived from the module and recomputed on decode.
-    let SirStage {
-        module,
-        traces,
-        content: _,
-    } = s;
-    let mut e = Enc::new();
-    put_module(&mut e, module);
-    put_traces(&mut e, traces);
-    e.into_bytes()
-}
-
-/// Decodes a stage-cache SIR artifact.
-///
-/// # Errors
-/// Returns a [`WireError`] on truncation, bad tags or trailing bytes.
-pub fn decode_sir_stage(bytes: &[u8]) -> Res<SirStage> {
-    let mut d = Dec::new(bytes);
-    let module = Arc::new(get_module(&mut d)?);
-    let traces = get_traces(&mut d)?;
-    d.finish()?;
-    Ok(SirStage::new(module, traces))
-}
-
-/// Encodes a stage-cache profiling artifact.
-pub fn encode_profile_data(p: &ProfileData) -> Vec<u8> {
-    let ProfileData {
-        profile,
-        dyn_insts,
-        traces,
-    } = p;
-    let mut e = Enc::new();
-    put_profile(&mut e, profile);
-    e.vu(*dyn_insts);
-    put_traces(&mut e, traces);
-    e.into_bytes()
-}
-
-/// Decodes a stage-cache profiling artifact.
-///
-/// # Errors
-/// Returns a [`WireError`] on truncation, bad tags or trailing bytes.
-pub fn decode_profile_data(bytes: &[u8]) -> Res<ProfileData> {
-    let mut d = Dec::new(bytes);
-    let profile = Arc::new(get_profile(&mut d)?);
-    let dyn_insts = d.vu()?;
-    let traces = get_traces(&mut d)?;
-    d.finish()?;
-    Ok(ProfileData {
-        profile,
-        dyn_insts,
-        traces,
-    })
-}
-
-/// Encodes the empirical gate's memoized reference leg.
-pub fn encode_gate_ref(g: &GateRef) -> Vec<u8> {
-    let GateRef {
-        program,
-        energy,
-        traces,
-    } = g;
-    let mut e = Enc::new();
-    put_program(&mut e, program);
-    e.f64(*energy);
-    put_traces(&mut e, traces);
-    e.into_bytes()
-}
-
-/// Decodes the empirical gate's memoized reference leg.
-///
-/// # Errors
-/// Returns a [`WireError`] on truncation, bad tags or trailing bytes.
-pub fn decode_gate_ref(bytes: &[u8]) -> Res<GateRef> {
-    let mut d = Dec::new(bytes);
-    let program = get_program(&mut d)?;
-    let energy = d.f64()?;
-    let traces = get_traces(&mut d)?;
-    d.finish()?;
-    Ok(GateRef {
-        program,
-        energy,
-        traces,
-    })
-}
-
-fn put_fn_code(e: &mut Enc, c: &backend::emit::FnCode) {
-    let backend::emit::FnCode {
-        name,
-        insts,
-        fixups,
-        block_starts,
-        spec_pairs,
-    } = c;
-    e.str(name);
-    e.vu(insts.len() as u64);
-    for i in insts {
-        put_minst(e, i);
+#[inline]
+fn dec_vec<T>(d: &mut Dec, mut get: impl FnMut(&mut Dec) -> Res<T>) -> Res<Vec<T>> {
+    let n = d.vu()?;
+    // Every element takes at least one byte, so a length beyond the bytes
+    // left is a corrupt prefix; this also bounds the allocation.
+    if n > d.remaining() as u64 {
+        return Err(bad("vec length exceeds payload"));
     }
-    e.vu(fixups.len() as u64);
-    for (slot, f) in fixups {
-        e.vu(*slot as u64);
-        match f {
-            backend::emit::FnFixup::Block(b) => {
-                e.u8(0);
-                e.vu(u64::from(b.0));
+    let mut v = Vec::with_capacity(n as usize);
+    for _ in 0..n {
+        v.push(get(d)?);
+    }
+    Ok(v)
+}
+
+/// `Wire` for `u32` id newtypes: the id as a varint.
+macro_rules! wire_id {
+    ($($ty:ident),* $(,)?) => { $(
+        impl Wire for $ty {
+            #[inline]
+            fn put(&self, e: &mut Enc) {
+                self.0.put(e);
             }
-            backend::emit::FnFixup::Func(fid) => {
+            #[inline]
+            fn get(d: &mut Dec) -> Res<Self> {
+                u32::get(d).map($ty)
+            }
+        }
+    )* };
+}
+
+/// `Wire` for structs: the listed fields, in list order. The list must
+/// name every field (the destructuring has no `..`).
+macro_rules! wire_struct {
+    ($($ty:ident { $($f:ident),* $(,)? })*) => { $(
+        impl Wire for $ty {
+            #[inline]
+            fn put(&self, e: &mut Enc) {
+                let $ty { $($f),* } = self;
+                $($f.put(e);)*
+            }
+            #[inline]
+            fn get(d: &mut Dec) -> Res<Self> {
+                $(let $f = Wire::get(d)?;)*
+                Ok($ty { $($f),* })
+            }
+        }
+    )* };
+}
+
+/// `Wire` for enums: one tag list drives both directions. Each entry is
+/// `tag Variant`, `tag Variant { fields }` or `tag Variant(fields)`, the
+/// fields encoded in list order after the tag byte.
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal {
+        $($tag:literal $var:ident $({ $($f:ident),* $(,)? })? $(( $($t:ident),* ))?),* $(,)?
+    }) => {
+        impl Wire for $ty {
+            #[inline]
+            fn put(&self, e: &mut Enc) {
+                match self {
+                    $(Self::$var $({ $($f),* })? $(( $($t),* ))? => {
+                        e.u8($tag);
+                        $($($f.put(e);)*)?
+                        $($($t.put(e);)*)?
+                    })*
+                }
+            }
+            #[inline]
+            fn get(d: &mut Dec) -> Res<Self> {
+                Ok(match d.u8()? {
+                    $($tag => {
+                        $($(let $f = Wire::get(d)?;)*)?
+                        $($(let $t = Wire::get(d)?;)*)?
+                        Self::$var $({ $($f),* })? $(( $($t),* ))?
+                    })*
+                    _ => return Err(bad(concat!($what, " tag"))),
+                })
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------------
+// Primitives and containers
+// ---------------------------------------------------------------------------
+
+impl Wire for u8 {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        e.u8(*self);
+    }
+    #[inline]
+    fn get(d: &mut Dec) -> Res<Self> {
+        d.u8()
+    }
+}
+
+impl Wire for bool {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        e.bool(*self);
+    }
+    #[inline]
+    fn get(d: &mut Dec) -> Res<Self> {
+        d.bool()
+    }
+}
+
+impl Wire for u64 {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        e.vu(*self);
+    }
+    #[inline]
+    fn get(d: &mut Dec) -> Res<Self> {
+        d.vu()
+    }
+}
+
+impl Wire for u32 {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        e.vu(u64::from(*self));
+    }
+    #[inline]
+    fn get(d: &mut Dec) -> Res<Self> {
+        u32::try_from(d.vu()?).map_err(|_| bad("u32 overflow"))
+    }
+}
+
+impl Wire for usize {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        e.vu(*self as u64);
+    }
+    #[inline]
+    fn get(d: &mut Dec) -> Res<Self> {
+        usize::try_from(d.vu()?).map_err(|_| bad("usize overflow"))
+    }
+}
+
+impl Wire for i32 {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        e.vi(i64::from(*self));
+    }
+    #[inline]
+    fn get(d: &mut Dec) -> Res<Self> {
+        i32::try_from(d.vi()?).map_err(|_| bad("i32 overflow"))
+    }
+}
+
+impl Wire for f64 {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        e.f64(*self);
+    }
+    #[inline]
+    fn get(d: &mut Dec) -> Res<Self> {
+        d.f64()
+    }
+}
+
+impl Wire for String {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        e.str(self);
+    }
+    #[inline]
+    fn get(d: &mut Dec) -> Res<Self> {
+        d.str()
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        e.vu(self.len() as u64);
+        for x in self {
+            x.put(e);
+        }
+    }
+    #[inline]
+    fn get(d: &mut Dec) -> Res<Self> {
+        dec_vec(d, T::get)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        match self {
+            None => e.u8(0),
+            Some(x) => {
                 e.u8(1);
-                e.vu(u64::from(fid.0));
+                x.put(e);
             }
         }
     }
-    e.vu(block_starts.len() as u64);
-    for (b, i) in block_starts {
-        e.vu(u64::from(b.0));
-        e.vu(*i as u64);
-    }
-    e.vu(spec_pairs.len() as u64);
-    for (spec, branch, handler) in spec_pairs {
-        e.vu(*spec as u64);
-        e.vu(*branch as u64);
-        e.vu(u64::from(handler.0));
+    #[inline]
+    fn get(d: &mut Dec) -> Res<Self> {
+        match d.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(d)?)),
+            _ => Err(bad("option tag")),
+        }
     }
 }
 
-fn get_fn_code(d: &mut Dec) -> Res<backend::emit::FnCode> {
-    use backend::mir::MBlockId;
-    Ok(backend::emit::FnCode {
-        name: d.str()?,
-        insts: dec_vec(d, get_minst)?,
-        fixups: dec_vec(d, |d| {
-            let slot = d.vusize()?;
-            let f = match d.u8()? {
-                0 => backend::emit::FnFixup::Block(MBlockId(d.vu32()?)),
-                1 => backend::emit::FnFixup::Func(sir::FuncId(d.vu32()?)),
-                _ => return Err(bad("bad FnFixup tag")),
-            };
-            Ok((slot, f))
-        })?,
-        block_starts: dec_vec(d, |d| Ok((MBlockId(d.vu32()?), d.vusize()?)))?,
-        spec_pairs: dec_vec(d, |d| Ok((d.vusize()?, d.vusize()?, MBlockId(d.vu32()?))))?,
-    })
+impl<T: Wire> Wire for Arc<T> {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        (**self).put(e);
+    }
+    #[inline]
+    fn get(d: &mut Dec) -> Res<Self> {
+        T::get(d).map(Arc::new)
+    }
 }
 
-/// Encodes a function-level codegen artifact (the `fnmir` store kind).
-/// Only clean artifacts are published — verification accepted, no dump
-/// payload — so diagnostics and dumps are not part of the format; the
-/// verdict bools are carried for trace fidelity.
-pub fn encode_fn_artifact(a: &backend::FnArtifact) -> Vec<u8> {
-    let backend::FnArtifact {
-        code,
-        mid,
-        alloc,
-        t_isel,
-        t_mirv,
-        t_ra,
-        t_rav,
-        t_emit,
-        mirv_ok,
-        rav_ok,
-        mirv_problems,
-        rav_problems,
-        isel_dump,
-        ra_dump,
-    } = a;
-    debug_assert!(
-        mirv_problems.is_empty()
-            && rav_problems.is_empty()
-            && isel_dump.is_none()
-            && ra_dump.is_none(),
-        "only clean fn artifacts are published"
-    );
-    let mut e = Enc::new();
-    put_fn_code(&mut e, code);
-    put_ir_stats(&mut e, mid);
-    put_ir_stats(&mut e, alloc);
-    e.vu(*t_isel);
-    e.vu(*t_mirv);
-    e.vu(*t_ra);
-    e.vu(*t_rav);
-    e.vu(*t_emit);
-    e.bool(*mirv_ok);
-    e.bool(*rav_ok);
-    e.into_bytes()
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        self.0.put(e);
+        self.1.put(e);
+    }
+    #[inline]
+    fn get(d: &mut Dec) -> Res<Self> {
+        Ok((A::get(d)?, B::get(d)?))
+    }
 }
 
-/// Decodes a function-level codegen artifact.
-///
-/// # Errors
-/// Returns a [`WireError`] on truncation, bad tags or trailing bytes.
-pub fn decode_fn_artifact(bytes: &[u8]) -> Res<backend::FnArtifact> {
-    let mut d = Dec::new(bytes);
-    let code = get_fn_code(&mut d)?;
-    let mid = get_ir_stats(&mut d)?;
-    let alloc = get_ir_stats(&mut d)?;
-    let t_isel = d.vu()?;
-    let t_mirv = d.vu()?;
-    let t_ra = d.vu()?;
-    let t_rav = d.vu()?;
-    let t_emit = d.vu()?;
-    let mirv_ok = d.bool()?;
-    let rav_ok = d.bool()?;
-    d.finish()?;
-    Ok(backend::FnArtifact {
-        code,
-        mid,
-        alloc,
-        t_isel,
-        t_mirv,
-        t_ra,
-        t_rav,
-        t_emit,
-        mirv_ok,
-        rav_ok,
-        mirv_problems: Vec::new(),
-        rav_problems: Vec::new(),
-        isel_dump: None,
-        ra_dump: None,
-    })
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        self.0.put(e);
+        self.1.put(e);
+        self.2.put(e);
+    }
+    #[inline]
+    fn get(d: &mut Dec) -> Res<Self> {
+        Ok((A::get(d)?, B::get(d)?, C::get(d)?))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// SIR
+// ---------------------------------------------------------------------------
+
+wire_id!(ValueId, BlockId, FuncId, GlobalId, RegionId, MBlockId);
+
+wire_enum!(Width, "width" { 0 W1, 1 W8, 2 W16, 3 W32, 4 W64 });
+
+wire_enum!(BinOp, "binop" {
+    0 Add, 1 Sub, 2 Mul, 3 Udiv, 4 Urem, 5 Sdiv, 6 Srem,
+    7 And, 8 Or, 9 Xor, 10 Shl, 11 Lshr, 12 Ashr,
+});
+
+wire_enum!(Cc, "cc" {
+    0 Eq, 1 Ne, 2 Ult, 3 Ule, 4 Ugt, 5 Uge, 6 Slt, 7 Sle, 8 Sgt, 9 Sge,
+});
+
+wire_enum!(Inst, "inst" {
+    0 Param { index, width },
+    1 Const { width, value },
+    2 GlobalAddr { global },
+    3 Alloca { size },
+    4 Bin { op, width, lhs, rhs, speculative },
+    5 Icmp { cc, width, lhs, rhs },
+    6 Zext { to, arg },
+    7 Sext { to, arg },
+    8 Trunc { to, arg, speculative },
+    9 Load { width, addr, volatile, speculative },
+    10 Store { width, addr, value, volatile },
+    11 Select { width, cond, tval, fval },
+    12 Call { callee, args, ret },
+    13 Phi { width, incomings },
+    14 Output { value },
+});
+
+wire_enum!(Terminator, "terminator" {
+    0 Br(target),
+    1 CondBr { cond, if_true, if_false },
+    2 Ret(value),
+    3 Unreachable,
+});
+
+wire_struct! {
+    Function { name, params, ret, insts, blocks, regions, entry }
+    Block { insts, term, region, handler_for }
+    Region { blocks, handler }
+    Global { name, size, init, align }
+}
+
+impl Wire for Module {
+    fn put(&self, e: &mut Enc) {
+        let Module {
+            name,
+            funcs,
+            globals,
+        } = self;
+        name.put(e);
+        funcs.put(e);
+        globals.put(e);
+    }
+
+    fn get(d: &mut Dec) -> Res<Self> {
+        let name = Wire::get(d)?;
+        // Each function is checked while it is still hot in cache; its
+        // callee and global ids once the module's counts are known.
+        let (mut callees, mut globals_used) = (0, 0);
+        let funcs = dec_vec(d, |d| {
+            let f = Function::get(d)?;
+            let (c, g) = check_ids(&f)?;
+            callees = callees.max(c);
+            globals_used = globals_used.max(g);
+            Ok(f)
+        })?;
+        let globals: Vec<Global> = Wire::get(d)?;
+        if callees > funcs.len() || globals_used > globals.len() {
+            return Err(bad("id out of range"));
+        }
+        Ok(Module {
+            name,
+            funcs,
+            globals,
+        })
+    }
+}
+
+/// Rejects a decoded function that holds an out-of-range value, block or
+/// region id (or entry block): every IR walk indexes its arenas by these
+/// ids and would panic on a dangling one. Returns how many functions and
+/// globals its callee and global ids need the module to have.
+fn check_ids(f: &Function) -> Res<(usize, usize)> {
+    let in_range = |id: u32, n: usize| (id as usize) < n;
+    let (nv, nb, nr) = (f.insts.len(), f.blocks.len(), f.regions.len());
+    let (mut callees, mut globals) = (0, 0);
+    let mut ok = in_range(f.entry.0, nb);
+    for i in &f.insts {
+        i.for_each_operand(|v| ok &= in_range(v.0, nv));
+        match i {
+            Inst::Phi { incomings, .. } => {
+                ok &= incomings.iter().all(|(b, _)| in_range(b.0, nb));
+            }
+            Inst::Call { callee, .. } => callees = callees.max(callee.0 as usize + 1),
+            Inst::GlobalAddr { global } => globals = globals.max(global.0 as usize + 1),
+            _ => {}
+        }
+    }
+    for b in &f.blocks {
+        ok &= b.insts.iter().all(|v| in_range(v.0, nv));
+        b.term.for_each_operand(|v| ok &= in_range(v.0, nv));
+        ok &= b
+            .term
+            .successor_slots()
+            .iter()
+            .flatten()
+            .all(|s| in_range(s.0, nb));
+        ok &= [b.region, b.handler_for]
+            .iter()
+            .flatten()
+            .all(|r| in_range(r.0, nr));
+    }
+    for r in &f.regions {
+        ok &= in_range(r.handler.0, nb) && r.blocks.iter().all(|b| in_range(b.0, nb));
+    }
+    if ok {
+        Ok((callees, globals))
+    } else {
+        Err(bad("id out of range"))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Pass traces
+// ---------------------------------------------------------------------------
+
+wire_struct! {
+    IrStats { funcs, blocks, insts, regions, slices }
+    PassTrace { name, wall_ns, before, after, fingerprint, cached, verified, dump }
+    BuildTrace { passes }
+}
+
+// ---------------------------------------------------------------------------
+// Machine instructions / programs
+// ---------------------------------------------------------------------------
+
+impl Wire for Reg {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        e.u8(self.0);
+    }
+    #[inline]
+    fn get(d: &mut Dec) -> Res<Self> {
+        match d.u8()? {
+            n @ 0..=15 => Ok(Reg(n)),
+            _ => Err(bad("register index")),
+        }
+    }
+}
+
+impl Wire for Slice {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        self.reg.put(e);
+        e.u8(self.byte);
+    }
+    #[inline]
+    fn get(d: &mut Dec) -> Res<Self> {
+        let reg = Reg::get(d)?;
+        match d.u8()? {
+            byte @ 0..=3 => Ok(Slice { reg, byte }),
+            _ => Err(bad("slice byte index")),
+        }
+    }
+}
+
+wire_enum!(AluOp, "alu op" {
+    0 Add, 1 Adds, 2 Adc, 3 Sub, 4 Subs, 5 Sbc, 6 Sbcs, 7 And,
+    8 Orr, 9 Eor, 10 Lsl, 11 Lsr, 12 Asr, 13 Mul, 14 Udiv, 15 Sdiv,
+});
+
+wire_enum!(SAluOp, "slice alu op" {
+    0 Add, 1 Sub, 2 And, 3 Orr, 4 Eor, 5 Lsl, 6 Lsr, 7 Asr,
+});
+
+wire_enum!(Cond, "cond" {
+    0 Eq, 1 Ne, 2 Lo, 3 Ls, 4 Hi, 5 Hs, 6 Lt, 7 Le, 8 Gt, 9 Ge,
+});
+
+wire_enum!(MemWidth, "mem width" { 0 B, 1 H, 2 W });
+
+wire_enum!(Operand, "operand" { 0 Reg(r), 1 Imm(x) });
+
+wire_enum!(SliceOperand, "slice operand" { 0 Slice(s), 1 Imm(x) });
+
+wire_enum!(MInst, "minst" {
+    0 Alu { op, rd, rn, src2 },
+    1 MovImm { rd, imm },
+    2 Mov { rd, rm },
+    3 Cmp { rn, src2 },
+    4 CSet { rd, cond },
+    5 MovCc { rd, rm, cond },
+    6 Umull { rdlo, rdhi, rn, rm },
+    7 Extend { rd, rm, from, signed },
+    8 Load { rd, rn, offset, width, spill },
+    9 LoadIdx { rd, rn, bidx, shift, width },
+    10 Store { rs, rn, offset, width, spill },
+    11 Push { regs },
+    12 Pop { regs },
+    13 B { target },
+    14 Bc { cond, target },
+    15 Bl { target },
+    16 Ret,
+    17 Out { rn },
+    18 Halt,
+    19 Nop,
+    20 SAlu { op, bd, bn, src2, speculative },
+    21 SCmp { bn, src2 },
+    22 SLoadSpec { bd, rn, offset },
+    23 SLoadIdx { bd, rn, bidx, shift, speculative },
+    24 SLoad { bd, rn, offset, spill },
+    25 SStore { bs, rn, offset, spill },
+    26 SExtend { rd, bn, signed },
+    27 STrunc { bd, rn, speculative },
+    28 SMov { bd, bs },
+    29 SMovImm { bd, imm },
+    30 SetDelta { bytes },
+    31 SpecCheck { rn },
+});
+
+impl Wire for Program {
+    fn put(&self, e: &mut Enc) {
+        // `addr_index` and `pre` are derived (HashMap iteration order would
+        // break byte-stability); they are rebuilt on decode.
+        let Program {
+            insts,
+            addrs,
+            entry,
+            halt,
+            func_entries,
+            func_names,
+            global_inits,
+            mem_size,
+            compact,
+            addr_index: _,
+            spec_targets,
+            pre: _,
+        } = self;
+        insts.put(e);
+        addrs.put(e);
+        entry.put(e);
+        halt.put(e);
+        func_entries.put(e);
+        func_names.put(e);
+        global_inits.put(e);
+        mem_size.put(e);
+        compact.put(e);
+        spec_targets.put(e);
+    }
+
+    fn get(d: &mut Dec) -> Res<Self> {
+        let insts: Vec<MInst> = Wire::get(d)?;
+        let addrs: Vec<u32> = Wire::get(d)?;
+        let entry = Wire::get(d)?;
+        let halt = Wire::get(d)?;
+        let func_entries = Wire::get(d)?;
+        let func_names = Wire::get(d)?;
+        let global_inits = Wire::get(d)?;
+        let mem_size = Wire::get(d)?;
+        let compact = Wire::get(d)?;
+        let spec_targets = Wire::get(d)?;
+        if addrs.len() != insts.len() {
+            return Err(bad("addrs/insts length mismatch"));
+        }
+        // Rebuild the derived tables exactly as `emit::link` does.
+        let addr_index = addrs.iter().enumerate().map(|(i, a)| (*a, i)).collect();
+        let pre = insts
+            .iter()
+            .map(|i| backend::PreInst::of(i, compact))
+            .collect();
+        Ok(Program {
+            insts,
+            addrs,
+            entry,
+            halt,
+            func_entries,
+            func_names,
+            global_inits,
+            mem_size,
+            compact,
+            addr_index,
+            spec_targets,
+            pre,
+        })
+    }
+}
+
+wire_enum!(FnFixup, "fn fixup" { 0 Block(b), 1 Func(f) });
+
+wire_struct! {
+    FnCode { name, insts, fixups, block_starts, spec_pairs }
+}
+
+// ---------------------------------------------------------------------------
+// Profiles, sim results
+// ---------------------------------------------------------------------------
+
+wire_struct! {
+    VarStats { count, sum_bits, max_bits, min_bits }
+}
+
+impl Wire for Profile {
+    fn put(&self, e: &mut Enc) {
+        e.vu(self.raw().len() as u64);
+        for f in self.raw() {
+            f.put(e);
+        }
+    }
+
+    fn get(d: &mut Dec) -> Res<Self> {
+        dec_vec(d, Wire::get).map(Profile::from_raw)
+    }
+}
+
+wire_struct! {
+    SimResult { outputs, cycles, counts, activity, energy }
+    Counts {
+        dyn_insts, branches, taken_branches, misspecs, spill_loads, spill_stores, copies,
+        loads, stores,
+    }
+    Activity {
+        alu_word_ops, alu_slice_ops, spec_monitored_ops, speccheck_ops, mul_ops, umull_ops,
+        div_ops, extend_ops, rf_read_units, rf_write_units, reg_accesses_32, reg_accesses_8,
+        fetch_slots, l1d_accesses, l2_accesses, dram_accesses, l2_from_i, dram_from_i, cycles,
+        dts_core_scaled,
+    }
+    EnergyBreakdown { alu, regfile, icache, dcache, pipeline }
+}
+
+// ---------------------------------------------------------------------------
+// Build configuration + Compiled
+// ---------------------------------------------------------------------------
+
+wire_enum!(Arch, "arch" { 0 Baseline, 1 BitSpec, 2 NoSpec, 3 Compact });
+
+wire_enum!(Heuristic, "heuristic" { 0 Max, 1 Avg, 2 Min });
+
+wire_struct! {
+    BuildConfig {
+        arch, heuristic, expander, compare_elim, bitmask_elision, spill_prefer_orig, dts,
+        empirical_gate, verify_each, reference_profiler,
+    }
+    ExpanderConfig { unroll_factor, max_func_size, max_loop_size, enabled }
+    SqueezeReport { narrowed, regions, spec_truncs, compares_eliminated, bitmasks_elided }
+    StageHits { front, expand, profile, fn_hits, fn_total }
+    Compiled {
+        module, program, profile, squeeze, config, profile_dyn_insts, used_squeezed,
+        stage_hits, trace,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Stage artifacts
+// ---------------------------------------------------------------------------
+
+wire_struct! {
+    ProfileData { profile, dyn_insts, traces }
+    GateRef { program, energy, traces }
+}
+
+/// A stage-cache SIR artifact (frontend or expanded module); `content` is
+/// derived from the module and recomputed on decode.
+impl Wire for SirStage {
+    fn put(&self, e: &mut Enc) {
+        let SirStage {
+            module,
+            traces,
+            content: _,
+        } = self;
+        module.put(e);
+        traces.put(e);
+    }
+
+    fn get(d: &mut Dec) -> Res<Self> {
+        let module = Wire::get(d)?;
+        let traces = Wire::get(d)?;
+        Ok(SirStage::new(module, traces))
+    }
+}
+
+/// A function-level codegen artifact (the `fnmir` store kind). Only clean
+/// artifacts are published — verification accepted, no dump payload — so
+/// diagnostics and dumps are not part of the format; the verdict bools
+/// are carried for trace fidelity.
+impl Wire for FnArtifact {
+    fn put(&self, e: &mut Enc) {
+        let FnArtifact {
+            code,
+            mid,
+            alloc,
+            t_isel,
+            t_mirv,
+            t_ra,
+            t_rav,
+            t_emit,
+            mirv_ok,
+            rav_ok,
+            mirv_problems,
+            rav_problems,
+            isel_dump,
+            ra_dump,
+        } = self;
+        debug_assert!(
+            mirv_problems.is_empty()
+                && rav_problems.is_empty()
+                && isel_dump.is_none()
+                && ra_dump.is_none(),
+            "only clean fn artifacts are published"
+        );
+        code.put(e);
+        mid.put(e);
+        alloc.put(e);
+        for t in [t_isel, t_mirv, t_ra, t_rav, t_emit] {
+            t.put(e);
+        }
+        mirv_ok.put(e);
+        rav_ok.put(e);
+    }
+
+    fn get(d: &mut Dec) -> Res<Self> {
+        Ok(FnArtifact {
+            code: Wire::get(d)?,
+            mid: Wire::get(d)?,
+            alloc: Wire::get(d)?,
+            t_isel: Wire::get(d)?,
+            t_mirv: Wire::get(d)?,
+            t_ra: Wire::get(d)?,
+            t_rav: Wire::get(d)?,
+            t_emit: Wire::get(d)?,
+            mirv_ok: Wire::get(d)?,
+            rav_ok: Wire::get(d)?,
+            mirv_problems: Vec::new(),
+            rav_problems: Vec::new(),
+            isel_dump: None,
+            ra_dump: None,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -2150,6 +1021,64 @@ mod tests {
     }
 
     #[test]
+    fn overlong_varints_and_huge_lengths_are_errors() {
+        // 0 and 127 padded with a zero continuation byte: decodable values,
+        // but they would not re-encode to the same bytes.
+        assert!(Dec::new(&[0x80, 0x00]).vu().is_err());
+        assert!(Dec::new(&[0xff, 0x00]).vu().is_err());
+        assert_eq!(Dec::new(&[0x80, 0x01]).vu(), Ok(128));
+        // A length prefix near u64::MAX must not overflow the bounds check.
+        let hostile = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        assert!(Dec::new(&hostile).bytes().is_err());
+        assert!(decode::<Vec<u8>>(&hostile).is_err());
+    }
+
+    #[test]
+    fn dangling_ids_are_errors() {
+        let m = lang::compile(
+            "wire-ids",
+            "global u8 g[4]; u32 f(u32 x) { return x + g[1]; } void main() { out(f(3)); }",
+        )
+        .unwrap();
+        let bytes = encode(&m);
+        assert_eq!(encode(&decode::<Module>(&bytes).unwrap()), bytes);
+        let f = m.funcs.iter().position(|f| f.name == "f").unwrap();
+        let main = m.funcs.iter().position(|f| f.name == "main").unwrap();
+        let find = |fi: usize, p: fn(&Inst) -> bool| m.funcs[fi].insts.iter().position(p).unwrap();
+        let call = find(main, |i| matches!(i, Inst::Call { .. }));
+        let gaddr = find(f, |i| matches!(i, Inst::GlobalAddr { .. }));
+        let bin = find(f, |i| matches!(i, Inst::Bin { .. }));
+        let plant: [&dyn Fn(&mut Module); 6] = [
+            &|m| {
+                m.funcs[main].insts[call] = Inst::Call {
+                    callee: FuncId(m.funcs.len() as u32),
+                    args: vec![],
+                    ret: None,
+                }
+            },
+            &|m| {
+                m.funcs[f].insts[gaddr] = Inst::GlobalAddr {
+                    global: GlobalId(m.globals.len() as u32),
+                }
+            },
+            &|m| {
+                let n = m.funcs[f].insts.len() as u32;
+                if let Inst::Bin { rhs, .. } = &mut m.funcs[f].insts[bin] {
+                    *rhs = ValueId(n);
+                }
+            },
+            &|m| m.funcs[f].blocks[0].insts.push(ValueId(u32::MAX)),
+            &|m| m.funcs[f].blocks[0].term = Terminator::Br(BlockId(99)),
+            &|m| m.funcs[f].entry = BlockId(99),
+        ];
+        for (k, plant) in plant.iter().enumerate() {
+            let mut bad = m.clone();
+            plant(&mut bad);
+            assert!(decode::<Module>(&encode(&bad)).is_err(), "plant {k}");
+        }
+    }
+
+    #[test]
     fn trailing_bytes_are_an_error() {
         let mut e = Enc::new();
         e.vu(7);
@@ -2189,14 +1118,14 @@ mod tests {
     fn corrupt_tag_is_detected() {
         let w = crate::Workload::from_source("wire-corrupt", "void main() { out(3); }");
         let c = crate::build(&w, &crate::BuildConfig::baseline()).unwrap();
-        let bytes = encode_compiled(&c);
+        let bytes = encode(&c);
         let mut bad = bytes.clone();
         // Stomp a byte somewhere in the middle: either a decode error or a
         // changed artifact, never a silent panic.
         let mid = bad.len() / 2;
         bad[mid] ^= 0xFF;
-        let _ = decode_compiled(&bad);
+        let _ = decode::<Compiled>(&bad);
         // Truncation is always an error.
-        assert!(decode_compiled(&bytes[..bytes.len() - 1]).is_err());
+        assert!(decode::<Compiled>(&bytes[..bytes.len() - 1]).is_err());
     }
 }

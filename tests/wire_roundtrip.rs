@@ -7,7 +7,9 @@
 //! Takes the same file-wide lock as the other pipeline tests: the stage
 //! caches it clears between builds are process-global.
 
-use bitspec::{build, simulate, stages, store, wire, BuildConfig, Workload};
+use bitspec::fingerprint::Fnv;
+use bitspec::{build, simulate, stages, store, wire, BuildConfig, Compiled, SimResult, Workload};
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -87,8 +89,8 @@ fn independent_cold_builds_serialize_identically() {
         backend::program_fingerprint(&b.program)
     );
     assert_eq!(
-        wire::encode_sim_result(&ra),
-        wire::encode_sim_result(&rb),
+        wire::encode(&ra),
+        wire::encode(&rb),
         "independent builds must serialize the sim result identically"
     );
     assert_eq!(a.profile, b.profile);
@@ -107,23 +109,23 @@ fn stage_payloads_roundtrip() {
         dyn_insts: c.profile_dyn_insts,
         traces: Vec::new(),
     };
-    let pbytes = wire::encode_profile_data(&pd);
-    let p2 = wire::decode_profile_data(&pbytes).unwrap();
+    let pbytes = wire::encode(&pd);
+    let p2: stages::ProfileData = wire::decode(&pbytes).unwrap();
     assert_eq!(p2.profile, c.profile);
     assert_eq!(p2.dyn_insts, c.profile_dyn_insts);
-    assert_eq!(wire::encode_profile_data(&p2), pbytes);
+    assert_eq!(wire::encode(&p2), pbytes);
     // Truncation anywhere inside the payload must error, not panic or
     // silently succeed.
     for cut in [0, 1, pbytes.len() / 2, pbytes.len() - 1] {
         assert!(
-            wire::decode_profile_data(&pbytes[..cut]).is_err(),
+            wire::decode::<stages::ProfileData>(&pbytes[..cut]).is_err(),
             "truncation at {cut} must be a decode error"
         );
     }
     // Trailing garbage is rejected too (full-consumption check).
     let mut extended = pbytes.clone();
     extended.push(0);
-    assert!(wire::decode_profile_data(&extended).is_err());
+    assert!(wire::decode::<stages::ProfileData>(&extended).is_err());
 }
 
 /// A `fnmir` payload whose instruction count claims far more elements
@@ -139,14 +141,90 @@ fn huge_length_fn_artifact() -> Vec<u8> {
     bytes
 }
 
+/// A varint of `u64::MAX`: as a leading length prefix it once overflowed
+/// the decoder's bounds check (a panic instead of an error).
+const HOSTILE: [u8; 10] = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+
+/// The store kinds with a codec.
+const KINDS: [&str; 5] = ["expand", "profile", "gate", "fnmir", "cell"];
+
+/// Decodes `bytes` as the artifact type of store kind `kind` and
+/// re-encodes it.
+fn reencode(kind: &str, bytes: &[u8]) -> Result<Vec<u8>, wire::WireError> {
+    fn re<T: wire::Wire>(bytes: &[u8]) -> Result<Vec<u8>, wire::WireError> {
+        wire::decode::<T>(bytes).map(|v| wire::encode(&v))
+    }
+    match kind {
+        "expand" => re::<stages::SirStage>(bytes),
+        "profile" => re::<stages::ProfileData>(bytes),
+        "gate" => re::<stages::GateRef>(bytes),
+        "fnmir" => re::<backend::FnArtifact>(bytes),
+        "cell" => re::<(Compiled, SimResult)>(bytes),
+        _ => panic!("unexpected store kind {kind}"),
+    }
+}
+
+/// Length of the store's entry header (magic, schema, key, length,
+/// checksum).
+const HEADER_LEN: usize = 32;
+
+/// Every published entry under a store root as `(kind, path)`, sorted.
+fn entries(root: &Path) -> Vec<(String, PathBuf)> {
+    let mut out = Vec::new();
+    for kind in std::fs::read_dir(root).unwrap().flatten() {
+        let name = kind.file_name().to_string_lossy().into_owned();
+        if name != "tmp" {
+            for f in std::fs::read_dir(kind.path()).unwrap().flatten() {
+                out.push((name.clone(), f.path()));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// Overwrites the entry at `path` with `payload`, keeping its key and
+/// framing it with a valid length and checksum.
+fn plant(path: &Path, payload: &[u8]) {
+    let old = std::fs::read(path).unwrap();
+    let mut sum = Fnv::new();
+    sum.write_raw(payload);
+    let mut framed = old[..16].to_vec();
+    framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    framed.extend_from_slice(&sum.finish().to_le_bytes());
+    framed.extend_from_slice(payload);
+    std::fs::write(path, framed).unwrap();
+}
+
+/// A cold gated BITSPEC cell of `tag`'s workload against a fresh store in
+/// `dir`, which then holds one entry or more of every kind.
+fn cold_cell_in_store(tag: &str, dir: &Path) -> bench::Cell {
+    let _ = std::fs::remove_dir_all(dir);
+    store::configure(Some(dir), None);
+    stages::clear();
+    bench::clear_cache();
+    let cell = bench::run_cached(&workload(tag), &BuildConfig::bitspec());
+    let kinds: Vec<_> = entries(dir).into_iter().map(|(k, _)| k).collect();
+    for kind in KINDS {
+        assert!(kinds.iter().any(|k| k == kind), "no {kind} entry published");
+    }
+    cell
+}
+
 #[test]
 fn huge_fn_length_prefix_errors_and_recomputes() {
     let _g = serial();
     let bad = huge_length_fn_artifact();
     assert!(
-        wire::decode_fn_artifact(&bad).is_err(),
+        wire::decode::<backend::FnArtifact>(&bad).is_err(),
         "an unbounded length prefix must be a decode error"
     );
+    for kind in KINDS {
+        assert!(
+            reencode(kind, &HOSTILE).is_err(),
+            "a u64::MAX length prefix must be a {kind} decode error"
+        );
+    }
 
     // Plant the payload, checksum-valid, under every function key of a
     // build; the memo must count each as corrupt and recompute it.
@@ -187,4 +265,124 @@ fn huge_fn_length_prefix_errors_and_recomputes() {
         backend::program_fingerprint(&again.program),
         backend::program_fingerprint(&cold.program)
     );
+
+    // The u64::MAX prefix, planted checksum-valid over every entry of a
+    // gated cell's store (all five kinds): each counts as corrupt and is
+    // recomputed and rewritten.
+    let dir = std::env::temp_dir().join(format!("wire-hostile-{}", std::process::id()));
+    let cold = cold_cell_in_store("hostile", &dir);
+    let planted = entries(&dir);
+    for (_, path) in &planted {
+        plant(path, &HOSTILE);
+    }
+    stages::clear();
+    bench::clear_cache();
+    let before = store::stats();
+    let again = bench::run_cached(&workload("hostile"), &BuildConfig::bitspec());
+    let after = store::stats();
+    let rewritten: Vec<_> = entries(&dir)
+        .into_iter()
+        .map(|(kind, path)| reencode(&kind, &std::fs::read(path).unwrap()[HEADER_LEN..]))
+        .collect();
+    store::configure(None, None);
+    let _ = std::fs::remove_dir_all(&dir);
+    stages::clear();
+    bench::clear_cache();
+
+    assert_eq!(
+        after.corrupt - before.corrupt,
+        planted.len() as u64,
+        "every planted entry is corrupt"
+    );
+    assert_eq!(after.hits, before.hits, "nothing was served from disk");
+    assert_eq!(rewritten.len(), planted.len(), "every entry was rewritten");
+    assert!(
+        rewritten.iter().all(Result::is_ok),
+        "with a decodable payload"
+    );
+    assert_eq!(
+        backend::program_fingerprint(&again.0.program),
+        backend::program_fingerprint(&cold.0.program)
+    );
+    assert_eq!(again.1.outputs, cold.1.outputs);
+    assert_eq!(again.1.cycles, cold.1.cycles);
+}
+
+/// A splitmix64 stream: the mutation test's seeded randomness.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// One seeded mutation of `payload`: a bit flip, a byte set, a truncation,
+/// a swap of two bytes, or a spliced `u64::MAX` varint.
+fn mutate(payload: &[u8], rng: &mut Rng) -> Vec<u8> {
+    let mut m = payload.to_vec();
+    let i = rng.below(m.len());
+    match rng.below(5) {
+        0 => m[i] ^= 1 << rng.below(8),
+        1 => m[i] = [0x00, 0x01, 0x7f, 0x80, 0xff, rng.next() as u8][rng.below(6)],
+        2 => m.truncate(i),
+        3 => m.swap(i, rng.below(payload.len())),
+        _ => {
+            let end = (i + rng.below(4)).min(m.len());
+            m.splice(i..end, HOSTILE);
+        }
+    }
+    m
+}
+
+/// Decoding is canonical and panic-free on hostile bytes: every mutated
+/// payload of every kind either fails to decode or decodes to a value that
+/// re-encodes to exactly the mutated bytes.
+#[test]
+fn mutated_payloads_error_or_reencode_identically() {
+    let _g = serial();
+    let dir = std::env::temp_dir().join(format!("wire-mutate-{}", std::process::id()));
+    cold_cell_in_store("mutate", &dir);
+    let mut payloads = Vec::new();
+    for kind in KINDS {
+        let (_, path) = entries(&dir)
+            .into_iter()
+            .find(|(k, _)| k == kind)
+            .expect("entry of every kind");
+        payloads.push((kind, std::fs::read(path).unwrap()[HEADER_LEN..].to_vec()));
+    }
+    store::configure(None, None);
+    let _ = std::fs::remove_dir_all(&dir);
+    stages::clear();
+    bench::clear_cache();
+
+    let mut rng = Rng(0x5eed);
+    for (kind, payload) in &payloads {
+        assert_eq!(reencode(kind, payload).as_ref(), Ok(payload), "{kind}");
+        let mut decoded = 0;
+        for n in 0..3000 {
+            let m = mutate(payload, &mut rng);
+            let got = std::panic::catch_unwind(|| reencode(kind, &m))
+                .unwrap_or_else(|_| panic!("{kind} mutation {n} panicked the decoder"));
+            if let Ok(re) = got {
+                assert!(
+                    re == m,
+                    "{kind} mutation {n} decoded but re-encodes differently"
+                );
+                decoded += 1;
+            }
+        }
+        println!(
+            "{kind}: {} bytes, {decoded} of 3000 mutations decode",
+            payload.len()
+        );
+    }
 }
