@@ -14,6 +14,14 @@ cargo test -q
 # byte (including its BEST line).
 cargo test --release -q -p bitspec --test expand_golden
 cargo run --release -q -p bench --bin tuner | diff - results/tuner.txt
+# Paper numbers: every figure/table/rq binary and the rq5deep example print
+# exactly their checked-in results/*.txt (EXPERIMENTS.md quotes these files),
+# so any change to a paper number fails here until the file is regenerated.
+for fig in fig01 fig03 fig05 fig08 fig09 fig10 fig11 fig12 fig13 fig14 \
+  fig15 fig16 fig17 fig18 rq3 rq7 table2; do
+  cargo run --release -q -p bench --bin "$fig" | diff - "results/$fig.txt"
+done
+cargo run --release -q -p mibench --example rq5deep | diff - results/rq5deep.txt
 # Codegen determinism: every suite cell (14 workloads × bench::suite_configs)
 # keeps its golden linked-program fingerprint, cycle count and energy bits,
 # so a back-end refactor that claims to be output-neutral is one.
