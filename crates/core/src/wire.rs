@@ -791,16 +791,31 @@ impl Wire for Program {
     fn get(d: &mut Dec) -> Res<Self> {
         let insts: Vec<MInst> = Wire::get(d)?;
         let addrs: Vec<u32> = Wire::get(d)?;
-        let entry = Wire::get(d)?;
-        let halt = Wire::get(d)?;
-        let func_entries = Wire::get(d)?;
+        let entry: usize = Wire::get(d)?;
+        let halt: usize = Wire::get(d)?;
+        let func_entries: Vec<usize> = Wire::get(d)?;
         let func_names = Wire::get(d)?;
         let global_inits = Wire::get(d)?;
         let mem_size = Wire::get(d)?;
         let compact = Wire::get(d)?;
-        let spec_targets = Wire::get(d)?;
+        let spec_targets: Vec<(usize, usize, usize)> = Wire::get(d)?;
         if addrs.len() != insts.len() {
             return Err(bad("addrs/insts length mismatch"));
+        }
+        // Every control-flow index must name an instruction: the simulator
+        // indexes `insts` with them unchecked.
+        let branch_targets = insts.iter().filter_map(|i| match i {
+            MInst::B { target } | MInst::Bc { target, .. } | MInst::Bl { target } => Some(*target),
+            _ => None,
+        });
+        let in_range = [entry, halt]
+            .into_iter()
+            .chain(func_entries.iter().copied())
+            .chain(branch_targets)
+            .chain(spec_targets.iter().flat_map(|&(s, b, h)| [s, b, h]))
+            .all(|i| i < insts.len());
+        if !in_range {
+            return Err(bad("control-flow index out of range"));
         }
         // Rebuild the derived tables exactly as `emit::link` does.
         let addr_index = addrs.iter().enumerate().map(|(i, a)| (*a, i)).collect();

@@ -386,3 +386,97 @@ fn mutated_payloads_error_or_reencode_identically() {
         );
     }
 }
+
+/// Points one control-flow index of `p` past its last instruction: the
+/// entry, the halt, a function entry, a branch target or a misspeculation
+/// cover index (`what` picks which).
+fn corrupt_control_flow(p: &mut backend::Program, what: usize) {
+    let n = p.insts.len();
+    match what {
+        0 => p.entry = n,
+        1 => p.halt = n + 1,
+        2 => *p.func_entries.last_mut().unwrap() = n,
+        3 => {
+            let target = p
+                .insts
+                .iter_mut()
+                .find_map(|i| match i {
+                    isa::MInst::B { target }
+                    | isa::MInst::Bc { target, .. }
+                    | isa::MInst::Bl { target } => Some(target),
+                    _ => None,
+                })
+                .expect("a branch");
+            *target = n + 7;
+        }
+        _ => p.spec_targets.last_mut().expect("a cover entry").2 = n,
+    }
+}
+
+/// A checksum-valid program whose branch target, entry, halt, function
+/// entry or cover index lies outside the image is a decode error, not a
+/// simulator panic later; a store entry holding one is counted corrupt and
+/// recomputed.
+#[test]
+fn out_of_range_control_flow_errors_and_recomputes() {
+    let _g = serial();
+    let w = workload("cfg");
+    let cfg = BuildConfig {
+        empirical_gate: false,
+        ..BuildConfig::bitspec()
+    };
+    let c = build(&w, &cfg).unwrap();
+    let r = simulate(&c, &w).unwrap();
+    assert!(!c.program.spec_targets.is_empty(), "a speculative build");
+    assert!(wire::decode_cell(&wire::encode_cell(&c, &r)).is_ok());
+    for what in 0..5 {
+        let mut bad = c.clone();
+        corrupt_control_flow(&mut bad.program, what);
+        assert!(
+            wire::decode_cell(&wire::encode_cell(&bad, &r)).is_err(),
+            "corruption {what} must be a decode error"
+        );
+    }
+
+    // Plant a branch past the end, checksum-valid, in every cell and gate
+    // entry of a gated cell's store.
+    let dir = std::env::temp_dir().join(format!("wire-cfg-{}", std::process::id()));
+    let cold = cold_cell_in_store("cfg", &dir);
+    let mut planted = 0u64;
+    for (kind, path) in entries(&dir) {
+        let payload = &std::fs::read(&path).unwrap()[HEADER_LEN..];
+        let bytes = match kind.as_str() {
+            "cell" => {
+                let (mut c, r) = wire::decode_cell(payload).unwrap();
+                corrupt_control_flow(&mut c.program, 3);
+                wire::encode_cell(&c, &r)
+            }
+            "gate" => {
+                let mut g = wire::decode::<stages::GateRef>(payload).unwrap();
+                corrupt_control_flow(&mut g.program, 3);
+                wire::encode(&g)
+            }
+            _ => continue,
+        };
+        plant(&path, &bytes);
+        planted += 1;
+    }
+    stages::clear();
+    bench::clear_cache();
+    let before = store::stats();
+    let again = bench::run_cached(&workload("cfg"), &BuildConfig::bitspec());
+    let after = store::stats();
+    store::configure(None, None);
+    let _ = std::fs::remove_dir_all(&dir);
+    stages::clear();
+    bench::clear_cache();
+
+    assert_eq!(planted, 2, "one cell and one gate entry");
+    assert_eq!(after.corrupt - before.corrupt, planted, "both are corrupt");
+    assert_eq!(
+        backend::program_fingerprint(&again.0.program),
+        backend::program_fingerprint(&cold.0.program)
+    );
+    assert_eq!(again.1.outputs, cold.1.outputs);
+    assert_eq!(again.1.cycles, cold.1.cycles);
+}
