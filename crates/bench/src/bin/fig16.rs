@@ -6,25 +6,25 @@
 //! 50 BSDS500 images — see DESIGN.md.
 //!
 //! Every cell in row i shares the build profiled on image i, so the sweep
-//! is one build + one `simulate_batch` call per (heuristic, profile image):
-//! the turbo engine predecodes the program once and reuses the image across
-//! all run inputs. Rows fan out across the worker pool (`-j N` or
+//! is one build + one simulation per run image for each (heuristic,
+//! profile image). Rows fan out across the worker pool (`-j N` or
 //! `BITSPEC_JOBS`); the (j, j) self-profiled references fall out of the
 //! same rows.
 
 use bench::pool;
-use bitspec::{build, simulate_batch, BitwidthHeuristic, BuildConfig, SimConfig, Workload};
+use bitspec::{build, simulate_with, BitwidthHeuristic, BuildConfig, SimConfig, Workload};
 use mibench::{susan_image, Input};
 
 const IMAGES: u64 = 8;
 
-/// The row-i workload: profiled on image i. The run input is installed per
-/// input set by `simulate_batch`, so the build only consumes the train
-/// input (fig16 runs with the empirical gate off).
-fn profile_workload(profile_img: u64) -> Workload {
+/// susan-edges with image `img` as both its profiling and its run input.
+/// Row i builds `image_workload(i)` (fig16 runs with the empirical gate
+/// off, so the build only consumes the train input) and runs the result
+/// on every `image_workload(j)`'s input.
+fn image_workload(img: u64) -> Workload {
     Workload::from_source("susan-edges", mibench::source_of("susan-edges"))
-        .with_input("image", susan_image(Input::Seeded(profile_img)))
-        .with_train_input("image", susan_image(Input::Seeded(profile_img)))
+        .with_input("image", susan_image(Input::Seeded(img)))
+        .with_train_input("image", susan_image(Input::Seeded(img)))
 }
 
 fn main() {
@@ -34,9 +34,7 @@ fn main() {
         "fig16",
         "susan-edges cross-input dynamic-instruction ratios",
     );
-    let sets: Vec<Vec<(String, Vec<u8>)>> = (0..IMAGES)
-        .map(|j| vec![("image".to_string(), susan_image(Input::Seeded(j)))])
-        .collect();
+    let images: Vec<Workload> = (0..IMAGES).map(image_workload).collect();
     for h in BitwidthHeuristic::ALL {
         let cfg = BuildConfig {
             empirical_gate: false,
@@ -44,10 +42,15 @@ fn main() {
         };
         // rows[i][j] = dyn_insts of the build profiled on i, run on j.
         let rows: Vec<Vec<u64>> = pool::run_ordered(IMAGES as usize, workers, |i| {
-            let c = build(&profile_workload(i as u64), &cfg).expect("build");
-            simulate_batch(&c, &SimConfig::default(), &sets)
-                .into_iter()
-                .map(|r| r.expect("sim").counts.dyn_insts)
+            let c = build(&images[i], &cfg).expect("build");
+            images
+                .iter()
+                .map(|w| {
+                    simulate_with(&c, w, &SimConfig::default())
+                        .expect("sim")
+                        .counts
+                        .dyn_insts
+                })
                 .collect()
         });
         // Self-profiled reference per run image: the (j, j) diagonal.

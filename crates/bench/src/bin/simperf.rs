@@ -4,11 +4,9 @@
 //! the block-fused turbo engine — against each other on sim-dominated
 //! MiBench workloads, in two rows: plain BASELINE builds, and BITSPEC
 //! builds simulated in DTS mode (build once, interleave timed repetitions,
-//! report median + min per engine), (b) batch-mode predecode amortization
-//! on a fig16-style multi-input sweep (one predecoded image, N input sets
-//! vs N independent runs), and (c) the fig08-style matrix harness under 1
-//! worker vs the pool default. Writes the numbers to `BENCH_sim.json` and
-//! prints a summary.
+//! report median + min per engine), and (b) the fig08-style matrix harness
+//! under 1 worker vs the pool default. Writes the numbers to
+//! `BENCH_sim.json` and prints a summary.
 //!
 //! Usage: `simperf [-j N] [--check] [reps]`. At least 5 repetitions are
 //! always run so the medians are meaningful; the positional argument can
@@ -17,10 +15,8 @@
 //! — CI uses this to catch dispatch-path and DTS-accounting regressions.
 
 use bench::{clear_cache, pool, run_matrix};
-use bitspec::{
-    build, simulate_batch, simulate_with, BuildConfig, Compiled, Engine, SimConfig, Workload,
-};
-use mibench::{susan_image, workload, Input};
+use bitspec::{build, simulate_with, BuildConfig, Compiled, Engine, SimConfig, Workload};
+use mibench::{workload, Input};
 use std::time::Instant;
 
 /// Sim-dominated targets: long dynamic instruction counts, cheap builds.
@@ -34,9 +30,6 @@ const ENGINES: [Engine; 2] = [Engine::Reference, Engine::Turbo];
 /// row (`total_fast_speedup` in `BENCH_sim.json` before its removal).
 /// Turbo must stay at least that far ahead on both rows.
 const SPEEDUP_FLOOR: f64 = 1.917;
-
-/// Input sets in the batch-amortization sweep.
-const BATCH_INPUTS: u64 = 8;
 
 fn once(c: &Compiled, w: &Workload, cfg: &SimConfig) -> f64 {
     let t = Instant::now();
@@ -168,51 +161,6 @@ fn main() {
         totals.push((*mode, tot));
     }
 
-    // Batch amortization: a fig16-style sweep — one build profiled on image
-    // 0, evaluated on BATCH_INPUTS run images. Sequential turbo predecodes
-    // per run; `simulate_batch` predecodes once and reuses the image.
-    let wb = Workload::from_source("susan-edges", mibench::source_of("susan-edges"))
-        .with_input("image", susan_image(Input::Seeded(0)))
-        .with_train_input("image", susan_image(Input::Seeded(0)));
-    let cb = build(&wb, &BuildConfig::bitspec()).expect("build");
-    let sets: Vec<Vec<(String, Vec<u8>)>> = (0..BATCH_INPUTS)
-        .map(|j| vec![("image".to_string(), susan_image(Input::Seeded(j)))])
-        .collect();
-    let seq_runs: Vec<Workload> = (0..BATCH_INPUTS)
-        .map(|j| {
-            Workload::from_source("susan-edges", mibench::source_of("susan-edges"))
-                .with_input("image", susan_image(Input::Seeded(j)))
-        })
-        .collect();
-    let sim_cfg = SimConfig::default();
-    // Correctness first: batch results must match independent runs.
-    let batched = simulate_batch(&cb, &sim_cfg, &sets);
-    for (j, (b, wj)) in batched.iter().zip(&seq_runs).enumerate() {
-        let b = b.as_ref().expect("batched sim");
-        let s = simulate_with(&cb, wj, &sim_cfg).expect("sim");
-        assert_eq!(b.outputs, s.outputs, "batch set {j} diverged");
-        assert_eq!(b.cycles, s.cycles, "batch set {j} cycles diverged");
-    }
-    let (mut seq_secs, mut batch_secs) = (Vec::new(), Vec::new());
-    for _ in 0..reps {
-        let t = Instant::now();
-        for wj in &seq_runs {
-            std::hint::black_box(simulate_with(&cb, wj, &sim_cfg).expect("sim").cycles);
-        }
-        seq_secs.push(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        std::hint::black_box(simulate_batch(&cb, &sim_cfg, &sets).len());
-        batch_secs.push(t.elapsed().as_secs_f64());
-    }
-    let seq_med = median(&mut seq_secs);
-    let batch_med = median(&mut batch_secs);
-    println!(
-        "batch: {BATCH_INPUTS} inputs sequential={:.2}ms batched={:.2}ms amortization={:.3}x",
-        seq_med * 1e3,
-        batch_med * 1e3,
-        seq_med / batch_med
-    );
-
     // Harness wall-clock: the fig08 matrix under 1 worker vs the pool.
     let workloads: Vec<_> = TARGETS.iter().map(|n| workload(n, Input::Large)).collect();
     let cfgs = [BuildConfig::baseline(), BuildConfig::bitspec()];
@@ -267,12 +215,9 @@ fn main() {
     }
     json.push_str(&format!(
         "  ],\n  \"speedup_floor\": {SPEEDUP_FLOOR:.3},\n  \
-         \"batch\": {{\"inputs\": {BATCH_INPUTS}, \"sequential_s\": {seq_med:.6}, \
-         \"batch_s\": {batch_med:.6}, \"amortization\": {:.3}}},\n  \
          \"harness\": {{\"jobs_requested\": {jobs}, \"workers_effective\": {workers}, \
          \"host_cores\": {host_cores}, \"serial_s\": {serial:.6}, \
-         \"pool_s\": {pooled:.6}, \"cached_s\": {cached:.6}}},\n  \"reps\": {reps}\n}}\n",
-        seq_med / batch_med
+         \"pool_s\": {pooled:.6}, \"cached_s\": {cached:.6}}},\n  \"reps\": {reps}\n}}\n"
     ));
     std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
     println!("wrote BENCH_sim.json");

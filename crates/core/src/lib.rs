@@ -498,25 +498,6 @@ pub fn resolve_inputs(module: &sir::Module, inputs: &[(String, Vec<u8>)]) -> Vec
         .collect()
 }
 
-/// Simulates `compiled` once per entry of `input_sets` (each a list of
-/// `(global name, bytes)` pairs), sharing one predecoded turbo image across
-/// all runs via [`sim::run_batch`] — the fig15/fig16 input sweeps use this
-/// to amortize decode across a whole sweep. Results are bit-identical to
-/// N separate [`simulate_with`] calls.
-pub fn simulate_batch(
-    compiled: &Compiled,
-    config: &SimConfig,
-    input_sets: &[Vec<(String, Vec<u8>)>],
-) -> Vec<Result<SimResult, sim::SimError>> {
-    let mut config = config.clone();
-    config.dts |= compiled.config.dts;
-    let resolved: Vec<Vec<(u32, Vec<u8>)>> = input_sets
-        .iter()
-        .map(|set| resolve_inputs(&compiled.module, set))
-        .collect();
-    sim::run_batch(&compiled.program, &config, &resolved)
-}
-
 /// Reference interpreter run of the *compiled (transformed)* module on the
 /// evaluation inputs — used in differential tests.
 ///

@@ -49,35 +49,15 @@ pub fn run_program(
     sim.run()
 }
 
-/// Batch mode: simulate `program` once per entry of `input_sets`, sharing
-/// one predecoded image across all runs. With the turbo engine the handler
-/// LUT, block structure and static per-block activity (split by DTS class
-/// when `config.dts` is set) are built exactly once, so N-input sweeps
-/// (fig15/fig16, the empirical gate's training sims) amortize decode
-/// entirely; the reference engine runs N independent [`run_program`]
-/// calls. Results are bit-identical to sequential single runs either way —
-/// the image holds no per-run state.
+/// Simulates `program` once per entry of `input_sets`: one independent
+/// [`run_program`] call each, results in input order.
 pub fn run_batch(
     program: &backend::Program,
     config: &SimConfig,
     input_sets: &[Vec<(u32, Vec<u8>)>],
 ) -> Vec<Result<SimResult, SimError>> {
-    if config.engine == Engine::Turbo {
-        let img = turbo::TurboImage::build(program, config.dts);
-        input_sets
-            .iter()
-            .map(|inputs| {
-                let mut sim = Simulator::new(program, config);
-                for (addr, data) in inputs {
-                    sim.install(*addr, data);
-                }
-                sim.run_turbo_with(&img)
-            })
-            .collect()
-    } else {
-        input_sets
-            .iter()
-            .map(|inputs| run_program(program, config, inputs))
-            .collect()
-    }
+    input_sets
+        .iter()
+        .map(|inputs| run_program(program, config, inputs))
+        .collect()
 }

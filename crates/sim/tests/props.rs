@@ -136,69 +136,6 @@ fn engines_agree_on_synthetic_kernels() {
     }
 }
 
-/// Batch mode returns bit-identical results to N sequential single runs —
-/// the shared predecoded image must hold no per-run state, with DTS off and
-/// on (a DTS image also carries the per-class activity split).
-#[test]
-fn batch_matches_sequential_runs() {
-    use bitspec::{build, BuildConfig, Workload};
-    let src = "global u8 data[256];
-        void main() {
-            u32 s = 0;
-            for (u32 i = 0; i < 256; i++) { s = (s + data[i]) & 0xFFFF; }
-            out(s);
-        }";
-    let w = Workload::from_source("batch", src).with_input("data", vec![1; 256]);
-    let c = build(&w, &BuildConfig::bitspec()).expect("build");
-    // Resolve the global's address once via a probe set.
-    let layout = interp::Layout::new(&c.module);
-    let gi = c
-        .module
-        .globals
-        .iter()
-        .position(|g| g.name == "data")
-        .expect("global");
-    let addr = layout.addr(sir::GlobalId(gi as u32));
-    let mut rng = Rng(0xBA7C4);
-    let sets: Vec<Vec<(u32, Vec<u8>)>> = (0..8)
-        .map(|_| {
-            let data: Vec<u8> = (0..256).map(|_| rng.next_u64() as u8).collect();
-            vec![(addr, data)]
-        })
-        .collect();
-    for dts in [false, true] {
-        let cfg = sim::SimConfig {
-            dts,
-            ..sim::SimConfig::default()
-        };
-        let batched = sim::run_batch(&c.program, &cfg, &sets);
-        assert_eq!(batched.len(), sets.len());
-        for (i, (b, set)) in batched.iter().zip(&sets).enumerate() {
-            let single = sim::run_program(&c.program, &cfg, set).expect("single run");
-            let b = b.as_ref().expect("batched run");
-            assert_eq!(b.outputs, single.outputs, "dts={dts} set {i}: outputs");
-            assert_eq!(b.cycles, single.cycles, "dts={dts} set {i}: cycles");
-            assert_eq!(b.counts, single.counts, "dts={dts} set {i}: counts");
-            assert_eq!(b.activity, single.activity, "dts={dts} set {i}: activity");
-            let bits = |e: &sim::EnergyBreakdown| {
-                [e.alu, e.regfile, e.icache, e.dcache, e.pipeline].map(f64::to_bits)
-            };
-            assert_eq!(
-                bits(&b.energy),
-                bits(&single.energy),
-                "dts={dts} set {i}: energy bits"
-            );
-        }
-        // Distinct inputs must actually produce distinct outputs (the runs
-        // are independent, not aliased onto one simulator state).
-        let outs: Vec<_> = batched
-            .iter()
-            .map(|r| r.as_ref().unwrap().outputs.clone())
-            .collect();
-        assert!(outs.windows(2).any(|w| w[0] != w[1]), "inputs too uniform");
-    }
-}
-
 /// Differential ALU check: machine-level slice arithmetic agrees with the
 /// IR interpreter's speculative evaluation for every op/operand pair.
 #[test]
