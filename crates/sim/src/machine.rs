@@ -20,12 +20,11 @@ pub enum Engine {
     Reference,
     /// Predecoded handler-LUT dispatch with basic-block fusion: one
     /// static decode per instruction into a handler function pointer +
-    /// packed operands, straight-line runs fused into block
-    /// superinstructions whose counters are accumulated once at
-    /// predecode time (split by DTS class when DTS is on), per-instruction
-    /// fallback on misspeculation redirects that enter mid-block. Supports
-    /// batched multi-input runs over one predecoded image
-    /// ([`crate::run_batch`]).
+    /// packed operands, dispatched one handler per instruction; the
+    /// counters of each straight-line block are accumulated once at
+    /// predecode time (split by DTS class when DTS is on), with
+    /// per-instruction fallback on misspeculation redirects that enter
+    /// mid-block.
     #[default]
     Turbo,
 }
