@@ -34,7 +34,9 @@ pub enum Engine {
 pub struct SimConfig {
     /// Enable the dynamic-timing-slack mode (RQ8).
     pub dts: bool,
-    /// Dynamic instruction budget.
+    /// Dynamic instruction budget: a run that executes N instructions
+    /// (`counts.dyn_insts`, which leaves out the final `Halt`) needs
+    /// `fuel >= N`.
     pub fuel: u64,
     /// Energy model constants.
     pub energy: EnergyModel,
@@ -242,13 +244,14 @@ impl<'p> Simulator<'p> {
     pub(crate) fn run_reference(mut self) -> Result<SimResult, SimError> {
         let em = self.cfg.energy;
         loop {
-            if self.counts.dyn_insts >= self.cfg.fuel {
-                return Err(SimError::OutOfFuel);
-            }
             let pc = self.pc;
             let inst = &self.p.insts[pc];
+            // `Halt` is not counted in `dyn_insts`, so it takes no fuel.
             if matches!(inst, MInst::Halt) {
                 break;
+            }
+            if self.counts.dyn_insts >= self.cfg.fuel {
+                return Err(SimError::OutOfFuel);
             }
             self.counts.dyn_insts += 1;
             // --- fetch ------------------------------------------------------

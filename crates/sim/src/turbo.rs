@@ -2021,14 +2021,14 @@ impl<'p> Simulator<'p> {
         let fuel = self.cfg.fuel;
         let shift = img.line_shift;
         loop {
-            if self.counts.dyn_insts >= fuel {
-                return Err(SimError::OutOfFuel);
-            }
             let pc = self.pc;
             // An out-of-range pc panics here, as in the reference engine.
             let inst = &p.insts[pc];
             if matches!(inst, MInst::Halt) {
                 return Ok(true);
+            }
+            if self.counts.dyn_insts >= fuel {
+                return Err(SimError::OutOfFuel);
             }
             self.counts.dyn_insts += 1;
             let pre = p.pre[pc];
@@ -2157,12 +2157,7 @@ impl<'p> Simulator<'p> {
                 // hot path pays a single almost-never-taken branch.
                 if blk.n == 0 || self.counts.dyn_insts + u64::from(blk.n) > fuel {
                     match blk.term {
-                        Term::Halt => {
-                            if self.counts.dyn_insts >= fuel {
-                                return Err(SimError::OutOfFuel);
-                            }
-                            break 'outer;
-                        }
+                        Term::Halt => break 'outer,
                         _ => {
                             // `Oob`: fail via the fallback's `insts[pc]`
                             // access, like the reference engine. Fuel-tight:

@@ -409,10 +409,10 @@ fn sweep_fuel(name: &str, p: &Program, inputs: &[(u32, Vec<u8>)]) {
         for fuel in 0..=total + 1 {
             let [refr, turbo] = outcomes(p, inputs, dts, fuel);
             assert_eq!(turbo, refr, "{name}/dts={dts}/fuel={fuel}");
-            // Reaching `Halt` also needs a unit of fuel.
+            // `Halt` is not counted, so it takes no fuel.
             assert_eq!(
                 refr.is_ok(),
-                fuel > total,
+                fuel >= total,
                 "{name}/dts={dts}/fuel={fuel}: total {total}"
             );
         }
