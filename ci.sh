@@ -128,3 +128,17 @@ cargo run --release -p serve --bin bitspecd -- \
 grep -q '"computed": 0' "$STORE_DIR/warm.raw"   # everything off disk
 cmp "$STORE_DIR/cold.jsonl" "$STORE_DIR/warm.jsonl"  # bit-identical
 rm -rf "$STORE_DIR"
+# A figure served from the store: fig09 cold into a scratch store, then
+# from a second process that reassembles every cell from its manifest and
+# its module, program and profile parts. Both print results/fig09.txt, and
+# the warm run publishes no manifest of its own.
+FIG_STORE=$(mktemp -d)
+BITSPEC_STORE_DIR="$FIG_STORE" cargo run --release -q -p bench --bin fig09 \
+  > "$FIG_STORE/cold.txt"
+MANIFESTS=$(ls "$FIG_STORE/manifest" | wc -l)
+BITSPEC_STORE_DIR="$FIG_STORE" cargo run --release -q -p bench --bin fig09 \
+  > "$FIG_STORE/warm.txt"
+cmp "$FIG_STORE/cold.txt" results/fig09.txt
+cmp "$FIG_STORE/warm.txt" results/fig09.txt
+test "$(ls "$FIG_STORE/manifest" | wc -l)" -eq "$MANIFESTS"
+rm -rf "$FIG_STORE"

@@ -163,8 +163,8 @@ fn main() {
     let mut populate_fps = Vec::with_capacity(cells);
     for w in &workloads {
         for cfg in &cfgs {
-            let (cell, _) = run_cached_traced(w, cfg);
-            populate_fps.push(backend::program_fingerprint(&cell.0.program));
+            let (manifest, _) = run_cached_traced(w, cfg);
+            populate_fps.push(manifest.parts.program);
         }
     }
     let store_populate = t.elapsed().as_secs_f64();
@@ -176,13 +176,12 @@ fn main() {
         .flat_map(|w| cfgs.iter().map(move |c| (w, c)))
         .enumerate()
     {
-        let (cell, source) = run_cached_traced(w, cfg);
+        let (manifest, source) = run_cached_traced(w, cfg);
         if source == CellSource::Disk {
             disk_hits += 1;
         }
         assert_eq!(
-            backend::program_fingerprint(&cell.0.program),
-            populate_fps[i],
+            manifest.parts.program, populate_fps[i],
             "{}: disk-served artifact differs from the build that populated it",
             w.name
         );

@@ -9,9 +9,10 @@
 //! This library holds the shared run/format helpers.
 
 use bitspec::memo::{Codec, Memo};
-use bitspec::{build, stages, BuildConfig, Compiled, SimConfig, SimResult, Workload};
+use bitspec::{build, stages, wire, BuildConfig, Compiled, Manifest, Program, SimConfig};
+use bitspec::{SimResult, Workload};
 use std::convert::Infallible;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub use bitspec::pool;
 
@@ -41,10 +42,17 @@ pub fn run(w: &Workload, cfg: &BuildConfig) -> (Compiled, SimResult) {
 /// Panics on build or simulation failure.
 pub fn run_with(w: &Workload, cfg: &BuildConfig, sim_cfg: &SimConfig) -> (Compiled, SimResult) {
     let c = build(w, cfg).unwrap_or_else(|e| panic!("{}: build failed: {e}", w.name));
+    let r = evaluate(w, &c, None, sim_cfg);
+    (c, r)
+}
+
+/// The evaluation run of `c` on `w`'s inputs through [`stages::sim`];
+/// `program_fp` as there.
+fn evaluate(w: &Workload, c: &Compiled, program_fp: Option<u64>, sim_cfg: &SimConfig) -> SimResult {
     let inputs = bitspec::resolve_inputs(&c.module, &w.inputs);
-    let (run, _) = stages::sim(&c.program, &inputs, sim_cfg, c.config.dts)
+    let (run, _) = stages::sim(&c.program, program_fp, &inputs, sim_cfg, c.config.dts)
         .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", w.name));
-    (c, run.result.clone())
+    run.result.clone()
 }
 
 /// One build+simulate artifact, shared across harness call sites.
@@ -54,44 +62,128 @@ pub type Cell = Arc<(Compiled, SimResult)>;
 /// serve layer streams back per request.
 pub use bitspec::memo::Source as CellSource;
 
-/// Whole cells, keyed by the structural [`bitspec::fingerprint::cell_key`]
-/// (workload contents plus every `BuildConfig` field) and stored under
-/// the `cell` kind.
-static CELLS: Memo<(Compiled, SimResult)> = Memo::new(
-    "cell",
+/// One memoized cell: its manifest, and the full cell once this process
+/// computed or reassembled it. A manifest read from the store arrives
+/// without the cell; [`run_cached`] reassembles it from the parts.
+struct Entry {
+    manifest: Arc<Manifest>,
+    cell: OnceLock<Cell>,
+}
+
+fn encode_entry(e: &Entry) -> Vec<u8> {
+    wire::encode(&*e.manifest)
+}
+
+fn decode_entry(bytes: &[u8]) -> Result<Entry, wire::WireError> {
+    Ok(Entry {
+        manifest: Arc::new(wire::decode(bytes)?),
+        cell: OnceLock::new(),
+    })
+}
+
+/// Cells, keyed by the structural [`bitspec::fingerprint::cell_key`]
+/// (workload contents plus every `BuildConfig` field); the store holds
+/// each as a manifest (`manifest` kind) naming its parts.
+static CELLS: Memo<Entry> = Memo::new(
+    "manifest",
     Some(Codec {
-        enc: bitspec::wire::encode,
-        dec: bitspec::wire::decode,
+        enc: encode_entry,
+        dec: decode_entry,
+    }),
+);
+
+/// Final modules by [`stages::content_key`]: a cell's module part.
+static MODULES: Memo<sir::Module> = Memo::new(
+    "module",
+    Some(Codec {
+        enc: wire::encode,
+        dec: wire::decode,
+    }),
+);
+
+/// Linked programs by [`bitspec::program_fingerprint`]: a cell's program
+/// part.
+static PROGRAMS: Memo<Program> = Memo::new(
+    "program",
+    Some(Codec {
+        enc: wire::encode,
+        dec: wire::decode,
     }),
 );
 
 /// Like [`run`], but memoized in a process-wide artifact cache: a repeat
 /// of the same (workload, config) cell — common across harnesses and
 /// within the matrix sweeps — returns the shared artifact instead of
-/// re-running the pipeline.
+/// re-running the pipeline. A cell whose manifest came from the store is
+/// reassembled from its parts; a missing or corrupt part counts as store
+/// corruption, and the cell is recomputed and its parts republished.
 ///
 /// # Panics
 /// Panics on build or simulation failure.
 pub fn run_cached(w: &Workload, cfg: &BuildConfig) -> Cell {
-    run_cached_traced(w, cfg).0
+    let (entry, _) = lookup(w, cfg);
+    let cell = entry.cell.get_or_init(|| {
+        materialize(&entry.manifest).unwrap_or_else(|| {
+            let (c, r, _) = compute(w, cfg);
+            Arc::new((c, r))
+        })
+    });
+    Arc::clone(cell)
 }
 
-/// [`run_cached`] with hit/miss provenance, looked up memory → disk →
+/// A cell's manifest with hit/miss provenance, looked up memory → disk →
 /// compute through a single-flight memo ([`bitspec::memo`]): concurrent
 /// requests for one cell compute it once. With an active persistent store
-/// ([`bitspec::store::active`]) whole cells — the compiled artifact plus
-/// its evaluation-input sim result — round-trip through the store, so a
-/// fresh process re-sweeping a warmed store serves disk hits instead of
-/// rebuilding; computed cells are published for the next process. A
-/// corrupt or undecodable entry is counted as corrupt, deleted, and
+/// ([`bitspec::store::active`]) a computed cell publishes its module and
+/// program parts, then its manifest, so a fresh process re-sweeping a
+/// warmed store serves disk hits that read and decode manifests only. A
+/// corrupt or undecodable manifest is counted as corrupt, deleted, and
 /// recomputed + republished.
 ///
 /// # Panics
 /// Panics on build or simulation failure.
-pub fn run_cached_traced(w: &Workload, cfg: &BuildConfig) -> (Cell, CellSource) {
+pub fn run_cached_traced(w: &Workload, cfg: &BuildConfig) -> (Arc<Manifest>, CellSource) {
+    let (entry, source) = lookup(w, cfg);
+    (Arc::clone(&entry.manifest), source)
+}
+
+fn lookup(w: &Workload, cfg: &BuildConfig) -> (Arc<Entry>, CellSource) {
     let key = bitspec::fingerprint::cell_key(w, cfg);
-    let Ok(cell) = CELLS.get(key, false, || Ok::<_, Infallible>(run(w, cfg)));
-    cell
+    let Ok(found) = CELLS.get(key, false, || {
+        let (c, r, parts) = compute(w, cfg);
+        Ok::<_, Infallible>(Entry {
+            manifest: Arc::new(Manifest::of(&c, &r, parts)),
+            cell: OnceLock::from(Arc::new((c, r))),
+        })
+    });
+    found
+}
+
+/// [`run`], also returning the cell's part keys (the evaluation sim reuses
+/// the program's), after publishing its module and program parts, each
+/// once per process. Its profile part is the `profile` stage's own store
+/// entry. The cell memo writes the manifest after this returns, so a
+/// manifest on disk names parts already there.
+fn compute(w: &Workload, cfg: &BuildConfig) -> (Compiled, SimResult, bitspec::PartKeys) {
+    let (c, parts) =
+        bitspec::build_keyed(w, cfg).unwrap_or_else(|e| panic!("{}: build failed: {e}", w.name));
+    let r = evaluate(w, &c, Some(parts.program), &SimConfig::default());
+    MODULES.publish(parts.module, &c.module);
+    PROGRAMS.publish(parts.program, &c.program);
+    (c, r, parts)
+}
+
+/// Reassembles the cell a manifest describes from its parts, or `None`
+/// when a part is missing or corrupt.
+fn materialize(m: &Manifest) -> Option<Cell> {
+    let module = MODULES.get_part(m.parts.module)?;
+    let program = PROGRAMS.get_part(m.parts.program)?;
+    let profile = stages::stored_profile(m.parts.profile)?;
+    Some(Arc::new(m.cell(
+        module,
+        (*program).clone(),
+        Arc::clone(&profile.profile),
+    )))
 }
 
 /// The full evaluation matrix the sweep harnesses share: the fig09 pair
@@ -129,10 +221,12 @@ pub fn suite_configs() -> Vec<BuildConfig> {
     cfgs
 }
 
-/// Drops every cached cell and simulation (tests use this to force
-/// rebuilds).
+/// Drops every cached cell, cell part and simulation (tests use this to
+/// force rebuilds).
 pub fn clear_cache() {
     CELLS.clear();
+    MODULES.clear();
+    PROGRAMS.clear();
     stages::clear_sims();
 }
 

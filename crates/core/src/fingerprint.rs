@@ -192,21 +192,16 @@ fn sim_config_key(cfg: &SimConfig) -> u64 {
     h.finish()
 }
 
-/// Cache key of one simulation run ([`crate::stages::sim`]): `program`'s
-/// [`backend::program_fingerprint`], the inputs already resolved to the
+/// Cache key of one simulation run ([`crate::stages::sim`]): the
+/// program's [`backend::program_fingerprint`] `program_fp`, the inputs already resolved to the
 /// `(address, bytes)` pairs the simulator installs, every `cfg` field,
 /// and the build's own DTS flag `dts` (which the run ORs into `cfg`).
 /// Everything the simulation reads is covered, so any two callers that
 /// run the same program on the same memory image share one run.
-pub fn sim_run_key(
-    program: &backend::Program,
-    inputs: &[(u32, Vec<u8>)],
-    cfg: &SimConfig,
-    dts: bool,
-) -> u64 {
+pub fn sim_run_key(program_fp: u64, inputs: &[(u32, Vec<u8>)], cfg: &SimConfig, dts: bool) -> u64 {
     let mut h = Fnv::new();
     h.str("sim");
-    h.u64(backend::program_fingerprint(program));
+    h.u64(program_fp);
     h.u64(inputs.len() as u64);
     for (addr, data) in inputs {
         h.u32(*addr);
@@ -226,7 +221,7 @@ pub fn sim_run_key(
 /// Panics when an input names no global of the compiled module.
 pub fn sim_key(compiled: &Compiled, inputs: &[(String, Vec<u8>)], cfg: &SimConfig) -> u64 {
     sim_run_key(
-        &compiled.program,
+        backend::program_fingerprint(&compiled.program),
         &crate::resolve_inputs(&compiled.module, inputs),
         cfg,
         compiled.config.dts,

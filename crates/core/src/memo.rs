@@ -15,10 +15,18 @@
 //!
 //! Waiting cannot deadlock: a leader's `make` only looks up kinds
 //! strictly below its own in the DAG `expand → front`,
-//! `gate → {fnmir, sim}`, `cell → all`, so no chain of waits can close
-//! a cycle. (Content-keyed kinds such as `profile` and `gate` look their
-//! upstream artifact up *before* leading, to compute the key, never
-//! inside `make`.)
+//! `gate → {fnmir, sim}`, `manifest → all`, so no chain of waits can
+//! close a cycle. (Content-keyed kinds such as `profile` and `gate` look
+//! their upstream artifact up *before* leading, to compute the key, never
+//! inside `make`.) A part lookup ([`Memo::get_part`]) and a
+//! [`Memo::publish`] lead with no `make` at all: only a disk read or
+//! write.
+//!
+//! **Parts.** A value computed inside another artifact's `make` — a bench
+//! cell's module and program — is written to the store with
+//! [`Memo::publish`], once per key per process and without being held in
+//! memory, and read back by key with [`Memo::get_part`], which never
+//! computes: a missing part is the caller's to handle.
 //!
 //! **Counters.** One process-wide table keyed by kind name ([`stats`])
 //! holds every memo's [`Counts`]. Bypassed lookups and a disabled memo
@@ -144,8 +152,11 @@ fn count(kind: &'static str, bump: impl FnOnce(&mut Counts)) {
 
 enum Slot<V> {
     Ready(Arc<V>),
-    /// A leader is computing this key.
+    /// A leader is computing this key (or publishing it).
     Running,
+    /// Published to the store by [`Memo::publish`], not held in memory:
+    /// lookups go to the disk tier as for an absent key.
+    Stored,
 }
 
 /// A process-wide single-flight memo for one kind of value.
@@ -196,6 +207,54 @@ impl<V> Memo<V> {
         if bypass || !enabled() {
             return Ok((Arc::new(make()?), Source::Computed));
         }
+        self.lookup(key, false, make)
+    }
+
+    /// Looks up a part another artifact names by `key`, memory → disk,
+    /// never computing. `None` when neither tier holds a usable copy; a
+    /// missing store entry then counts as corrupt, like a damaged one,
+    /// since the naming artifact promised it. Always `None` with the
+    /// memos disabled.
+    pub fn get_part(&self, key: u64) -> Option<Arc<V>> {
+        if !enabled() {
+            return None;
+        }
+        self.lookup(key, true, || Err(())).ok().map(|(v, _)| v)
+    }
+
+    /// Writes `v`, computed inside another artifact, to the store under
+    /// `key` unless this process already wrote or read that key since the
+    /// last [`Memo::clear`]. The value is not kept in memory. A no-op
+    /// without a codec, an active store or enabled memos.
+    pub fn publish(&self, key: u64, v: &V) {
+        let Some((codec, store)) = self.codec.as_ref().zip(store::active()) else {
+            return;
+        };
+        if !enabled() {
+            return;
+        }
+        {
+            let mut slots = self.lock();
+            if slots.contains_key(&key) {
+                return;
+            }
+            // Running until the entry is on disk, so a concurrent
+            // `get_part` of this key waits for it instead of missing.
+            slots.insert(key, Slot::Running);
+        }
+        let lead = Lead { memo: self, key };
+        store.put(self.kind, key, &(codec.enc)(v));
+        lead.settle(Slot::Stored);
+    }
+
+    /// [`Memo::get`] past the bypass check; `required` marks a part
+    /// lookup ([`Memo::get_part`]).
+    fn lookup<E>(
+        &self,
+        key: u64,
+        required: bool,
+        make: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(Arc<V>, Source), E> {
         let mut slots = self.lock();
         let mut waited = false;
         loop {
@@ -216,7 +275,7 @@ impl<V> Memo<V> {
                         .wait(slots)
                         .unwrap_or_else(PoisonError::into_inner);
                 }
-                None => break,
+                Some(Slot::Stored) | None => break,
             }
         }
         slots.insert(key, Slot::Running);
@@ -224,7 +283,7 @@ impl<V> Memo<V> {
         let lead = Lead { memo: self, key };
         let disk = self.codec.as_ref().zip(store::active());
         if let Some((codec, store)) = &disk {
-            if let Some(v) = store::get_decoded(store, self.kind, key, codec.dec) {
+            if let Some(v) = store::get_decoded(store, self.kind, key, required, codec.dec) {
                 count(self.kind, |c| {
                     c.hits += 1;
                     c.disk_hits += 1;
@@ -253,10 +312,14 @@ struct Lead<'a, V> {
 impl<V> Lead<'_, V> {
     fn publish(self, v: V) -> Arc<V> {
         let v = Arc::new(v);
-        self.memo
-            .lock()
-            .insert(self.key, Slot::Ready(Arc::clone(&v)));
+        self.settle(Slot::Ready(Arc::clone(&v)));
         v
+    }
+
+    /// Replaces the in-flight slot with its outcome (the drop then wakes
+    /// the waiters).
+    fn settle(self, slot: Slot<V>) {
+        self.memo.lock().insert(self.key, slot);
     }
 }
 

@@ -132,9 +132,15 @@ impl SirStage {
 /// sizes one slot per arena entry, dead or not), which the fingerprint
 /// alone does not.
 pub fn content_key(m: &sir::Module) -> u64 {
+    content_key_of(ir_fingerprint(m), m)
+}
+
+/// [`content_key`] of `m` given its [`ir_fingerprint`] `fp`, which the
+/// pass manager records after every SIR pass.
+pub(crate) fn content_key_of(fp: u64, m: &sir::Module) -> u64 {
     let mut h = Fnv::new();
     h.str("content");
-    h.u64(ir_fingerprint(m));
+    h.u64(fp);
     h.u64(m.funcs.len() as u64);
     for f in &m.funcs {
         h.u64(f.insts.len() as u64);
@@ -454,6 +460,29 @@ pub fn profile(
     reference: bool,
     tr: &mut Tracer,
 ) -> Result<(Arc<sir::Module>, Arc<ProfileData>, StageHits), BuildError> {
+    let p = profiled(w, ecfg, reference, tr)?;
+    Ok((p.module, p.data, p.hits))
+}
+
+/// What [`profile`] returns, plus the keys a cell's manifest names the
+/// expanded module and the profile by ([`crate::PartKeys`]).
+pub(crate) struct Profiled {
+    pub module: Arc<sir::Module>,
+    /// [`content_key`] of `module`.
+    pub content: u64,
+    pub data: Arc<ProfileData>,
+    /// The `profile` stage key of `data`.
+    pub key: u64,
+    pub hits: StageHits,
+}
+
+/// [`profile`], returning the keys too.
+pub(crate) fn profiled(
+    w: &Workload,
+    ecfg: &ExpanderConfig,
+    reference: bool,
+    tr: &mut Tracer,
+) -> Result<Profiled, BuildError> {
     let policy = tr.policy.clone();
     let (art, mut hits) = expand_art(w, ecfg, &policy)?;
     let key = profile_key(art.content, w);
@@ -471,7 +500,20 @@ pub fn profile(
     hits.profile = src.hit();
     tr.replay(&art.traces, hits.expand);
     tr.replay(&data.traces, hits.profile);
-    Ok((Arc::clone(&art.module), data, hits))
+    Ok(Profiled {
+        module: Arc::clone(&art.module),
+        content: art.content,
+        data,
+        key,
+        hits,
+    })
+}
+
+/// The profile stage artifact stored under profile key `key` — a cell
+/// manifest's profile part — from memory or the store, never computed
+/// ([`crate::memo::Memo::get_part`]).
+pub fn stored_profile(key: u64) -> Option<Arc<ProfileData>> {
+    PROFILE.get_part(key)
 }
 
 /// Stage 4 (gated builds only): the empirical gate's unsqueezed
@@ -616,7 +658,9 @@ pub fn codegen(
 /// Stage 6: one simulation of a linked `program` on `inputs`, already
 /// resolved to the `(address, bytes)` pairs the simulator installs
 /// ([`crate::resolve_inputs`]), under `cfg` with the build's DTS flag
-/// `dts` ORed in. A memory-only single-flight memo keyed by
+/// `dts` ORed in. `program_fp` is the program's
+/// [`backend::program_fingerprint`] when the caller already holds it.
+/// A memory-only single-flight memo keyed by
 /// [`crate::fingerprint::sim_run_key`]: the empirical gate's two
 /// training-input legs and `bench::run_with`'s evaluation run share it,
 /// so a program is simulated once per distinct run however many of them
@@ -628,13 +672,15 @@ pub fn codegen(
 /// Propagates simulator faults (never cached).
 pub fn sim(
     program: &backend::Program,
+    program_fp: Option<u64>,
     inputs: &[(u32, Vec<u8>)],
     cfg: &SimConfig,
     dts: bool,
 ) -> Result<(Arc<SimRun>, bool), ::sim::SimError> {
     // A disabled memo never reads the key, so it must not pay for one.
     let key = if crate::memo::enabled() {
-        crate::fingerprint::sim_run_key(program, inputs, cfg, dts)
+        let fp = program_fp.unwrap_or_else(|| backend::program_fingerprint(program));
+        crate::fingerprint::sim_run_key(fp, inputs, cfg, dts)
     } else {
         0
     };

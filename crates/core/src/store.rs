@@ -68,7 +68,8 @@ pub struct StoreStats {
     pub hits: u64,
     /// Reads that found no entry.
     pub misses: u64,
-    /// Reads that found a corrupt/mismatched entry (deleted + recomputed).
+    /// Reads that found a corrupt/mismatched entry (deleted + recomputed),
+    /// or no entry where another entry named one (a manifest's part).
     pub corrupt: u64,
     /// Artifacts published.
     pub puts: u64,
@@ -192,11 +193,20 @@ impl Store {
     /// corrupt or mis-versioned entry is deleted, counted, and reported
     /// as a miss too — the caller recomputes and republishes.
     pub fn get(&self, kind: &str, key: u64) -> Option<Vec<u8>> {
+        self.read(kind, key, false)
+    }
+
+    /// [`Store::get`], where `required` counts a missing entry as corrupt:
+    /// another entry named it (a manifest its part), so its absence is a
+    /// damaged store, not a cold one.
+    fn read(&self, kind: &str, key: u64, required: bool) -> Option<Vec<u8>> {
         let path = self.entry_path(kind, key);
         let data = match fs::read(&path) {
             Ok(d) => d,
             Err(_) => {
-                counters().misses.fetch_add(1, Ordering::SeqCst);
+                let c = counters();
+                let missing = if required { &c.corrupt } else { &c.misses };
+                missing.fetch_add(1, Ordering::SeqCst);
                 return None;
             }
         };
@@ -415,14 +425,16 @@ pub fn active() -> Option<Arc<Store>> {
 
 /// Typed read-through: fetch `(kind, key)` from the active store and
 /// decode it; a decode failure (codec drift within one schema version)
-/// counts as corruption and deletes the entry.
+/// counts as corruption and deletes the entry. With `required`, a
+/// missing entry counts as corrupt too ([`Store::read`]).
 pub(crate) fn get_decoded<T>(
     store: &Store,
     kind: &str,
     key: u64,
+    required: bool,
     dec: impl FnOnce(&[u8]) -> Result<T, crate::wire::WireError>,
 ) -> Option<T> {
-    let bytes = store.get(kind, key)?;
+    let bytes = store.read(kind, key, required)?;
     match dec(&bytes) {
         Ok(v) => Some(v),
         Err(_) => {

@@ -30,7 +30,7 @@
 //!   rewrite).
 
 use crate::stages::{GateRef, ProfileData, SirStage, StageHits};
-use crate::{Arch, BuildConfig, BuildTrace, Compiled, SimResult};
+use crate::{Arch, BuildConfig, BuildTrace, Compiled, Manifest, PartKeys, SimResult};
 use backend::emit::{FnCode, FnFixup};
 use backend::mir::MBlockId;
 use backend::{FnArtifact, Program};
@@ -901,6 +901,10 @@ wire_struct! {
     Compiled {
         module, program, profile, squeeze, config, profile_dyn_insts, used_squeezed,
         stage_hits, trace,
+    }
+    PartKeys { module, program, profile }
+    Manifest {
+        config, used_squeezed, squeeze, profile_dyn_insts, stage_hits, trace, sim, parts,
     }
 }
 

@@ -5,8 +5,11 @@
 //! cells across `bitspec::pool` workers, and stream one JSONL result
 //! line per request with hit/miss provenance (memory / disk / computed).
 //! Artifact lookups go memory → persistent store → compute via
-//! [`bench::run_cached_traced`], so a warmed store turns a whole batch
-//! into disk reads.
+//! [`bench::run_cached_traced`], which returns each cell's
+//! [`bitspec::Manifest`]. A result line and the batch's `suite_fp` read
+//! only the manifest (`build_fp` is its program key), so a warmed store
+//! turns a whole batch into reads of small manifests: the cells' modules,
+//! programs and profiles stay on disk, undecoded.
 //!
 //! ## Request protocol
 //!
@@ -33,9 +36,9 @@
 use bench::{run_cached_traced, suite_configs, CellSource};
 use bitspec::fingerprint::cell_key;
 use bitspec::fingerprint::Fnv;
-use bitspec::{pool, Arch, BitwidthHeuristic, BuildConfig, Workload};
+use bitspec::{pool, Arch, BitwidthHeuristic, BuildConfig, Manifest, Workload};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// What a request asks for (cells always hold build + sim; the op picks
 /// the fields the result line carries).
@@ -302,11 +305,10 @@ pub fn serve_batch(
         served_by[*ui].push(ri);
     }
 
-    let emit_line = |ri: usize, cell: &bench::Cell, source: CellSource| {
+    let emit_line = |ri: usize, m: &Manifest, source: CellSource| {
         let r = &reqs[ri];
         let (key, _, dedup) = req_cell[ri];
-        let (c, sim) = (&cell.0, &cell.1);
-        let build_fp = backend::program_fingerprint(&c.program);
+        let build_fp = m.parts.program;
         let mut line = format!(
             "{{\"id\": {}, \"op\": \"{}\", \"workload\": \"{}\", \"config\": \"{}\", \
              \"key\": \"{key:016x}\", \"source\": \"{}\", \"dedup\": {dedup}, \
@@ -319,14 +321,14 @@ pub fn serve_batch(
             r.workload.name,
             r.label,
             source.label(),
-            c.used_squeezed,
+            m.used_squeezed,
         );
         if r.op == Op::Sim {
             line.push_str(&format!(
                 ", \"outputs_fnv\": \"{:016x}\", \"cycles\": {}, \"energy_pj\": {:.4}",
-                outputs_fnv(&sim.outputs),
-                sim.cycles,
-                sim.total_energy(),
+                outputs_fnv(&m.sim.outputs),
+                m.sim.cycles,
+                m.sim.total_energy(),
             ));
         }
         line.push('}');
@@ -334,17 +336,17 @@ pub fn serve_batch(
     };
 
     let emit_mutex = Mutex::new(());
-    let results: Vec<(bench::Cell, CellSource)> = pool::run_ordered(uniques.len(), jobs, |ui| {
+    let results: Vec<(Arc<Manifest>, CellSource)> = pool::run_ordered(uniques.len(), jobs, |ui| {
         let r = uniques[ui];
-        let (cell, source) = run_cached_traced(&r.workload, &r.cfg);
+        let (m, source) = run_cached_traced(&r.workload, &r.cfg);
         if !ordered {
             // Stream: this cell is done, emit every request it serves.
             let _g = emit_mutex.lock().expect("emit lock");
             for &ri in &served_by[ui] {
-                emit_line(ri, &cell, source);
+                emit_line(ri, &m, source);
             }
         }
-        (cell, source)
+        (m, source)
     });
 
     if ordered {
@@ -359,11 +361,11 @@ pub fn serve_batch(
     // fingerprint comparable between a batch and its deduped repeat.
     let mut h = Fnv::new();
     for (ui, r) in uniques.iter().enumerate() {
-        let (cell, _) = &results[ui];
+        let (m, _) = &results[ui];
         h.u64(cell_key(&r.workload, &r.cfg));
-        h.u64(backend::program_fingerprint(&cell.0.program));
-        h.u64(outputs_fnv(&cell.1.outputs));
-        h.u64(cell.1.cycles);
+        h.u64(m.parts.program);
+        h.u64(outputs_fnv(&m.sim.outputs));
+        h.u64(m.sim.cycles);
     }
 
     let mut stats = ServeStats {

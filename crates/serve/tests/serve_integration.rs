@@ -1,15 +1,19 @@
 //! Serve-layer integration: the cell-level cache tiers under
-//! [`bench::run_cached_traced`], corrupt cell entries falling back to
-//! compute, and real `bitspecd` child processes — concurrent children
-//! racing one store, and fresh-store children agreeing bit-for-bit.
+//! [`bench::run_cached_traced`], corrupt manifests falling back to
+//! compute, damaged module and program parts (served from the manifest,
+//! recomputed by the harness path), and real `bitspecd` child processes
+//! — concurrent children racing one store, and fresh-store children
+//! agreeing bit-for-bit.
 //!
 //! The store configuration, cell cache and stage caches are all
 //! process-global, so the in-process tests take a file-wide lock and
 //! use tag-unique sources. The child-process tests are independent of
 //! this process's globals but still serialize to keep wall-clock sane.
 
-use bench::{clear_cache, run_cached_traced, CellSource};
-use bitspec::{stages, store, BuildConfig, Workload};
+use bench::{clear_cache, run_cached, run_cached_traced, CellSource};
+use bitspec::memo::{self, Counts};
+use bitspec::{stages, store, wire, BuildConfig, Workload};
+use serve::{serve_batch, suite_requests, Op, Request};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -79,19 +83,41 @@ fn cell_cache_walks_memory_then_disk_then_compute() {
     let (mem, src) = run_cached_traced(&w, &cfg);
     assert_eq!(src, CellSource::Memory);
     assert!(std::sync::Arc::ptr_eq(&cold, &mem), "memory tier shares");
+    let cell = run_cached(&w, &cfg);
+    assert_eq!(
+        cold.parts.program,
+        backend::program_fingerprint(&cell.0.program)
+    );
 
     wipe_memory();
     let (disk, src) = run_cached_traced(&w, &cfg);
     assert_eq!(src, CellSource::Disk, "fresh memory must fall to disk");
-    assert_eq!(disk.1.outputs, cold.1.outputs);
-    assert_eq!(disk.1.cycles, cold.1.cycles);
+    assert_eq!(disk.sim.outputs, cold.sim.outputs);
+    assert_eq!(disk.sim.cycles, cold.sim.cycles);
+    assert_eq!(disk.parts, cold.parts);
+    let rebuilt = run_cached(&w, &cfg);
     assert_eq!(
-        backend::program_fingerprint(&disk.0.program),
-        backend::program_fingerprint(&cold.0.program)
+        wire::encode_cell(&rebuilt.0, &rebuilt.1),
+        wire::encode_cell(&cell.0, &cell.1),
+        "the cell reassembled from its parts is the computed cell"
     );
     // And the disk hit re-seeded memory.
     let (_, src) = run_cached_traced(&w, &cfg);
     assert_eq!(src, CellSource::Memory);
+}
+
+/// Flips the last payload byte of every `kind` entry under `root`;
+/// returns how many it stomped.
+fn stomp(root: &Path, kind: &str) -> usize {
+    let mut stomped = 0;
+    for f in fs::read_dir(root.join(kind)).unwrap().flatten() {
+        let mut bytes = fs::read(f.path()).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        fs::write(f.path(), &bytes).unwrap();
+        stomped += 1;
+    }
+    stomped
 }
 
 #[test]
@@ -104,24 +130,14 @@ fn corrupt_cell_entry_falls_back_to_compute_and_rewrites() {
     let cfg = BuildConfig::bitspec();
     let (cold, _) = run_cached_traced(&w, &cfg);
 
-    // Stomp every cell entry's payload.
-    let cell_dir = scratch.path().join("cell");
-    let mut stomped = 0;
-    for f in fs::read_dir(&cell_dir).unwrap().flatten() {
-        let mut bytes = fs::read(f.path()).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        fs::write(f.path(), &bytes).unwrap();
-        stomped += 1;
-    }
-    assert!(stomped > 0);
+    assert!(stomp(scratch.path(), "manifest") > 0);
 
     wipe_memory();
     let before = store::stats();
     let (again, src) = run_cached_traced(&w, &cfg);
     assert_eq!(src, CellSource::Computed, "corrupt entry must not serve");
     assert!(store::stats().corrupt > before.corrupt);
-    assert_eq!(again.1.outputs, cold.1.outputs);
+    assert_eq!(again.sim.outputs, cold.sim.outputs);
 
     // The recompute republished a clean entry.
     wipe_memory();
@@ -137,11 +153,11 @@ fn undecodable_cell_entry_counts_as_corrupt_and_rewrites() {
     wipe_memory();
     let w = unique_workload("undecodable");
     let cfg = BuildConfig::bitspec();
-    // A framed, checksum-valid entry whose payload is not a cell.
+    // A framed, checksum-valid entry whose payload is not a manifest.
     let key = bitspec::fingerprint::cell_key(&w, &cfg);
     store::active()
         .expect("store configured")
-        .put("cell", key, b"garbage");
+        .put("manifest", key, b"garbage");
 
     let before = store::stats();
     let (_, src) = run_cached_traced(&w, &cfg);
@@ -159,6 +175,129 @@ fn undecodable_cell_entry_counts_as_corrupt_and_rewrites() {
     let (_, src) = run_cached_traced(&w, &cfg);
     assert_eq!(src, CellSource::Disk, "fallback must rewrite the entry");
     assert_eq!(store::stats().corrupt, after.corrupt);
+}
+
+/// One `sim` request for `w` under `cfg`.
+fn request(w: &Workload, cfg: &BuildConfig) -> Vec<Request> {
+    vec![Request {
+        id: 0,
+        op: Op::Sim,
+        workload: w.clone(),
+        cfg: cfg.clone(),
+        label: "bitspec".to_string(),
+    }]
+}
+
+/// `serve_batch`'s result lines for `reqs`, in request order.
+fn serve_lines(reqs: &[Request]) -> Vec<String> {
+    let lines = Mutex::new(Vec::new());
+    serve_batch(reqs, 1, true, &|l| {
+        lines.lock().unwrap().push(l.to_string())
+    });
+    lines.into_inner().unwrap()
+}
+
+/// Damages the one `kind` part of a cold cell with `damage`, then checks
+/// both paths: `serve_batch` still answers from the manifest, off disk,
+/// with the cold line; `run_cached` counts the part as corrupt, recomputes
+/// the cell and rewrites the part, so the next fresh-memory `run_cached`
+/// reassembles the computed cell from disk.
+fn damaged_part_is_recomputed(tag: &str, kind: &str, damage: fn(&Path)) {
+    let _g = serial();
+    let scratch = Scratch::new(tag);
+    store::configure(Some(scratch.path()), None);
+    wipe_memory();
+    let w = unique_workload(tag);
+    let cfg = BuildConfig::bitspec();
+    let reqs = request(&w, &cfg);
+    let cold_line = serve_lines(&reqs).remove(0);
+    let cold = run_cached(&w, &cfg);
+    let cold_bytes = wire::encode_cell(&cold.0, &cold.1);
+    let part_dir = scratch.path().join(kind);
+    assert_eq!(
+        fs::read_dir(&part_dir).unwrap().count(),
+        1,
+        "one {kind} part"
+    );
+    damage(&part_dir);
+
+    wipe_memory();
+    let warm_line = serve_lines(&reqs).remove(0);
+    assert!(warm_line.contains("\"source\": \"disk\""), "{warm_line}");
+    assert_eq!(
+        warm_line.replace("\"source\": \"disk\"", "\"source\": \"computed\""),
+        cold_line
+    );
+
+    let before = store::stats();
+    let again = run_cached(&w, &cfg);
+    assert_eq!(
+        store::stats().corrupt,
+        before.corrupt + 1,
+        "the {kind} part"
+    );
+    assert_eq!(
+        backend::program_fingerprint(&again.0.program),
+        backend::program_fingerprint(&cold.0.program)
+    );
+    assert_eq!(again.1.outputs, cold.1.outputs);
+    assert_eq!(fs::read_dir(&part_dir).unwrap().count(), 1, "rewritten");
+
+    wipe_memory();
+    let before = (store::stats(), memo::stats());
+    let (_, src) = run_cached_traced(&w, &cfg);
+    assert_eq!(src, CellSource::Disk);
+    let rebuilt = run_cached(&w, &cfg);
+    assert_eq!(
+        store::stats().corrupt,
+        before.0.corrupt,
+        "the part is whole"
+    );
+    assert_eq!(memo::stats().since(&before.1).get(kind).disk_hits, 1);
+    assert_eq!(wire::encode_cell(&rebuilt.0, &rebuilt.1), cold_bytes);
+}
+
+#[test]
+fn corrupt_program_part_is_recomputed_and_rewritten() {
+    damaged_part_is_recomputed("program-part", "program", |dir| {
+        assert_eq!(stomp(dir.parent().unwrap(), "program"), 1);
+    });
+}
+
+#[test]
+fn deleted_module_part_is_recomputed_and_rewritten() {
+    damaged_part_is_recomputed("module-part", "module", |dir| {
+        for f in fs::read_dir(dir).unwrap().flatten() {
+            fs::remove_file(f.path()).unwrap();
+        }
+    });
+}
+
+/// A disk-warm serve of the full suite reads manifests and nothing else:
+/// no module, program or stage artifact is looked up.
+#[test]
+fn disk_warm_suite_serve_reads_only_manifests() {
+    let _g = serial();
+    let scratch = Scratch::new("suite-parts");
+    store::configure(Some(scratch.path()), None);
+    wipe_memory();
+    let reqs = suite_requests(0);
+    let cold = serve_batch(&reqs, 2, true, &|_| {});
+    assert_eq!(cold.computed, reqs.len());
+
+    wipe_memory();
+    let before = memo::stats();
+    let warm = serve_batch(&reqs, 2, true, &|_| {});
+    let delta = memo::stats().since(&before);
+    assert_eq!(warm.disk_hits, reqs.len());
+    assert_eq!(warm.suite_fp, cold.suite_fp);
+    for (kind, counts) in delta.iter() {
+        if kind == "manifest" {
+            assert_eq!(counts.disk_hits, reqs.len() as u64);
+        } else {
+            assert_eq!(counts, Counts::default(), "{kind} was looked up");
+        }
+    }
 }
 
 /// A small build+sim request batch over cheap MiBench workloads —

@@ -8,7 +8,7 @@
 //! caches it clears between builds are process-global.
 
 use bitspec::fingerprint::Fnv;
-use bitspec::{build, simulate, stages, store, wire, BuildConfig, Compiled, SimResult, Workload};
+use bitspec::{build, simulate, stages, store, wire, BuildConfig, Manifest, Workload};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -146,7 +146,9 @@ fn huge_length_fn_artifact() -> Vec<u8> {
 const HOSTILE: [u8; 10] = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
 
 /// The store kinds with a codec.
-const KINDS: [&str; 5] = ["expand", "profile", "gate", "fnmir", "cell"];
+const KINDS: [&str; 7] = [
+    "expand", "profile", "gate", "fnmir", "manifest", "module", "program",
+];
 
 /// Decodes `bytes` as the artifact type of store kind `kind` and
 /// re-encodes it.
@@ -159,7 +161,9 @@ fn reencode(kind: &str, bytes: &[u8]) -> Result<Vec<u8>, wire::WireError> {
         "profile" => re::<stages::ProfileData>(bytes),
         "gate" => re::<stages::GateRef>(bytes),
         "fnmir" => re::<backend::FnArtifact>(bytes),
-        "cell" => re::<(Compiled, SimResult)>(bytes),
+        "manifest" => re::<Manifest>(bytes),
+        "module" => re::<sir::Module>(bytes),
+        "program" => re::<backend::Program>(bytes),
         _ => panic!("unexpected store kind {kind}"),
     }
 }
@@ -267,8 +271,10 @@ fn huge_fn_length_prefix_errors_and_recomputes() {
     );
 
     // The u64::MAX prefix, planted checksum-valid over every entry of a
-    // gated cell's store (all five kinds): each counts as corrupt and is
-    // recomputed and rewritten.
+    // gated cell's store (every kind): each is recomputed and rewritten.
+    // The recompute reads every kind but the cell's module and program
+    // parts, which it republishes without reading, so those are the
+    // planted entries it counts as corrupt.
     let dir = std::env::temp_dir().join(format!("wire-hostile-{}", std::process::id()));
     let cold = cold_cell_in_store("hostile", &dir);
     let planted = entries(&dir);
@@ -289,10 +295,14 @@ fn huge_fn_length_prefix_errors_and_recomputes() {
     stages::clear();
     bench::clear_cache();
 
+    let read_back = planted
+        .iter()
+        .filter(|(kind, _)| kind != "module" && kind != "program")
+        .count();
     assert_eq!(
         after.corrupt - before.corrupt,
-        planted.len() as u64,
-        "every planted entry is corrupt"
+        read_back as u64,
+        "every planted entry read back is corrupt"
     );
     assert_eq!(after.hits, before.hits, "nothing was served from disk");
     assert_eq!(rewritten.len(), planted.len(), "every entry was rewritten");
@@ -438,18 +448,19 @@ fn out_of_range_control_flow_errors_and_recomputes() {
         );
     }
 
-    // Plant a branch past the end, checksum-valid, in every cell and gate
-    // entry of a gated cell's store.
+    // Plant a branch past the end, checksum-valid, in every program and
+    // gate entry of a gated cell's store. The manifest still decodes, so
+    // the cell is reassembled from its parts until the program part fails.
     let dir = std::env::temp_dir().join(format!("wire-cfg-{}", std::process::id()));
     let cold = cold_cell_in_store("cfg", &dir);
     let mut planted = 0u64;
     for (kind, path) in entries(&dir) {
         let payload = &std::fs::read(&path).unwrap()[HEADER_LEN..];
         let bytes = match kind.as_str() {
-            "cell" => {
-                let (mut c, r) = wire::decode_cell(payload).unwrap();
-                corrupt_control_flow(&mut c.program, 3);
-                wire::encode_cell(&c, &r)
+            "program" => {
+                let mut p = wire::decode::<backend::Program>(payload).unwrap();
+                corrupt_control_flow(&mut p, 3);
+                wire::encode(&p)
             }
             "gate" => {
                 let mut g = wire::decode::<stages::GateRef>(payload).unwrap();
@@ -471,7 +482,7 @@ fn out_of_range_control_flow_errors_and_recomputes() {
     stages::clear();
     bench::clear_cache();
 
-    assert_eq!(planted, 2, "one cell and one gate entry");
+    assert_eq!(planted, 2, "one program and one gate entry");
     assert_eq!(after.corrupt - before.corrupt, planted, "both are corrupt");
     assert_eq!(
         backend::program_fingerprint(&again.0.program),
