@@ -3,6 +3,13 @@
 # Everything runs offline; the workspace has no external dependencies.
 set -eux
 
+# simperf and buildperf below rewrite the checked-in BENCH_sim.json and
+# BENCH_build.json; both are put back on exit, pass or fail, so a CI run
+# leaves the tree as it found it.
+BENCH_SAVE=$(mktemp -d)
+cp BENCH_build.json BENCH_sim.json "$BENCH_SAVE/"
+trap 'status=$?; cp "$BENCH_SAVE/BENCH_build.json" "$BENCH_SAVE/BENCH_sim.json" .; rm -rf "$BENCH_SAVE"; exit $status' EXIT
+
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
@@ -129,9 +136,9 @@ grep -q '"computed": 0' "$STORE_DIR/warm.raw"   # everything off disk
 cmp "$STORE_DIR/cold.jsonl" "$STORE_DIR/warm.jsonl"  # bit-identical
 rm -rf "$STORE_DIR"
 # A figure served from the store: fig09 cold into a scratch store, then
-# from a second process that reassembles every cell from its manifest and
-# its module, program and profile parts. Both print results/fig09.txt, and
-# the warm run publishes no manifest of its own.
+# from a second process that reads every cell's sim result from its
+# manifest alone. Both print results/fig09.txt, and the warm run
+# publishes no manifest of its own.
 FIG_STORE=$(mktemp -d)
 BITSPEC_STORE_DIR="$FIG_STORE" cargo run --release -q -p bench --bin fig09 \
   > "$FIG_STORE/cold.txt"

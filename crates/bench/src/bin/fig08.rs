@@ -4,7 +4,7 @@
 //! Cells fan out across the worker pool (`-j N` or `BITSPEC_JOBS`);
 //! output order is fixed regardless of worker count.
 
-use bench::{mean, pct, pool, run_matrix};
+use bench::{mean, pct, pool, run_matrix_sims};
 use bitspec::BuildConfig;
 use mibench::{names, workload, Input};
 
@@ -20,12 +20,12 @@ fn main() {
     );
     let workloads: Vec<_> = names().iter().map(|n| workload(n, Input::Large)).collect();
     let cfgs = [BuildConfig::baseline(), BuildConfig::bitspec()];
-    let rows = run_matrix(&workloads, &cfgs, pool::jobs_for(&args));
+    let rows = run_matrix_sims(&workloads, &cfgs, pool::jobs_for(&args));
     let mut de = Vec::new();
     let mut dd = Vec::new();
     let mut dp = Vec::new();
     for (name, row) in names().iter().zip(&rows) {
-        let (base, bs) = (&row[0].1, &row[1].1);
+        let (base, bs) = (&row[0], &row[1]);
         assert_eq!(base.outputs, bs.outputs, "{name}: outputs diverge");
         let e = pct(bs.total_energy(), base.total_energy());
         let d = pct(bs.counts.dyn_insts as f64, base.counts.dyn_insts as f64);

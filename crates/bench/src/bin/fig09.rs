@@ -5,7 +5,7 @@
 //! artifact cache shares the builds with any harness already run in this
 //! process.
 
-use bench::{pct, pool, run_matrix};
+use bench::{pct, pool, run_matrix_sims};
 use bitspec::BuildConfig;
 use mibench::{names, workload, Input};
 
@@ -18,9 +18,9 @@ fn main() {
     );
     let workloads: Vec<_> = names().iter().map(|n| workload(n, Input::Large)).collect();
     let cfgs = [BuildConfig::baseline(), BuildConfig::bitspec()];
-    let rows = run_matrix(&workloads, &cfgs, pool::jobs_for(&args));
+    let rows = run_matrix_sims(&workloads, &cfgs, pool::jobs_for(&args));
     for (name, row) in names().iter().zip(&rows) {
-        let (b, s) = (&row[0].1, &row[1].1);
+        let (b, s) = (&row[0], &row[1]);
         println!(
             "{name:<16} {:>7.1}% {:>7.1}% {:>7.1}% {:>7.1}% {:>8.1}% {:>7.1}%",
             pct(s.energy.alu, b.energy.alu),

@@ -4,7 +4,7 @@
 //! The workload × heuristic matrix fans out across the worker pool
 //! (`-j N` or `BITSPEC_JOBS`); output order is fixed.
 
-use bench::{pool, run_matrix};
+use bench::{pool, run_matrix_sims};
 use bitspec::{BitwidthHeuristic, BuildConfig};
 use mibench::{names, workload, Input};
 
@@ -23,11 +23,11 @@ fn main() {
             ..BuildConfig::bitspec_with(h)
         })
         .collect();
-    let rows = run_matrix(&workloads, &cfgs, pool::jobs_for(&args));
+    let rows = run_matrix_sims(&workloads, &cfgs, pool::jobs_for(&args));
     for (name, row) in names().iter().zip(&rows) {
         let mut line = format!("{name:<16}");
         for cell in row {
-            line.push_str(&format!(" {:>10}", cell.1.counts.misspecs));
+            line.push_str(&format!(" {:>10}", cell.counts.misspecs));
         }
         println!("{line}");
     }

@@ -9,7 +9,7 @@
 //! The whole grid × workload matrix fans out across the worker pool
 //! (`-j N` or `BITSPEC_JOBS`); grid points print in sweep order.
 
-use bench::{pool, run_matrix};
+use bench::{pool, run_matrix_sims};
 use bitspec::BuildConfig;
 use mibench::{names, workload, Input};
 
@@ -40,10 +40,10 @@ fn main() {
             ..BuildConfig::baseline()
         })
         .collect();
-    let rows = run_matrix(&workloads, &cfgs, pool::jobs_for(&args));
+    let rows = run_matrix_sims(&workloads, &cfgs, pool::jobs_for(&args));
     let mut best: Option<(u64, opt::ExpanderConfig)> = None;
     for (gi, cfg) in grid.iter().enumerate() {
-        let total: u64 = rows.iter().map(|row| row[gi].1.counts.dyn_insts).sum();
+        let total: u64 = rows.iter().map(|row| row[gi].counts.dyn_insts).sum();
         println!(
             "unroll={} max_loop={:<5} max_func={:<5} total_dyn={total}",
             cfg.unroll_factor, cfg.max_loop_size, cfg.max_func_size

@@ -240,9 +240,34 @@ pub fn run_suite(workloads: &[Workload], cfg: &BuildConfig, workers: usize) -> V
 /// threads. `out[wi][ci]` is workload `wi` under config `ci`; the cells
 /// are fanned out flat so a slow workload doesn't serialize a column.
 pub fn run_matrix(workloads: &[Workload], cfgs: &[BuildConfig], workers: usize) -> Vec<Vec<Cell>> {
+    matrix(workloads, cfgs, workers, run_cached)
+}
+
+/// [`run_matrix`] for harnesses that read only each cell's evaluation
+/// result: `out[wi][ci]` is the [`SimResult`] of the cell's manifest
+/// ([`run_cached_traced`]), so a disk-warm run reads manifests alone and
+/// no module, program or profile part.
+pub fn run_matrix_sims(
+    workloads: &[Workload],
+    cfgs: &[BuildConfig],
+    workers: usize,
+) -> Vec<Vec<SimResult>> {
+    matrix(workloads, cfgs, workers, |w, cfg| {
+        run_cached_traced(w, cfg).0.sim.clone()
+    })
+}
+
+/// `f` over the workload × configuration grid, fanned out flat across
+/// `workers` pool threads and regrouped into rows in input order.
+fn matrix<T: Send>(
+    workloads: &[Workload],
+    cfgs: &[BuildConfig],
+    workers: usize,
+    f: impl Fn(&Workload, &BuildConfig) -> T + Sync,
+) -> Vec<Vec<T>> {
     let n = workloads.len() * cfgs.len();
     let flat = pool::run_ordered(n, workers, |k| {
-        run_cached(&workloads[k / cfgs.len()], &cfgs[k % cfgs.len()])
+        f(&workloads[k / cfgs.len()], &cfgs[k % cfgs.len()])
     });
     let mut rows = Vec::with_capacity(workloads.len());
     let mut it = flat.into_iter();

@@ -13,7 +13,9 @@
 //! the BASELINE and BITSPEC builds, a misspeculation-heavy Min-heuristic
 //! build (mid-block redirect entries stress turbo's fallback path), the
 //! DTS mode, and alternate inputs, and requires the identical `SimError`
-//! when a hand-linked program faults or runs out of fuel.
+//! when a hand-linked program faults or runs out of fuel. A kernel run
+//! again after a run that wrote every page of memory must give the same
+//! result, since machine memory is recycled between runs.
 
 use backend::{PreInst, Program};
 use bitspec::{build, simulate_with, BuildConfig, Engine, SimConfig, Workload};
@@ -469,4 +471,91 @@ fn out_of_fuel_fires_on_the_same_instruction() {
     let r = sim::run_program(&c.program, &SimConfig::default(), &inputs).expect("sim");
     assert!(r.counts.misspecs > 0, "kernel must misspeculate");
     sweep_fuel("misspec", &c.program, &inputs);
+}
+
+// Recycled memory: a dropped machine memory zeroes the pages it wrote and
+// hands its buffer to the next run of the same size. A run that follows
+// one that wrote every page of memory must see the same zeroed image.
+
+/// Reads a zero-initialised global before writing it, so any byte a
+/// recycled memory failed to zero changes its outputs.
+const RECYCLE_SRC: &str = "global u32 buf[300];
+     u32 walk(u32 n) {
+        u32 s = 7;
+        for (u32 i = 0; i < n; i++) { s = s * 3 + buf[i]; buf[i] = s; }
+        return s;
+     }
+     void main() { out(walk(300)); out(buf[299]); }";
+
+/// Stores a nonzero word every 64 bytes from the global base up, through
+/// the stack at the top of memory, until the store past `mem_size` faults.
+fn page_walk() -> Program {
+    link(vec![
+        MInst::MovImm {
+            rd: Reg(1),
+            imm: 0x100,
+        },
+        MInst::MovImm {
+            rd: Reg(3),
+            imm: 0xA5A5_A5A5,
+        },
+        store(3, 1, MemWidth::W),
+        alu(AluOp::Add, 1, 1, Operand::Imm(64)),
+        MInst::B { target: 2 },
+        MInst::Halt,
+    ])
+}
+
+fn dirty_every_page(cfg: &SimConfig) {
+    let walked = sim::run_program(&page_walk(), cfg, &[]);
+    assert!(
+        matches!(walked, Err(SimError::MemFault { pc: 2, .. })),
+        "the walk ends past the last byte: {walked:?}"
+    );
+}
+
+#[test]
+fn runs_after_a_dirtying_run_are_bit_identical() {
+    let w = Workload::from_source("recycle", RECYCLE_SRC);
+    let c = build(&w, &bitspec_ungated()).expect("build");
+    let inputs = bitspec::resolve_inputs(&c.module, &w.inputs);
+    for engine in [Engine::Reference, Engine::Turbo] {
+        for dts in [false, true] {
+            let cfg = SimConfig {
+                dts,
+                engine,
+                ..SimConfig::default()
+            };
+            let run = || {
+                let r = sim::run_program(&c.program, &cfg, &inputs).expect("sim");
+                bitspec::wire::encode(&r)
+            };
+            let first = run();
+            dirty_every_page(&cfg);
+            assert_eq!(run(), first, "{engine:?}/dts={dts}");
+        }
+    }
+}
+
+#[test]
+fn profile_runs_after_a_dirtying_run_are_identical() {
+    // The interpreter's memory is the simulator's size, so the two share
+    // recycled buffers.
+    assert_eq!(interp::exec::DEFAULT_MEM_SIZE, backend::emit::MEM_SIZE);
+    let m = lang::compile("recycle", RECYCLE_SRC).expect("compile");
+    for reference in [false, true] {
+        let profile = || {
+            let mut i = interp::Interpreter::new(&m);
+            i.set_reference(reference);
+            i.enable_profiling();
+            let r = i.run("main", &[]).expect("run");
+            (
+                r,
+                bitspec::wire::encode(&i.take_profile().expect("profile")),
+            )
+        };
+        let first = profile();
+        dirty_every_page(&SimConfig::default());
+        assert_eq!(profile(), first, "reference={reference}");
+    }
 }

@@ -13,6 +13,7 @@
 use bitspec::{build, stages, store, BuildConfig, Workload};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -266,24 +267,33 @@ fn racing_publishers_same_key_both_succeed() {
         .collect();
     // A reader hammers the same key while the writers race. Atomic
     // publish means every observation is either "absent" or the full
-    // payload — never a torn prefix.
+    // payload — never a torn prefix. It reads until both writers have
+    // joined, and once more after that, so its last read follows a
+    // finished publish (the `Release` store after the joins pairs with
+    // the reader's `Acquire` load).
+    let writers_done = Arc::new(AtomicBool::new(false));
     let reader = {
         let s = Arc::clone(&s);
         let p = payload.clone();
+        let done = Arc::clone(&writers_done);
         std::thread::spawn(move || {
             let mut seen = 0u32;
-            for _ in 0..400 {
+            loop {
+                let last = done.load(Ordering::Acquire);
                 if let Some(got) = s.get("race", 42) {
                     assert_eq!(got, p, "reader observed a partial artifact");
                     seen += 1;
                 }
+                if last {
+                    return seen;
+                }
             }
-            seen
         })
     };
     for w in writers {
         w.join().unwrap();
     }
+    writers_done.store(true, Ordering::Release);
     let seen = reader.join().unwrap();
     assert!(seen > 0, "reader never saw the published entry");
     assert_eq!(s.get("race", 42).as_deref(), Some(&payload[..]));
