@@ -3,12 +3,11 @@
 # Everything runs offline; the workspace has no external dependencies.
 set -eux
 
-# simperf and buildperf below rewrite the checked-in BENCH_sim.json and
-# BENCH_build.json; both are put back on exit, pass or fail, so a CI run
-# leaves the tree as it found it.
+# simperf below rewrites the checked-in BENCH_sim.json; it is put back on
+# exit, pass or fail, so a CI run leaves the tree as it found it.
 BENCH_SAVE=$(mktemp -d)
-cp BENCH_build.json BENCH_sim.json "$BENCH_SAVE/"
-trap 'status=$?; cp "$BENCH_SAVE/BENCH_build.json" "$BENCH_SAVE/BENCH_sim.json" .; rm -rf "$BENCH_SAVE"; exit $status' EXIT
+cp BENCH_sim.json "$BENCH_SAVE/"
+trap 'status=$?; cp "$BENCH_SAVE/BENCH_sim.json" .; rm -rf "$BENCH_SAVE"; exit $status' EXIT
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
@@ -58,22 +57,17 @@ cargo test --release -q -p backend --test mutations
 # cell's final module under that cell's codegen options.
 cargo test --release -q -p fuzz --test regalloc_props
 
-# Smoke the perf harnesses: the substrate microbenchmarks (turbo + reference
-# simulator engines) and the engine-comparison target (minimum 5 reps, a
-# plain row and a DTS row; also checks BENCH_sim.json generation end to
-# end, and --check fails the gate if turbo's median total speedup over the
-# reference drops below 1.917x on either row).
-cargo bench -p bench --bench experiments -- substrate_simulator
+# Simulator speed: the engine-comparison target runs turbo and the
+# reference engine on every workload (minimum 5 reps, a plain row and a
+# DTS row; also checks BENCH_sim.json generation end to end, and --check
+# fails the gate if turbo's median total speedup over the reference drops
+# below 1.917x on either row).
 cargo run --release -p bench --bin simperf -- --check 1
 
-# Compiler side: the profiler engine contract, then the staged-pipeline
-# target (2 reps → min-of-2 sweeps; also checks BENCH_build.json
-# generation and asserts fast/reference profiler equivalence end to end;
-# its -j cold-build matrix aborts on any parallel-vs-serial suite
-# fingerprint divergence, and its incremental leg asserts a
-# one-function rebuild links bit-identically to the cold build).
+# Profiler engine contract: the fast and reference profilers give
+# bit-identical runs and bitwidth profiles on every workload's expanded
+# module (and on the squeezed speculative modules).
 cargo test --release -q -p bitspec --test profiler_equivalence
-cargo run --release -p bench --bin buildperf -- 2
 
 # Parallel & incremental build determinism: the single-flight memo's
 # contention tests, -j1 vs -j8 sweeps of the suite (identical outputs
@@ -81,12 +75,14 @@ cargo run --release -p bench --bin buildperf -- 2
 # slice that computes each profile and evaluation sim once per distinct
 # expanded module and program at any -j, a gated suite slice whose one
 # `sim` stage runs each distinct evaluation or empirical-gate training
-# run once at any -j (every gated cell's evaluation is a hit), early
-# cutoff below `expand` (expander knobs that yield the same module reuse
-# its profile and gate leg) with the rest of the stage-cache invalidation
-# rules,
-# function-cache invalidation precision, pool output ordering, and the
-# fuzzer's seeded serial/parallel/incremental agreement property.
+# run once at any -j (every gated cell's evaluation is a hit, and its
+# linked programs match at -j1 and -j8), early cutoff below `expand`
+# (expander knobs that yield the same module reuse its profile and gate
+# leg) with the rest of the stage-cache invalidation rules,
+# function-cache invalidation precision (a one-function edit recompiles
+# only that function and links bit-identically to a cold build), pool
+# output ordering, and the fuzzer's seeded serial/parallel/incremental
+# agreement property.
 cargo test --release -q -p bitspec --lib memo
 cargo test --release -q -p bitspec --test parallel_determinism --test stage_cache --test fn_cache
 cargo test --release -q -p bench --test pool_order
@@ -116,7 +112,10 @@ cargo test --release -q -p bitspec --test store --test wire_roundtrip
 # re-encoded payload, wall-clock fields zeroed) keep their golden hashes,
 # so a codec refactor that claims to be byte-neutral is one.
 cargo test --release -q -p bitspec --test wire_golden
-cargo test --release -q -p serve --test serve_integration
+# The serve layer: its store integration tests, and 2,000 seeded hostile
+# mutations of a request batch that must parse or fail on a line of the
+# text, never panic.
+cargo test --release -q -p serve --test serve_integration --test hostile_requests
 STORE_DIR=$(mktemp -d)
 cat > "$STORE_DIR/batch.txt" <<'EOF'
 sim crc32 config=bitspec

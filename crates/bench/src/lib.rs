@@ -190,9 +190,9 @@ fn materialize(m: &Manifest) -> Option<Cell> {
 /// (BASELINE + BITSPEC), the table2 heuristic study (gate off, per its
 /// protocol), the rq3 ablations and fig12's no-speculation architecture —
 /// eight configs differing only downstream of the profiling stage,
-/// exactly the sharing a full experiment-suite run exhibits. `buildperf`
-/// and the `bitspecd` serve layer both sweep this set, so their caches
-/// and benchmarks describe the same 112-cell suite.
+/// exactly the sharing a full experiment-suite run exhibits. The
+/// `bitspecd` serve layer's `experiment suite` and the benchmark (`perf/`)
+/// both sweep this set, so they describe the same 112-cell suite.
 pub fn suite_configs() -> Vec<BuildConfig> {
     use bitspec::BitwidthHeuristic;
     let mut cfgs = vec![BuildConfig::baseline(), BuildConfig::bitspec()];

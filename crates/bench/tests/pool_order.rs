@@ -1,12 +1,12 @@
 //! `pool::run_ordered` ordering audit and harness-output regression.
 //!
 //! The pool's contract is that output order is input order for any
-//! worker count — every table/figure harness and `BENCH_build.json`
+//! worker count — every table/figure harness and `bitspecd --ordered`
 //! depend on it for byte-stable output under `-j`. These tests audit the
 //! contract directly against a serial reference under adversarial
 //! completion order, then prove it end-to-end: the formatted JSONL rows
-//! and the BENCH-style summary a harness would emit from `run_matrix`
-//! are byte-identical at 1 and 8 workers.
+//! and the summary a harness would emit from `run_matrix` are
+//! byte-identical at 1 and 8 workers.
 
 use bench::{clear_cache, pool, run_matrix, Cell};
 use bitspec::{program_fingerprint, stages, BuildConfig, Workload};

@@ -29,13 +29,12 @@
 //! computes: a missing part is the caller's to handle.
 //!
 //! **Counters.** One process-wide table keyed by kind name ([`stats`])
-//! holds every memo's [`Counts`]. Bypassed lookups and a disabled memo
-//! ([`set_enabled`]) skip both tiers and leave the counters unchanged.
+//! holds every memo's [`Counts`]. Bypassed lookups skip both tiers and
+//! leave the counters unchanged.
 
 use crate::store;
 use crate::wire::WireError;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Where a [`Memo::get`] value came from.
@@ -126,19 +125,7 @@ impl Stats {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
 static TABLE: Mutex<BTreeMap<&'static str, Counts>> = Mutex::new(BTreeMap::new());
-
-/// Enables or disables every memo process-wide (disabled = every lookup
-/// computes, nothing is published, counters stop moving).
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether the memos are enabled ([`set_enabled`]).
-pub(crate) fn enabled() -> bool {
-    ENABLED.load(Ordering::SeqCst)
-}
 
 /// Snapshot of every kind's cumulative counters.
 pub fn stats() -> Stats {
@@ -192,9 +179,8 @@ impl<V> Memo<V> {
     }
 
     /// Looks `key` up memory → disk → `make`, waiting on a concurrent
-    /// leader instead of computing twice. With `bypass` (or the memos
-    /// disabled) `make` runs directly and nothing is read, published or
-    /// counted.
+    /// leader instead of computing twice. With `bypass`, `make` runs
+    /// directly and nothing is read, published or counted.
     ///
     /// # Errors
     /// Propagates `make`'s error (never published).
@@ -204,7 +190,7 @@ impl<V> Memo<V> {
         bypass: bool,
         make: impl FnOnce() -> Result<V, E>,
     ) -> Result<(Arc<V>, Source), E> {
-        if bypass || !enabled() {
+        if bypass {
             return Ok((Arc::new(make()?), Source::Computed));
         }
         self.lookup(key, false, make)
@@ -213,26 +199,19 @@ impl<V> Memo<V> {
     /// Looks up a part another artifact names by `key`, memory → disk,
     /// never computing. `None` when neither tier holds a usable copy; a
     /// missing store entry then counts as corrupt, like a damaged one,
-    /// since the naming artifact promised it. Always `None` with the
-    /// memos disabled.
+    /// since the naming artifact promised it.
     pub fn get_part(&self, key: u64) -> Option<Arc<V>> {
-        if !enabled() {
-            return None;
-        }
         self.lookup(key, true, || Err(())).ok().map(|(v, _)| v)
     }
 
     /// Writes `v`, computed inside another artifact, to the store under
     /// `key` unless this process already wrote or read that key since the
     /// last [`Memo::clear`]. The value is not kept in memory. A no-op
-    /// without a codec, an active store or enabled memos.
+    /// without a codec or an active store.
     pub fn publish(&self, key: u64, v: &V) {
         let Some((codec, store)) = self.codec.as_ref().zip(store::active()) else {
             return;
         };
-        if !enabled() {
-            return;
-        }
         {
             let mut slots = self.lock();
             if slots.contains_key(&key) {
@@ -337,19 +316,12 @@ impl<V> Drop for Lead<'_, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
     use std::thread;
     use std::time::{Duration, Instant};
 
     const THREADS: usize = 8;
-
-    /// The tests share the process-wide enable flag, which one of them
-    /// toggles, so they run one at a time.
-    fn serial() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 
     /// Spins until `kind` has counted `n` waits (the leader holds its
     /// compute open until every other thread is parked on the slot), or
@@ -365,7 +337,6 @@ mod tests {
     #[test]
     fn concurrent_misses_compute_once() {
         static M: Memo<u64> = Memo::new("memo-test-once", None);
-        let _g = serial();
         let runs = AtomicUsize::new(0);
         let barrier = Barrier::new(THREADS);
         let got: Vec<Arc<u64>> = thread::scope(|s| {
@@ -395,7 +366,6 @@ mod tests {
     /// A leader that fails (by `Err` or by panic) releases its slot; one
     /// waiter then leads the recompute and the rest share its value.
     fn failed_leader_releases(kind: &'static str, memo: &'static Memo<u64>, panic: bool) {
-        let _g = serial();
         let runs = AtomicUsize::new(0);
         let barrier = Barrier::new(THREADS);
         let outcomes: Vec<Result<u64, ()>> = thread::scope(|s| {
@@ -444,9 +414,8 @@ mod tests {
     }
 
     #[test]
-    fn bypass_and_disabled_skip_both_tiers_and_counters() {
+    fn bypass_skips_both_tiers_and_counters() {
         static M: Memo<u64> = Memo::new("memo-test-bypass", None);
-        let _g = serial();
         let (v, src) = M.get(3, true, || Ok::<_, ()>(1)).unwrap();
         assert_eq!((*v, src), (1, Source::Computed));
         // Nothing was published: the next lookup computes its own value.
@@ -455,12 +424,6 @@ mod tests {
         let before = stats().get("memo-test-bypass");
         let (v, _) = M.get(3, true, || Ok::<_, ()>(9)).unwrap();
         assert_eq!(*v, 9, "bypass never reads the memory tier");
-        assert_eq!(stats().get("memo-test-bypass"), before);
-        // Disabling is process-wide; it is restored before asserting.
-        set_enabled(false);
-        let r = M.get(3, false, || Ok::<_, ()>(8)).unwrap();
-        set_enabled(true);
-        assert_eq!((*r.0, r.1), (8, Source::Computed));
         assert_eq!(stats().get("memo-test-bypass"), before);
     }
 }

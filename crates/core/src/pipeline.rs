@@ -13,8 +13,7 @@
 //!   `verify_each` with the `BITSPEC_PRINT_AFTER` environment variable
 //!   (`all` or a pass name; sub-phases match their parent's name).
 //! * [`BuildTrace`] — the per-build report: one [`PassTrace`] entry per
-//!   executed (or stage-cache-replayed) pass, serializable to JSON for
-//!   `BENCH_build.json` and the fuzzer's divergence triage.
+//!   executed (or stage-cache-replayed) pass, serializable to JSON.
 //! * [`first_divergent_pass`] — given two builds' traces, the first pass
 //!   at which their IR fingerprints diverge (the fuzzer's triage probe).
 //!

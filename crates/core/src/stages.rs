@@ -52,10 +52,8 @@
 //! and dump-laden artifacts must not be published process-wide.
 //!
 //! Every stage cache is a single-flight [`crate::memo::Memo`]: concurrent
-//! builds needing the same artifact compute it once, and [`stats`] reports
-//! one counter row per memo kind. [`clear`] drops the artifacts and
-//! [`set_enabled`] bypasses the memos entirely (the `buildperf` harness
-//! uses both to measure cold vs warm builds).
+//! builds needing the same artifact compute it once. [`stats`] reports
+//! one counter row per memo kind, and [`clear`] drops the artifacts.
 
 use crate::fingerprint::{eat_inputs, Fnv};
 use crate::memo::{Codec, Memo};
@@ -67,7 +65,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-pub use crate::memo::{set_enabled, stats};
+pub use crate::memo::stats;
 
 /// Which stages of one build were served from the process-wide cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -227,12 +225,6 @@ pub fn clear() {
     FNS.clear();
     CHECKS.clear();
     SIMS.clear();
-}
-
-/// Drops only the function-level codegen artifacts (the incremental
-/// benchmark uses this to isolate the backend share of a warm rebuild).
-pub fn clear_fns() {
-    FNS.clear();
 }
 
 /// Drops only the memoized simulation runs.
@@ -536,9 +528,9 @@ pub fn gate_ref(
     make: impl FnOnce() -> Result<GateRef, BuildError>,
 ) -> Result<(Arc<GateRef>, bool), BuildError> {
     // The key needs the expanded module's content key, one expand-memo
-    // hit away. A bypassed or disabled memo never reads the key, so it
-    // must not pay for (or echo the dumps of) a second expansion.
-    let skip = bypass(policy) || !crate::memo::enabled();
+    // hit away. A bypassed memo never reads the key, so it must not pay
+    // for (or echo the dumps of) a second expansion.
+    let skip = bypass(policy);
     let key = if skip {
         0
     } else {
@@ -677,13 +669,8 @@ pub fn sim(
     cfg: &SimConfig,
     dts: bool,
 ) -> Result<(Arc<SimRun>, bool), ::sim::SimError> {
-    // A disabled memo never reads the key, so it must not pay for one.
-    let key = if crate::memo::enabled() {
-        let fp = program_fp.unwrap_or_else(|| backend::program_fingerprint(program));
-        crate::fingerprint::sim_run_key(fp, inputs, cfg, dts)
-    } else {
-        0
-    };
+    let fp = program_fp.unwrap_or_else(|| backend::program_fingerprint(program));
+    let key = crate::fingerprint::sim_run_key(fp, inputs, cfg, dts);
     let (run, src) = SIMS.get(key, false, || {
         let mut cfg = cfg.clone();
         cfg.dts |= dts;

@@ -103,16 +103,6 @@ pub fn stats() -> StoreStats {
     }
 }
 
-/// Resets the cumulative store counters (tests and harness phases).
-pub fn reset_stats() {
-    let c = counters();
-    c.hits.store(0, Ordering::SeqCst);
-    c.misses.store(0, Ordering::SeqCst);
-    c.corrupt.store(0, Ordering::SeqCst);
-    c.puts.store(0, Ordering::SeqCst);
-    c.evictions.store(0, Ordering::SeqCst);
-}
-
 /// Parses a size string: a plain byte count, or with a `k`/`m`/`g`
 /// (KiB/MiB/GiB) suffix, case-insensitive. Returns `None` on anything
 /// else (including overflow).

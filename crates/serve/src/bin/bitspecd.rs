@@ -6,22 +6,16 @@
 //! `serve` crate docs for the request protocol.
 //!
 //! ```text
-//! bitspecd [--store DIR] [--store-cap BYTES[k|m|g]] [-j N] [--ordered]
-//!          [--file REQUESTS]
-//! bitspecd --bench [--reps N] [-j N]       # writes BENCH_serve.json
+//! bitspecd [--store DIR] [--store-cap BYTES[k|m|g]] [-j N]
+//!          [--codegen-jobs N] [--ordered] [--file REQUESTS]
 //! ```
 //!
-//! `--bench` measures the store's payoff on the 112-cell evaluation
-//! suite: a cold sweep into a fresh store, an in-process re-sweep with
-//! every request duplicated (memory hits + dedupe), and a *separate
-//! child process* re-sweeping the same store (disk hits only — the
-//! cross-process number ROADMAP targets at ≥10x), asserting the child's
-//! combined artifact fingerprint matches the cold sweep bit for bit.
+//! The benchmark (`perf/`) times this binary: cold into an empty store,
+//! and disk-warm from fresh processes over a populated one.
 
-use serve::{parse_requests, serve_batch, suite_requests, ServeStats};
+use serve::{parse_requests, serve_batch, ServeStats};
 use std::io::Read;
 use std::path::PathBuf;
-use std::process::Command;
 use std::time::Instant;
 
 struct Args {
@@ -31,16 +25,12 @@ struct Args {
     codegen_jobs: Option<usize>,
     ordered: bool,
     file: Option<PathBuf>,
-    bench: bool,
-    bench_child: bool,
-    reps: usize,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: bitspecd [--store DIR] [--store-cap BYTES[k|m|g]] [-j N] \
-         [--codegen-jobs N] [--ordered] [--file REQUESTS]\n       \
-         bitspecd --bench [--reps N] [-j N]"
+         [--codegen-jobs N] [--ordered] [--file REQUESTS]"
     );
     std::process::exit(2);
 }
@@ -54,9 +44,6 @@ fn parse_args() -> Args {
         codegen_jobs: None,
         ordered: false,
         file: None,
-        bench: false,
-        bench_child: false,
-        reps: 3,
     };
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
@@ -81,15 +68,6 @@ fn parse_args() -> Args {
             }
             "--ordered" => a.ordered = true,
             "--file" => a.file = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            "--bench" => a.bench = true,
-            "--bench-child" => a.bench_child = true,
-            "--reps" => {
-                a.reps = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
             "-j" | "--jobs" => {
                 it.next();
             }
@@ -124,7 +102,7 @@ fn print_summary(stats: &ServeStats, wall: f64) {
     );
 }
 
-/// Serve mode: parse a batch from `--file`/stdin and stream results.
+/// Parses a batch from `--file`/stdin and streams its results.
 fn serve_mode(a: &Args) {
     let text = match &a.file {
         Some(path) => std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -154,180 +132,6 @@ fn serve_mode(a: &Args) {
     print_summary(&stats, t.elapsed().as_secs_f64());
 }
 
-/// Child leg of `--bench`: a fresh process whose memory caches are
-/// necessarily cold, re-sweeping the parent's store. Prints one
-/// parseable summary line.
-fn bench_child_mode(a: &Args) {
-    let reqs = suite_requests(0);
-    let t = Instant::now();
-    let stats = serve_batch(&reqs, a.jobs, false, &|_| {});
-    let wall = t.elapsed().as_secs_f64();
-    println!(
-        "BENCH_CHILD wall_s={wall:.6} cells={} memory_hits={} disk_hits={} computed={} \
-         suite_fp={:016x}",
-        stats.cells, stats.memory_hits, stats.disk_hits, stats.computed, stats.suite_fp
-    );
-}
-
-struct ChildRun {
-    wall_s: f64,
-    disk_hits: usize,
-    computed: usize,
-    suite_fp: u64,
-}
-
-fn parse_child(output: &str) -> Option<ChildRun> {
-    let line = output.lines().find(|l| l.starts_with("BENCH_CHILD "))?;
-    let mut run = ChildRun {
-        wall_s: f64::NAN,
-        disk_hits: usize::MAX,
-        computed: usize::MAX,
-        suite_fp: 0,
-    };
-    for kv in line.split_whitespace().skip(1) {
-        let (k, v) = kv.split_once('=')?;
-        match k {
-            "wall_s" => run.wall_s = v.parse().ok()?,
-            "disk_hits" => run.disk_hits = v.parse().ok()?,
-            "computed" => run.computed = v.parse().ok()?,
-            "suite_fp" => run.suite_fp = u64::from_str_radix(v, 16).ok()?,
-            _ => {}
-        }
-    }
-    if run.wall_s.is_nan() || run.disk_hits == usize::MAX || run.computed == usize::MAX {
-        return None;
-    }
-    Some(run)
-}
-
-/// `--bench`: measure cold / memory-warm / cross-process disk-warm
-/// sweeps of the 112-cell suite and write BENCH_serve.json.
-fn bench_mode(a: &Args) {
-    let store_dir = std::env::temp_dir().join(format!("bitspecd-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store_dir);
-    bitspec::store::configure(Some(&store_dir), None);
-    println!(
-        "== bitspecd bench: 112-cell suite, store at {} (j={})",
-        store_dir.display(),
-        a.jobs
-    );
-
-    // Leg 1: cold — empty store, empty memory caches. Every cell is
-    // computed and published.
-    let reqs = suite_requests(0);
-    let t = Instant::now();
-    let cold = serve_batch(&reqs, a.jobs, false, &|_| {});
-    let cold_wall = t.elapsed().as_secs_f64();
-    assert_eq!(cold.computed, cold.cells, "cold sweep must compute all");
-    println!(
-        "cold: {} cells computed in {cold_wall:.3}s ({:.1} req/s)",
-        cold.cells,
-        cold.requests as f64 / cold_wall
-    );
-
-    // Leg 2: memory-warm, with every request duplicated — 2N requests
-    // collapse onto N cells (dedupe) and all N are memory hits.
-    let mut doubled = suite_requests(0);
-    doubled.extend(suite_requests(doubled.len()));
-    let t = Instant::now();
-    let warm = serve_batch(&doubled, a.jobs, false, &|_| {});
-    let warm_wall = t.elapsed().as_secs_f64();
-    assert_eq!(warm.memory_hits, warm.cells, "re-sweep must hit memory");
-    assert_eq!(warm.deduped, warm.cells, "doubled batch must dedupe");
-    assert_eq!(warm.suite_fp, cold.suite_fp, "memory-warm artifacts differ");
-    println!(
-        "memory-warm: {} requests → {} cells ({} deduped) in {warm_wall:.3}s \
-         ({:.0} req/s)",
-        warm.requests,
-        warm.cells,
-        warm.deduped,
-        warm.requests as f64 / warm_wall
-    );
-
-    // Leg 3: cross-process disk-warm — a child process (cold memory)
-    // re-sweeps the store; min over reps. This is the ROADMAP ≥10x leg.
-    let exe = std::env::current_exe().expect("own path");
-    let mut best: Option<ChildRun> = None;
-    for rep in 0..a.reps {
-        let out = Command::new(&exe)
-            .args([
-                "--bench-child",
-                "--store",
-                store_dir.to_str().expect("utf-8 temp path"),
-                "-j",
-                &a.jobs.to_string(),
-            ])
-            .output()
-            .expect("spawn bench child");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let run = parse_child(&stdout).unwrap_or_else(|| {
-            panic!(
-                "bench child produced no summary (rep {rep}):\n{}{}",
-                stdout,
-                String::from_utf8_lossy(&out.stderr)
-            )
-        });
-        assert_eq!(
-            run.suite_fp, cold.suite_fp,
-            "disk-warm artifacts are not bit-identical to the cold build"
-        );
-        assert_eq!(run.computed, 0, "disk-warm sweep recomputed cells");
-        if best.as_ref().is_none_or(|b| run.wall_s < b.wall_s) {
-            best = Some(run);
-        }
-    }
-    let child = best.expect("at least one rep");
-    let speedup = cold_wall / child.wall_s;
-    println!(
-        "disk-warm (cross-process, min of {}): {} disk hits in {:.3}s \
-         ({:.0} req/s) — {speedup:.1}x vs cold",
-        a.reps,
-        child.disk_hits,
-        child.wall_s,
-        cold.requests as f64 / child.wall_s
-    );
-
-    let json = format!(
-        "{{\n  \"suite\": {{\"cells\": {}, \"workloads\": {}, \"configs\": {}}},\n  \
-         \"jobs\": {},\n  \"reps\": {},\n  \
-         \"cold\": {{\"requests\": {}, \"computed\": {}, \"wall_s\": {cold_wall:.6}, \
-         \"throughput_rps\": {:.2}}},\n  \
-         \"memory_warm\": {{\"requests\": {}, \"cells\": {}, \"deduped\": {}, \
-         \"memory_hits\": {}, \"wall_s\": {warm_wall:.6}, \"throughput_rps\": {:.2}}},\n  \
-         \"disk_warm_cross_process\": {{\"requests\": {}, \"disk_hits\": {}, \
-         \"computed\": {}, \"wall_s\": {:.6}, \"throughput_rps\": {:.2}}},\n  \
-         \"resweep_speedup\": {speedup:.2},\n  \
-         \"bit_identical\": true,\n  \"suite_fp\": \"{:016x}\"\n}}\n",
-        cold.cells,
-        mibench::names().len(),
-        bench::suite_configs().len(),
-        a.jobs,
-        a.reps,
-        cold.requests,
-        cold.computed,
-        cold.requests as f64 / cold_wall,
-        warm.requests,
-        warm.cells,
-        warm.deduped,
-        warm.memory_hits,
-        warm.requests as f64 / warm_wall,
-        cold.requests,
-        child.disk_hits,
-        child.computed,
-        child.wall_s,
-        cold.requests as f64 / child.wall_s,
-        cold.suite_fp,
-    );
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("wrote BENCH_serve.json");
-    let _ = std::fs::remove_dir_all(&store_dir);
-
-    assert!(
-        speedup >= 10.0,
-        "cross-process disk-warm re-sweep is only {speedup:.1}x vs cold (target ≥10x)"
-    );
-}
-
 fn main() {
     let a = parse_args();
     // --store/--store-cap override the BITSPEC_STORE_DIR /
@@ -342,11 +146,5 @@ fn main() {
     if let Some(n) = a.codegen_jobs {
         bitspec::stages::set_codegen_workers(n);
     }
-    if a.bench_child {
-        bench_child_mode(&a);
-    } else if a.bench {
-        bench_mode(&a);
-    } else {
-        serve_mode(&a);
-    }
+    serve_mode(&a);
 }

@@ -274,7 +274,8 @@ fn deleted_module_part_is_recomputed_and_rewritten() {
 }
 
 /// A disk-warm serve of the full suite reads manifests and nothing else:
-/// no module, program or stage artifact is looked up.
+/// no module, program or stage artifact is looked up. A re-serve of the
+/// suite twice over is then all memory hits, one cell per duplicate pair.
 #[test]
 fn disk_warm_suite_serve_reads_only_manifests() {
     let _g = serial();
@@ -298,6 +299,14 @@ fn disk_warm_suite_serve_reads_only_manifests() {
             assert_eq!(counts, Counts::default(), "{kind} was looked up");
         }
     }
+
+    let mut doubled = suite_requests(0);
+    doubled.extend(suite_requests(doubled.len()));
+    let memory = serve_batch(&doubled, 2, false, &|_| {});
+    assert_eq!(memory.cells, reqs.len());
+    assert_eq!(memory.deduped, reqs.len());
+    assert_eq!(memory.memory_hits, reqs.len());
+    assert_eq!(memory.suite_fp, cold.suite_fp);
 }
 
 /// A small build+sim request batch over cheap MiBench workloads —

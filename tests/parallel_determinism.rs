@@ -26,6 +26,8 @@
 //! slice of the suite the one `sim` stage serves the empirical gate's
 //! training runs and the evaluation runs alike, so it misses exactly once
 //! per distinct run over both, and every gated cell's evaluation is a hit.
+//! That slice runs `bench::suite_configs` through `bench::run_matrix`, and
+//! its linked programs are also the same at `-j1` and `-j8`.
 //!
 //! The stage caches and store configuration are process-global, so the
 //! tests take a file-wide lock.
@@ -363,9 +365,11 @@ fn gated_suite_slice_simulates_each_distinct_run_once_at_any_job_count() {
         let delta = stages::stats().since(&before);
         let mut runs = BTreeSet::new();
         let mut gated_cells = 0;
+        let mut programs = Vec::new();
         for (w, row) in workloads.iter().zip(&rows) {
             for (cfg, cell) in cfgs.iter().zip(row) {
                 let (c, r) = &**cell;
+                programs.push(program_fingerprint(&c.program));
                 let fresh = simulate_with(c, w, &SimConfig::default()).unwrap();
                 assert_eq!(r.outputs, fresh.outputs, "{}: outputs", w.name);
                 assert_eq!(r.cycles, fresh.cycles, "{}: cycles", w.name);
@@ -397,11 +401,15 @@ fn gated_suite_slice_simulates_each_distinct_run_once_at_any_job_count() {
             runs.len() as u64,
             "-j{jobs}: one sim per distinct evaluation or gate run"
         );
-        moved.push(accounting(&delta));
+        moved.push((accounting(&delta), programs));
     }
     assert_eq!(
-        moved[0], moved[1],
+        moved[0].0, moved[1].0,
         "cache counters diverged between -j1 and -j8"
+    );
+    assert_eq!(
+        moved[0].1, moved[1].1,
+        "linked programs diverged between -j1 and -j8"
     );
     // Cell by cell from cold memos: a gated cell's evaluation lookup is
     // served by the run its gate just made.

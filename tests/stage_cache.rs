@@ -13,12 +13,11 @@
 //!
 //! Each test seeds the cache with one build and then varies exactly one
 //! knob, checking the second build's hit pattern. Every test uses its own
-//! unique source (no shared cells) and takes a file-wide lock: the caches,
-//! their counters and the enable flag are process-global, so concurrent
-//! tests would otherwise race the counter deltas and the
-//! [`stages::set_enabled`] toggle.
+//! unique source (no shared cells) and takes a file-wide lock: the caches
+//! and their counters are process-global, so concurrent tests would
+//! otherwise race the counter deltas.
 
-use bitspec::pipeline::{self, Tracer};
+use bitspec::pipeline::{PrintAfter, TracePolicy, Tracer};
 use bitspec::{build, stages, Arch, BitwidthHeuristic, BuildConfig, ExpanderConfig, Workload};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -105,14 +104,16 @@ fn squeeze_config_change_reuses_cached_profile() {
     }
 }
 
-/// The content key of `w`'s expanded module under `e`, computed with the
-/// memos disabled so that nothing is published for the builds under test.
+/// The content key of `w`'s expanded module under `e`, computed under a
+/// print-after policy, which bypasses the memos, so that nothing is
+/// published for the builds under test.
 fn expanded_content(w: &Workload, e: &ExpanderConfig) -> u64 {
-    let mut tr = Tracer::new(pipeline::policy(true));
-    stages::set_enabled(false);
-    let expanded = stages::expand(w, e, &mut tr);
-    stages::set_enabled(true);
-    stages::content_key(&expanded.unwrap().0)
+    let mut tr = Tracer::new(TracePolicy {
+        print_after: PrintAfter::Pass("expand".to_string()),
+        ..TracePolicy::verify(true)
+    });
+    let (expanded, _) = stages::expand(w, e, &mut tr).unwrap();
+    stages::content_key(&expanded)
 }
 
 #[test]
@@ -323,21 +324,4 @@ fn counters_move_and_results_are_unchanged_by_caching() {
     assert_eq!(cold.profile_dyn_insts, warm.profile_dyn_insts);
     assert_eq!(cold.squeeze.narrowed, warm.squeeze.narrowed);
     assert_eq!(cold.used_squeezed, warm.used_squeezed);
-}
-
-#[test]
-fn disabled_caches_recompute_and_stay_correct() {
-    let _g = serial();
-    // `set_enabled(false)` is process-global; this test toggles it, so it
-    // serializes against itself only — other tests may race the flag, which
-    // is why they assert per-build StageHits (unaffected by others' cells)
-    // rather than global state. To stay safe we only assert invariants that
-    // hold whether or not another thread re-enables mid-run.
-    let w = unique_workload("disabled");
-    stages::set_enabled(false);
-    let c = build(&w, &BuildConfig::bitspec()).unwrap();
-    stages::set_enabled(true);
-    assert!(!c.stage_hits.front && !c.stage_hits.expand && !c.stage_hits.profile);
-    let warm = build(&w, &BuildConfig::bitspec()).unwrap();
-    assert_eq!(c.profile, warm.profile);
 }
