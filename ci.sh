@@ -13,6 +13,9 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
+# The benchmark package: perf-trace calls the core crate's stage, store
+# and wire APIs directly, so an API edit that breaks it fails here.
+cargo build --release --manifest-path perf/Cargo.toml --bins
 
 # Expansion determinism: the expanded module of every workload under the
 # default expander config and the 16 expander-grid corners keeps its golden

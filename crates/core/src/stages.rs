@@ -54,6 +54,9 @@
 //! Every stage cache is a single-flight [`crate::memo::Memo`]: concurrent
 //! builds needing the same artifact compute it once. [`stats`] reports
 //! one counter row per memo kind, and [`clear`] drops the artifacts.
+//! Only the `profile` memo also reads and writes the persistent store
+//! ([`crate::store`]): it is a bench cell's profile part. Every other
+//! stage is memory-only.
 
 use crate::fingerprint::{eat_inputs, Fnv};
 use crate::memo::{Codec, Memo};
@@ -93,7 +96,7 @@ impl StageHits {
 /// Per-call function-level cache counts returned by [`codegen`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FnHits {
-    /// Functions served from the memory or disk tier.
+    /// Functions served from the function memo.
     pub hits: u32,
     /// Total functions in the module.
     pub total: u32,
@@ -102,12 +105,11 @@ pub struct FnHits {
 /// A cached SIR artifact (frontend or expanded module) plus the pass
 /// records of the build that computed it.
 #[derive(Debug, Clone)]
-pub struct SirStage {
+pub(crate) struct SirStage {
     pub module: Arc<sir::Module>,
     pub traces: Vec<PassTrace>,
-    /// [`content_key`] of `module`, computed once per artifact. Derived:
-    /// the wire codec does not store it but recomputes it on decode.
-    pub(crate) content: u64,
+    /// [`content_key`] of `module`, computed once per artifact.
+    pub content: u64,
 }
 
 impl SirStage {
@@ -179,13 +181,9 @@ pub struct SimRun {
 }
 
 static FRONT: Memo<SirStage> = Memo::new("front", None);
-static EXPAND: Memo<SirStage> = Memo::new(
-    "expand",
-    Some(Codec {
-        enc: crate::wire::encode::<SirStage>,
-        dec: crate::wire::decode::<SirStage>,
-    }),
-);
+static EXPAND: Memo<SirStage> = Memo::new("expand", None);
+/// Training-input profiles, the one stage artifact the store keeps: a
+/// bench cell's manifest names its profile part by this memo's key.
 static PROFILE: Memo<ProfileData> = Memo::new(
     "profile",
     Some(Codec {
@@ -193,20 +191,8 @@ static PROFILE: Memo<ProfileData> = Memo::new(
         dec: crate::wire::decode::<ProfileData>,
     }),
 );
-static GATE: Memo<GateRef> = Memo::new(
-    "gate",
-    Some(Codec {
-        enc: crate::wire::encode::<GateRef>,
-        dec: crate::wire::decode::<GateRef>,
-    }),
-);
-static FNS: Memo<backend::FnArtifact> = Memo::new(
-    "fnmir",
-    Some(Codec {
-        enc: crate::wire::encode::<backend::FnArtifact>,
-        dec: crate::wire::decode::<backend::FnArtifact>,
-    }),
-);
+static GATE: Memo<GateRef> = Memo::new("gate", None);
+static FNS: Memo<backend::FnArtifact> = Memo::new("fnmir", None);
 /// Simulation runs, memory only: a run is cheap next to a store round
 /// trip, and a cell that reaches the store carries its result.
 static SIMS: Memo<SimRun> = Memo::new("sim", None);
@@ -551,7 +537,7 @@ pub fn gate_ref(
 /// sound across *modules*: a function body compiled in one module links
 /// correctly into any other module where the same body hashes appear,
 /// because callee references stay symbolic until the link pass.
-pub fn fn_key(f: &sir::Function, layout_fp: u64, opts: &backend::CodegenOpts, verify: bool) -> u64 {
+fn fn_key(f: &sir::Function, layout_fp: u64, opts: &backend::CodegenOpts, verify: bool) -> u64 {
     let mut h = Fnv::new();
     h.str("fnmir");
     h.u64(sir::pass::fn_fingerprint(f));
@@ -573,7 +559,7 @@ pub fn fn_key(f: &sir::Function, layout_fp: u64, opts: &backend::CodegenOpts, ve
 /// global-id order, plus each global's size/init-carrying identity via the
 /// module walk order. Two modules with the same layout fingerprint place
 /// every global at the same address.
-pub fn layout_fingerprint(m: &sir::Module, layout: &interp::Layout) -> u64 {
+fn layout_fingerprint(m: &sir::Module, layout: &interp::Layout) -> u64 {
     let mut h = Fnv::new();
     h.str("layout");
     h.u64(m.globals.len() as u64);
@@ -587,14 +573,15 @@ pub fn layout_fingerprint(m: &sir::Module, layout: &interp::Layout) -> u64 {
 /// composition of [`backend::compile_function`] and the serial
 /// [`backend::link_traced`] layout pass.
 ///
-/// Each function is looked up memory → disk (`fnmir` store kind) →
-/// compute through the function memo, fanned across [`crate::pool`]
-/// workers per [`set_codegen_workers`]. Results are merged *in function
-/// order* regardless of which tier or worker produced them, and the link
-/// pass is serial, so the linked program is bit-identical for every
-/// worker count and cache state. An artifact that failed verification
-/// comes back from its compute as `Err`: it is merged (the build must
-/// report every diagnostic) but never published.
+/// Each function is looked up in the function memo (memory only: a
+/// cell's linked program is what the store keeps) and compiled on a
+/// miss, fanned across [`crate::pool`] workers per
+/// [`set_codegen_workers`]. Results are merged *in function order*
+/// regardless of which worker produced them, and the link pass is
+/// serial, so the linked program is bit-identical for every worker count
+/// and cache state. An artifact that failed verification comes back from
+/// its compute as `Err`: it is merged (the build must report every
+/// diagnostic) but never published.
 ///
 /// Print-after builds bypass the cache and compile serially through
 /// [`backend::compile_module_traced`] (dump fidelity beats memoization,

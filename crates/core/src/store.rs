@@ -1,9 +1,9 @@
-//! Persistent content-addressed artifact store (ROADMAP item 1).
+//! Persistent content-addressed artifact store.
 //!
 //! The in-memory stage cache ([`crate::stages`]) dies with the process;
-//! this store persists artifacts on disk so re-sweeps in a *new* process
-//! serve disk hits instead of recomputing. Lookup order everywhere is
-//! memory → disk → compute.
+//! this store persists bench cells on disk so re-sweeps in a *new*
+//! process serve disk hits instead of recomputing. Lookup order for a
+//! stored kind is memory → disk → compute.
 //!
 //! **Keys.** Entries are addressed by the existing chained FNV-1a stage
 //! fingerprints ([`crate::fingerprint`]), further mixed with a store
@@ -12,8 +12,15 @@
 //! crate version) changes every key, so stale artifacts self-invalidate:
 //! they simply stop being addressed and age out via GC.
 //!
-//! **Layout.** `root/<kind>/<16-hex-key>.art`, one file per artifact,
-//! each framed by a fixed header: magic `BSST`, schema version, the full
+//! **Layout.** Four kinds persist, exactly what a bench cell is: its
+//! `manifest` (the sim result, the build's metadata and the keys of its
+//! parts) plus the three parts it names, `module`, `program` and
+//! `profile`. A warm serve reads the manifests alone; the parts let a
+//! later process reassemble a whole cell. The expand, gate and
+//! function-codegen memos stay in memory, because no later process reads
+//! them back and every entry costs a file creation on the write path.
+//! Each entry is `root/<kind>/<16-hex-key>.art`, one file per artifact,
+//! framed by a fixed header: magic `BSST`, schema version, the full
 //! 64-bit key, the payload length and an FNV-1a payload checksum (all
 //! little-endian). Any mismatch on read — truncation, garbage, a key
 //! collision across versions — classifies the entry as corrupt: it is
@@ -162,11 +169,6 @@ impl Store {
         })
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// The configured size cap, if any.
     pub fn cap(&self) -> Option<u64> {
         self.cap
@@ -284,13 +286,6 @@ impl Store {
                 counters().evictions.fetch_add(1, Ordering::SeqCst);
                 total = total.saturating_sub(len);
             }
-        }
-    }
-
-    /// Deletes every published entry (the root and temp dir remain).
-    pub fn wipe(&self) {
-        for (path, _, _) in self.walk_entries() {
-            let _ = fs::remove_file(path);
         }
     }
 
@@ -439,7 +434,7 @@ pub(crate) fn get_decoded<T>(
 }
 
 /// Debug/robustness helper used by tests: summarize entry counts per
-/// kind, e.g. `{"expand": 3, "profile": 3}`.
+/// kind, e.g. `{"manifest": 8, "profile": 1}`.
 pub fn entry_counts(store: &Store) -> HashMap<String, usize> {
     let mut out: HashMap<String, usize> = HashMap::new();
     for (path, _, _) in store.walk_entries() {
@@ -484,11 +479,11 @@ mod tests {
 
     #[test]
     fn versioned_keys_separate_kinds() {
-        let a = versioned_key("expand", 42);
+        let a = versioned_key("module", 42);
         let b = versioned_key("profile", 42);
         assert_ne!(a, b);
         // And the same kind+key is stable.
-        assert_eq!(a, versioned_key("expand", 42));
+        assert_eq!(a, versioned_key("module", 42));
     }
 
     #[test]
@@ -504,15 +499,13 @@ mod tests {
     }
 
     #[test]
-    fn wipe_and_totals() {
-        let dir = scratch("wipe");
+    fn total_bytes_counts_framed_entries() {
+        let dir = scratch("totals");
         let s = Store::open(&dir, None).unwrap();
+        assert_eq!(s.total_bytes(), 0);
         s.put("k", 1, &[0u8; 100]);
         s.put("k", 2, &[0u8; 100]);
         assert_eq!(s.total_bytes(), 2 * (HEADER_LEN as u64 + 100));
-        s.wipe();
-        assert_eq!(s.total_bytes(), 0);
-        assert_eq!(s.get("k", 1), None);
         let _ = fs::remove_dir_all(&dir);
     }
 }

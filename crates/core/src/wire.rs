@@ -29,11 +29,9 @@
 //!   [`WireError`], which the store treats as a corrupt entry (recompute +
 //!   rewrite).
 
-use crate::stages::{GateRef, ProfileData, SirStage, StageHits};
+use crate::stages::{ProfileData, StageHits};
 use crate::{Arch, BuildConfig, BuildTrace, Compiled, Manifest, PartKeys, SimResult};
-use backend::emit::{FnCode, FnFixup};
-use backend::mir::MBlockId;
-use backend::{FnArtifact, Program};
+use backend::Program;
 use interp::profile::VarStats;
 use interp::{Heuristic, Profile};
 use isa::inst::SAluOp;
@@ -535,7 +533,7 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
 // SIR
 // ---------------------------------------------------------------------------
 
-wire_id!(ValueId, BlockId, FuncId, GlobalId, RegionId, MBlockId);
+wire_id!(ValueId, BlockId, FuncId, GlobalId, RegionId);
 
 wire_enum!(Width, "width" { 0 W1, 1 W8, 2 W16, 3 W32, 4 W64 });
 
@@ -840,12 +838,6 @@ impl Wire for Program {
     }
 }
 
-wire_enum!(FnFixup, "fn fixup" { 0 Block(b), 1 Func(f) });
-
-wire_struct! {
-    FnCode { name, insts, fixups, block_starts, spec_pairs }
-}
-
 // ---------------------------------------------------------------------------
 // Profiles, sim results
 // ---------------------------------------------------------------------------
@@ -914,86 +906,6 @@ wire_struct! {
 
 wire_struct! {
     ProfileData { profile, dyn_insts, traces }
-    GateRef { program, energy, traces }
-}
-
-/// A stage-cache SIR artifact (frontend or expanded module); `content` is
-/// derived from the module and recomputed on decode.
-impl Wire for SirStage {
-    fn put(&self, e: &mut Enc) {
-        let SirStage {
-            module,
-            traces,
-            content: _,
-        } = self;
-        module.put(e);
-        traces.put(e);
-    }
-
-    fn get(d: &mut Dec) -> Res<Self> {
-        let module = Wire::get(d)?;
-        let traces = Wire::get(d)?;
-        Ok(SirStage::new(module, traces))
-    }
-}
-
-/// A function-level codegen artifact (the `fnmir` store kind). Only clean
-/// artifacts are published — verification accepted, no dump payload — so
-/// diagnostics and dumps are not part of the format; the verdict bools
-/// are carried for trace fidelity.
-impl Wire for FnArtifact {
-    fn put(&self, e: &mut Enc) {
-        let FnArtifact {
-            code,
-            mid,
-            alloc,
-            t_isel,
-            t_mirv,
-            t_ra,
-            t_rav,
-            t_emit,
-            mirv_ok,
-            rav_ok,
-            mirv_problems,
-            rav_problems,
-            isel_dump,
-            ra_dump,
-        } = self;
-        debug_assert!(
-            mirv_problems.is_empty()
-                && rav_problems.is_empty()
-                && isel_dump.is_none()
-                && ra_dump.is_none(),
-            "only clean fn artifacts are published"
-        );
-        code.put(e);
-        mid.put(e);
-        alloc.put(e);
-        for t in [t_isel, t_mirv, t_ra, t_rav, t_emit] {
-            t.put(e);
-        }
-        mirv_ok.put(e);
-        rav_ok.put(e);
-    }
-
-    fn get(d: &mut Dec) -> Res<Self> {
-        Ok(FnArtifact {
-            code: Wire::get(d)?,
-            mid: Wire::get(d)?,
-            alloc: Wire::get(d)?,
-            t_isel: Wire::get(d)?,
-            t_mirv: Wire::get(d)?,
-            t_ra: Wire::get(d)?,
-            t_rav: Wire::get(d)?,
-            t_emit: Wire::get(d)?,
-            mirv_ok: Wire::get(d)?,
-            rav_ok: Wire::get(d)?,
-            mirv_problems: Vec::new(),
-            rav_problems: Vec::new(),
-            isel_dump: None,
-            ra_dump: None,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ use bench::{clear_cache, run_cached, run_cached_traced, CellSource};
 use bitspec::memo::{self, Counts};
 use bitspec::{stages, store, wire, BuildConfig, Workload};
 use serve::{serve_batch, suite_requests, Op, Request};
+use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -273,8 +274,9 @@ fn deleted_module_part_is_recomputed_and_rewritten() {
     });
 }
 
-/// A disk-warm serve of the full suite reads manifests and nothing else:
-/// no module, program or stage artifact is looked up. A re-serve of the
+/// A cold serve of the full suite stores exactly its cells (manifests
+/// and their parts), and a disk-warm serve reads manifests and nothing
+/// else: no module, program or stage artifact is looked up. A re-serve of the
 /// suite twice over is then all memory hits, one cell per duplicate pair.
 #[test]
 fn disk_warm_suite_serve_reads_only_manifests() {
@@ -285,6 +287,19 @@ fn disk_warm_suite_serve_reads_only_manifests() {
     let reqs = suite_requests(0);
     let cold = serve_batch(&reqs, 2, true, &|_| {});
     assert_eq!(cold.computed, reqs.len());
+    // The store holds the cells and nothing else: one manifest per cell
+    // plus the distinct module, program and profile parts they name.
+    let stored = store::entry_counts(&store::active().expect("store configured"));
+    let cell_kinds = [
+        ("manifest", 112),
+        ("module", 58),
+        ("program", 66),
+        ("profile", 14),
+    ];
+    assert_eq!(
+        stored,
+        HashMap::from(cell_kinds.map(|(k, n)| (k.to_string(), n)))
+    );
 
     wipe_memory();
     let before = memo::stats();

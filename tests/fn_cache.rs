@@ -17,11 +17,11 @@
 //!   must recompile exactly the callers that embed them.
 //! * **Fidelity** — cache-assembled programs are bit-identical to cold
 //!   builds: fingerprints, addresses, layout Δ tables and simulated
-//!   outputs all match, through the memory tier and the disk store tier.
+//!   outputs all match. The function cache is memory-only.
 //!
-//! The caches, their counters and the store configuration are
-//! process-global, so every test takes a file-wide lock and uses
-//! source text distinct from other tests' (distinct `k`/`edit`).
+//! The caches and their counters are process-global, so every test takes
+//! a file-wide lock and uses source text distinct from other tests'
+//! (distinct `k`/`edit`).
 
 use bitspec::{build, program_fingerprint, simulate, stages, BuildConfig, Compiled, Workload};
 use mibench::multifn_source;
@@ -173,37 +173,4 @@ fn reorder_recompiles_only_the_callers() {
     let r_base = simulate(&c_base, &w_base).expect("sim base");
     let r_re = simulate(&c_re, &w_re).expect("sim reordered");
     assert_eq!(r_base.outputs, r_re.outputs);
-}
-
-#[test]
-fn disk_tier_serves_function_artifacts() {
-    let _g = serial();
-    let k = 10;
-    let dir = std::env::temp_dir().join(format!("fn-cache-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    bitspec::store::configure(Some(&dir), None);
-
-    let w = multifn(k, 42);
-    let c_cold = cold(&w); // populates the store
-    let before = stages::stats();
-    stages::clear(); // memory tier gone; the store keeps its entries
-    let c_disk = build(&w, &cfg()).expect("disk-tier build");
-    let after = stages::stats();
-
-    bitspec::store::configure(None, None);
-    let _ = std::fs::remove_dir_all(&dir);
-    stages::clear();
-
-    assert_eq!(
-        (c_disk.stage_hits.fn_hits, c_disk.stage_hits.fn_total),
-        (k as u32 + 1, k as u32 + 1),
-        "every function must be served from the store"
-    );
-    let fns = after.since(&before).get("fnmir");
-    assert_eq!(
-        (fns.disk_hits, fns.misses),
-        (k as u64 + 1, 0),
-        "every fn artifact must come off disk"
-    );
-    assert_identical(&c_disk, &c_cold);
 }

@@ -2,14 +2,14 @@
 //! every suite cell (the 14 MiBench workloads under the eight
 //! configurations of `bench::suite_configs`) and for every entry a cold
 //! sweep of that suite publishes to the persistent store — each cell as a
-//! manifest plus its module and program parts.
+//! manifest plus its module, program and profile parts.
 //!
 //! Each cell row pins the FNV-1a hash of its `wire::encode_cell` bytes.
 //! Each store row pins an entry's kind, its file name (the versioned store
 //! key, so key derivation and `SCHEMA_VERSION` are covered too) and the
 //! hash of its payload decoded and re-encoded. Wall-clock fields are the
 //! only nondeterministic part of an artifact, so they are zeroed before
-//! hashing: every `PassTrace::wall_ns` and the `FnArtifact` stage times.
+//! hashing: every `PassTrace::wall_ns`.
 //!
 //! The sweep runs on one worker from cold caches, so per-build cache
 //! provenance (`StageHits`, `PassTrace::cached`) is deterministic. Run in
@@ -161,188 +161,6 @@ const GOLDEN_CELLS: &[(&str, &str, u64)] = &[
 
 /// `(kind, entry file name, hash of the re-encoded payload)`, sorted.
 const GOLDEN_ENTRIES: &[(&str, &str, u64)] = &[
-    ("expand", "01c3dcad6eb99d24.art", 0xe7f8983920a0344a),
-    ("expand", "0a6ebd394f294da4.art", 0x6df5a2f3734a108c),
-    ("expand", "3791434eb301ea38.art", 0x7b5e69694e086a39),
-    ("expand", "39adabacbe15ef19.art", 0x3693402f90afd37f),
-    ("expand", "41362d93694cc667.art", 0x562334c8f3134a79),
-    ("expand", "524c3848331fe225.art", 0x177ad0e82b73ff5d),
-    ("expand", "5832c2b0914deccf.art", 0x3f3aa7b272d1e400),
-    ("expand", "846998435b4417a3.art", 0x7ae90315bbb27684),
-    ("expand", "85308611d3aa533f.art", 0x76337d897180002d),
-    ("expand", "9b5b529bda81f9d1.art", 0xba3639b5d263c672),
-    ("expand", "b5e4bd44d7388fe5.art", 0x5e807efd2f4596a8),
-    ("expand", "bfca462c2deb023d.art", 0x85fdc318b5ecd1b9),
-    ("expand", "e21d68a30b78d68d.art", 0x36f68b910d45351a),
-    ("expand", "ef990080279ced76.art", 0xb96391466cfa18ee),
-    ("fnmir", "031b41fa9b84c643.art", 0xf4745f97b028edaa),
-    ("fnmir", "0589a0464f9cbde9.art", 0xb0ecdc5c0eccbb6d),
-    ("fnmir", "05ebb564489b0342.art", 0xc8c06c9aae769a15),
-    ("fnmir", "06c14e5883ee47d1.art", 0xb7660e426fb28ca8),
-    ("fnmir", "0af1156d2df7686a.art", 0xac0ebf19d92241b9),
-    ("fnmir", "0bc258ee5a632b39.art", 0x24bd84d793ae86f4),
-    ("fnmir", "0e54b4cb3be5b143.art", 0x931251af3180c33e),
-    ("fnmir", "1379335c6ef357b2.art", 0x3556c605d6ed3f5b),
-    ("fnmir", "149c3a7f554e00ec.art", 0x3c9ac047ca13a6f5),
-    ("fnmir", "16f9222acb5a9ccf.art", 0xab34664d63f4f5cc),
-    ("fnmir", "1964c432f9f77207.art", 0xc9c92801c7e8d366),
-    ("fnmir", "1a04bd639e659eb4.art", 0xc978b3c6673ab951),
-    ("fnmir", "1bbc82be712c7d31.art", 0x7a5d9307faf0c4b0),
-    ("fnmir", "1bd31b432c8aca00.art", 0xab34664d63f4f5cc),
-    ("fnmir", "1c269613ab7ef9f6.art", 0xf07f2bd1223af8f3),
-    ("fnmir", "1cfd51afc852f193.art", 0x8f25ac8f9748d599),
-    ("fnmir", "1dfc136015c4cae0.art", 0x3e51e4a585a8396d),
-    ("fnmir", "1ebdfe70ae6ef580.art", 0x565a208b0122dd33),
-    ("fnmir", "1f3cf36633da1375.art", 0xc7d80b77357c726d),
-    ("fnmir", "1fe7cbab10ad8013.art", 0x3c9ac047ca13a6f5),
-    ("fnmir", "226a5c83115423f3.art", 0x1701e0e2f5f47a98),
-    ("fnmir", "22c27de5e71039f8.art", 0x07c11aabfc74f994),
-    ("fnmir", "2580fc32e893a4e3.art", 0x7f70725a5b883af1),
-    ("fnmir", "27091a5d960e7550.art", 0x64c8fbbb53a1ca4a),
-    ("fnmir", "27a637fb3d2e3a2f.art", 0x48081db94b2050cf),
-    ("fnmir", "2ac1f05688307700.art", 0x7e3dadcdeeb66cbf),
-    ("fnmir", "2ba2df70d225fc8a.art", 0xb952e366b63aacb9),
-    ("fnmir", "2cfba84e97f583cb.art", 0x45aa112592c3fb75),
-    ("fnmir", "2f3ab87cb0050a2a.art", 0xd95447c8e05e7593),
-    ("fnmir", "3032bee35dd6918a.art", 0x7496458d715eb563),
-    ("fnmir", "32e8919fa0db1522.art", 0x07c11aabfc74f994),
-    ("fnmir", "34ad60f826cfdf8c.art", 0x331920f2980e3dfc),
-    ("fnmir", "353463da561c8cc6.art", 0x523ae4fa789d2d34),
-    ("fnmir", "36106901a7a93c2b.art", 0xc5ad79fcc6194f2b),
-    ("fnmir", "36cedc1008170717.art", 0xe7102cc786c19917),
-    ("fnmir", "38095749d6ce0f98.art", 0xfbc50d78486aa95b),
-    ("fnmir", "39f5af141d85ae38.art", 0x330455af0e2db6d3),
-    ("fnmir", "3a3c102d3ba729c5.art", 0xa92a0e2f0a02fbf5),
-    ("fnmir", "3bda4fdbdcbd7639.art", 0x485a917dd628b8b5),
-    ("fnmir", "3c183e75a014eb09.art", 0xbc0a80b6b83968d5),
-    ("fnmir", "3c3c2dfc47f71216.art", 0xce58ba66d78c3305),
-    ("fnmir", "3cb855a993c19054.art", 0xad56476a29d63344),
-    ("fnmir", "3e47fe7181ce5382.art", 0x3fc043620726e442),
-    ("fnmir", "40a50a4230f5ec7a.art", 0x1cc4e71eca322815),
-    ("fnmir", "46c2af5d681c9e44.art", 0x4d9a2affefa5f6fa),
-    ("fnmir", "4795f29778651c7d.art", 0x3fb78c0b2b1041d7),
-    ("fnmir", "4807fb1a2412ec9e.art", 0x37232e2dc6eb2dd5),
-    ("fnmir", "496440b7af1d9b0d.art", 0xfa66a610157c1ffb),
-    ("fnmir", "499a3d8f51517b78.art", 0xb010e7a5be5b08b8),
-    ("fnmir", "49d8db3557c808b2.art", 0x3b402496cdfc2c76),
-    ("fnmir", "4ba24d4e24ef706b.art", 0xf3b6db4303a6cb4e),
-    ("fnmir", "4d744292f455b4a5.art", 0x1a4adee0167c6933),
-    ("fnmir", "4fbeaac941a46587.art", 0x357537ee25c6903f),
-    ("fnmir", "58f3d9d49f86420d.art", 0x337a74f301b894f0),
-    ("fnmir", "5fdb82362ae1bd25.art", 0xf9affb57708883d4),
-    ("fnmir", "6000acf8afd93e59.art", 0x0bfa06ba8fa5edfc),
-    ("fnmir", "601ccc4191a8824e.art", 0x3d1625b8ae52db8f),
-    ("fnmir", "60606593e0b7498f.art", 0x5faad828832df7f5),
-    ("fnmir", "6070ce0434a47e3f.art", 0x74ccb2b00a373e76),
-    ("fnmir", "62127b71ebe700cd.art", 0x0d447fa432fff243),
-    ("fnmir", "631dc01c72c49aaf.art", 0xa07a81d9e6caa80a),
-    ("fnmir", "6585fe9f9d9db806.art", 0x387c092ac8c068a1),
-    ("fnmir", "6725e2a65a20c101.art", 0xae2dd8d535574553),
-    ("fnmir", "6dd20da0cfbf40fb.art", 0x07aa046848fd181f),
-    ("fnmir", "6e5006b573a89b6f.art", 0x3a84f16965d102bf),
-    ("fnmir", "6f69d2a0998129bc.art", 0x7f70725a5b883af1),
-    ("fnmir", "70e116668fcd29e1.art", 0x523ae4fa789d2d34),
-    ("fnmir", "732cc6ca42e04bc4.art", 0xda5667fc115e1511),
-    ("fnmir", "734df80c58ebfb61.art", 0x27fc97f1c4db8a4e),
-    ("fnmir", "74d28d1282e5be99.art", 0x585fbcac16247f31),
-    ("fnmir", "7736ceb9aafa8819.art", 0xd3225a71c60c8002),
-    ("fnmir", "7745173fb1dde275.art", 0xc8c06c9aae769a15),
-    ("fnmir", "7bec62deb92a8fb0.art", 0x65271c962130f568),
-    ("fnmir", "7eab1714cb9012bd.art", 0x2bc1b7de6b73b485),
-    ("fnmir", "7f2ac40883e23d82.art", 0x79ff34dea97a2e54),
-    ("fnmir", "811cdfa9c03ce595.art", 0x0777d074d3d891b8),
-    ("fnmir", "822b19fff586e0db.art", 0x93d99c3206e32eb5),
-    ("fnmir", "8620e768849a6202.art", 0x91da24131d517835),
-    ("fnmir", "86864af0ef838152.art", 0x9cc324821b11bbd8),
-    ("fnmir", "87482f5d18bbf929.art", 0x707b42a5c93d96a4),
-    ("fnmir", "89037e317af22c66.art", 0x3722594771bdb960),
-    ("fnmir", "89dafe487293bc94.art", 0x818064e80fad20ec),
-    ("fnmir", "8a090b605bd03333.art", 0x2bb7597c0544f3c7),
-    ("fnmir", "8a26d1399d51c1b3.art", 0x3a84f16965d102bf),
-    ("fnmir", "8a4836bcffc8b6ee.art", 0x93d99c3206e32eb5),
-    ("fnmir", "8acade4810f06ad6.art", 0x315674171a4e9816),
-    ("fnmir", "8b2bc3492996a2dd.art", 0xe18276d8460dfc17),
-    ("fnmir", "8fffc50bedeb23ae.art", 0x295db5ce9be3bbb6),
-    ("fnmir", "96220627ceb3bc1b.art", 0x50e116f2f121338e),
-    ("fnmir", "96bed4b6f510a255.art", 0x8506efa34ada048c),
-    ("fnmir", "976893b6eee512cc.art", 0x78917a4872de35f5),
-    ("fnmir", "99c2156f0602aa69.art", 0xebf456abbf8d8806),
-    ("fnmir", "9b93d1edd39f1307.art", 0x5d2bd8721439579e),
-    ("fnmir", "9cbd85fcd117018b.art", 0xd3a8108e0976a3d8),
-    ("fnmir", "9f677102010d1cd5.art", 0x1701e0e2f5f47a98),
-    ("fnmir", "9ff965de6c1755dc.art", 0x330455af0e2db6d3),
-    ("fnmir", "a0770f6ecb2a96f4.art", 0x689ca61fadabfe78),
-    ("fnmir", "a1f3c7618eaf5591.art", 0x4226f16fd1cdd309),
-    ("fnmir", "a4efdc1682c48cfb.art", 0x22f50ab395afea79),
-    ("fnmir", "a656ec0f681da838.art", 0xe547385e74fb1933),
-    ("fnmir", "a8cab11d11be990e.art", 0x955bd25d37a852e3),
-    ("fnmir", "ac6582b41084e5fe.art", 0xe6ca90bc13821763),
-    ("fnmir", "ac6e401e03d39588.art", 0xc5ad79fcc6194f2b),
-    ("fnmir", "af0492fb3345eb86.art", 0x5ccec56d219ae6a0),
-    ("fnmir", "b0548b25fbb61509.art", 0xee08202f7dac7687),
-    ("fnmir", "b341c96fa85f8347.art", 0xce1a5937fe4a501b),
-    ("fnmir", "b691296e615ea7e5.art", 0x970f90db6c8e8b10),
-    ("fnmir", "b7046ac0f0443c09.art", 0x12956565b925400b),
-    ("fnmir", "b80708a5fd52d173.art", 0x78c8ac10ddf61164),
-    ("fnmir", "b8089d0704916205.art", 0x8c26e492636029c6),
-    ("fnmir", "b95b98058cf37864.art", 0x594840bcc00dc7e9),
-    ("fnmir", "bd5736e31ef60a73.art", 0x3722594771bdb960),
-    ("fnmir", "bfe16b85cf173aea.art", 0xddaebb72c5fc7d9b),
-    ("fnmir", "c0f8dc38e03730a9.art", 0x9fbfb6a192c10be8),
-    ("fnmir", "c2d7c2d483883763.art", 0x655301bbb47fe4fe),
-    ("fnmir", "c343dfb5764a5d3a.art", 0x4468be7083b59505),
-    ("fnmir", "c50647a3dc1c9509.art", 0x95eefffb7a1122ed),
-    ("fnmir", "c6cad693a193b2d0.art", 0x96dab4319e9528d2),
-    ("fnmir", "c7f881df830ceb83.art", 0xa31e339e9f496532),
-    ("fnmir", "c8c49e67db490bd2.art", 0x4534007ee7db3a18),
-    ("fnmir", "c9c54e7a5c12ee49.art", 0x9b9b8584ba57cadf),
-    ("fnmir", "cb08b54969889d63.art", 0x0852b718927fa320),
-    ("fnmir", "cccd955d38488201.art", 0x7496458d715eb563),
-    ("fnmir", "cef8fef20a7cd192.art", 0x8dbe7ba03f7c4e3c),
-    ("fnmir", "cf8abe3a23278864.art", 0x5fc08449665ee1a2),
-    ("fnmir", "d10c22f5c7bf56b4.art", 0xa9260d4664707719),
-    ("fnmir", "d1d5ac296ead029f.art", 0x0acc3f06945bf8ee),
-    ("fnmir", "d268dc44b69471f1.art", 0xe36c250f13bf21fe),
-    ("fnmir", "d5f11771b6a975c1.art", 0x218bf040e63bb2b9),
-    ("fnmir", "d839b5b57becf3d8.art", 0x689ca61fadabfe78),
-    ("fnmir", "db2b99c8c6cdb956.art", 0xddaebb72c5fc7d9b),
-    ("fnmir", "dc291eb1cbe36b6f.art", 0x6f8914692e45d370),
-    ("fnmir", "dd07c6b4ff68010f.art", 0xa91281a58af1a07e),
-    ("fnmir", "de83704ffbb8f3f0.art", 0x5a6f7e6dcd09371c),
-    ("fnmir", "e0fab2413687834e.art", 0x912434e4d8975ae9),
-    ("fnmir", "e3994a866111c3ee.art", 0x295db5ce9be3bbb6),
-    ("fnmir", "e3c6c5dd5c07f151.art", 0x78c8ac10ddf61164),
-    ("fnmir", "e409a13f09d2b0be.art", 0x1238ccf939917bb3),
-    ("fnmir", "e43a46232ce74eab.art", 0x92b7058667473c46),
-    ("fnmir", "e4983c49ffa80c26.art", 0xc772c6cdb6c47189),
-    ("fnmir", "e5f4aebefaeeaf0a.art", 0xda5667fc115e1511),
-    ("fnmir", "e607026107a189e3.art", 0xed7e4aaf1e77de8e),
-    ("fnmir", "e716f912022cfcf0.art", 0x16e63d5d78bbcc46),
-    ("fnmir", "e779d3862cfd34f6.art", 0x78917a4872de35f5),
-    ("fnmir", "ec495768d59f27fe.art", 0xfbc50d78486aa95b),
-    ("fnmir", "ec731d9710592bf6.art", 0xea4f51b3f475c96b),
-    ("fnmir", "f06afef4f7f40403.art", 0x932f5288fe102190),
-    ("fnmir", "f0fb17cbedd22b0f.art", 0xe547385e74fb1933),
-    ("fnmir", "f133bf5e916f27f9.art", 0x5b68ef3b87899b2c),
-    ("fnmir", "f6ca70dd3d42cedd.art", 0xe36c250f13bf21fe),
-    ("fnmir", "f7d23d7edee59bf2.art", 0x2a49a20224b79efa),
-    ("fnmir", "fa18e87c8367a64c.art", 0xb64152d00d3530e1),
-    ("fnmir", "fb0b4b3433f411b9.art", 0x142a4f28e208952b),
-    ("fnmir", "fc4a7a78263fd223.art", 0xeed897c3ccf66f8e),
-    ("fnmir", "fdfe2c624ec6e51b.art", 0xe06cb9c9489ec9c0),
-    ("gate", "36286e4255585240.art", 0xd4c007a612a90a16),
-    ("gate", "3c8f7d545d7f8c4f.art", 0xb0de63d19e3466df),
-    ("gate", "49cdff6d75a67d2c.art", 0x10570aab73861fe4),
-    ("gate", "6f60a51f19261330.art", 0xb6d9774813967967),
-    ("gate", "727e60e16b874e6d.art", 0x831408f177864611),
-    ("gate", "74f7b1d70618f414.art", 0x03aebc3c30110bd2),
-    ("gate", "8058314cd5d5aa1f.art", 0x8bdd72ba689e351a),
-    ("gate", "9034b85ad3733c99.art", 0xba5b6833f53e3253),
-    ("gate", "aa529f89793870ef.art", 0x0074bc23409d0dfd),
-    ("gate", "b8c9628b2b544ab7.art", 0xeade797110240812),
-    ("gate", "c1c73eb238b59fff.art", 0x114a141a349d3965),
-    ("gate", "d5bd628f3b96143d.art", 0x03d68c67c5ff1cea),
-    ("gate", "edd5807e27a40748.art", 0x09f8781910867d32),
     ("manifest", "0065ea5cc866158c.art", 0x384f2502216e43cf),
     ("manifest", "00b9398e80cd6234.art", 0x47590c4067484513),
     ("manifest", "00b9c0fc1bc30bfe.art", 0xcf4b3af4f9000cf8),
@@ -629,29 +447,10 @@ fn reencode(kind: &str, payload: &[u8]) -> Vec<u8> {
         }
         "module" => wire::encode(&wire::decode::<sir::Module>(payload).expect(&what)),
         "program" => wire::encode(&wire::decode::<backend::Program>(payload).expect(&what)),
-        "expand" => {
-            let mut s: stages::SirStage = wire::decode(payload).expect(&what);
-            zero_walls(&mut s.traces);
-            wire::encode(&s)
-        }
         "profile" => {
             let mut p: stages::ProfileData = wire::decode(payload).expect(&what);
             zero_walls(&mut p.traces);
             wire::encode(&p)
-        }
-        "gate" => {
-            let mut g: stages::GateRef = wire::decode(payload).expect(&what);
-            zero_walls(&mut g.traces);
-            wire::encode(&g)
-        }
-        "fnmir" => {
-            let mut a: backend::FnArtifact = wire::decode(payload).expect(&what);
-            a.t_isel = 0;
-            a.t_mirv = 0;
-            a.t_ra = 0;
-            a.t_rav = 0;
-            a.t_emit = 0;
-            wire::encode(&a)
         }
         _ => panic!("unexpected store kind {kind}"),
     }

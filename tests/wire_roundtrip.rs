@@ -128,9 +128,9 @@ fn stage_payloads_roundtrip() {
     assert!(wire::decode::<stages::ProfileData>(&extended).is_err());
 }
 
-/// A `fnmir` payload whose instruction count claims far more elements
-/// than the payload holds.
-fn huge_length_fn_artifact() -> Vec<u8> {
+/// A `module` payload (the name `"f"`) whose function count claims far
+/// more functions than the payload holds.
+fn huge_fn_count_module() -> Vec<u8> {
     let mut bytes = vec![1, b'f'];
     let mut n: u64 = 1 << 40;
     while n >= 0x80 {
@@ -145,10 +145,8 @@ fn huge_length_fn_artifact() -> Vec<u8> {
 /// the decoder's bounds check (a panic instead of an error).
 const HOSTILE: [u8; 10] = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
 
-/// The store kinds with a codec.
-const KINDS: [&str; 7] = [
-    "expand", "profile", "gate", "fnmir", "manifest", "module", "program",
-];
+/// The store's kinds: a bench cell's manifest and the parts it names.
+const KINDS: [&str; 4] = ["manifest", "module", "program", "profile"];
 
 /// Decodes `bytes` as the artifact type of store kind `kind` and
 /// re-encodes it.
@@ -157,10 +155,7 @@ fn reencode(kind: &str, bytes: &[u8]) -> Result<Vec<u8>, wire::WireError> {
         wire::decode::<T>(bytes).map(|v| wire::encode(&v))
     }
     match kind {
-        "expand" => re::<stages::SirStage>(bytes),
         "profile" => re::<stages::ProfileData>(bytes),
-        "gate" => re::<stages::GateRef>(bytes),
-        "fnmir" => re::<backend::FnArtifact>(bytes),
         "manifest" => re::<Manifest>(bytes),
         "module" => re::<sir::Module>(bytes),
         "program" => re::<backend::Program>(bytes),
@@ -218,9 +213,9 @@ fn cold_cell_in_store(tag: &str, dir: &Path) -> bench::Cell {
 #[test]
 fn huge_fn_length_prefix_errors_and_recomputes() {
     let _g = serial();
-    let bad = huge_length_fn_artifact();
+    let bad = huge_fn_count_module();
     assert!(
-        wire::decode::<backend::FnArtifact>(&bad).is_err(),
+        wire::decode::<sir::Module>(&bad).is_err(),
         "an unbounded length prefix must be a decode error"
     );
     for kind in KINDS {
@@ -230,45 +225,45 @@ fn huge_fn_length_prefix_errors_and_recomputes() {
         );
     }
 
-    // Plant the payload, checksum-valid, under every function key of a
-    // build; the memo must count each as corrupt and recompute it.
-    let dir = std::env::temp_dir().join(format!("wire-fnmir-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    store::configure(Some(&dir), None);
-    let w = workload("fnmir");
-    let cfg = BuildConfig {
-        empirical_gate: false,
-        ..BuildConfig::baseline()
-    };
-    stages::clear();
-    let cold = build(&w, &cfg).unwrap();
-    let m = &cold.module;
-    let lfp = stages::layout_fingerprint(m, &interp::Layout::new(m));
-    let opts = backend::CodegenOpts {
-        bitspec: false,
-        compact: false,
-        spill_prefer_orig: cfg.spill_prefer_orig,
-    };
-    let active = store::active().expect("store configured");
-    let n = m.func_ids().count() as u64;
-    for fid in m.func_ids() {
-        let key = stages::fn_key(m.func(fid), lfp, &opts, cfg.verify_each);
-        active.put("fnmir", key, &bad);
+    // Plant the payload, checksum-valid, over a gated cell's module part.
+    // Its manifest still decodes, so the cell is reassembled from its
+    // parts until the module fails: the memo must count it as corrupt,
+    // recompute the cell and rewrite the part.
+    let dir = std::env::temp_dir().join(format!("wire-fncount-{}", std::process::id()));
+    let cold = cold_cell_in_store("fncount", &dir);
+    let mut planted = 0u64;
+    for (_, path) in entries(&dir).iter().filter(|(kind, _)| kind == "module") {
+        plant(path, &bad);
+        planted += 1;
     }
     stages::clear();
+    bench::clear_cache();
     let before = store::stats();
-    let again = build(&w, &cfg).unwrap();
+    let again = bench::run_cached(&workload("fncount"), &BuildConfig::bitspec());
     let after = store::stats();
+    let rewritten: Vec<_> = entries(&dir)
+        .into_iter()
+        .filter(|(kind, _)| kind == "module")
+        .map(|(kind, path)| reencode(&kind, &std::fs::read(path).unwrap()[HEADER_LEN..]))
+        .collect();
     store::configure(None, None);
     let _ = std::fs::remove_dir_all(&dir);
     stages::clear();
+    bench::clear_cache();
 
-    assert_eq!(after.corrupt - before.corrupt, n, "every entry is corrupt");
-    assert_eq!(again.stage_hits.fn_hits, 0, "nothing was served");
+    assert_eq!(planted, 1, "one module part");
     assert_eq!(
-        backend::program_fingerprint(&again.program),
-        backend::program_fingerprint(&cold.program)
+        after.corrupt - before.corrupt,
+        planted,
+        "the part is corrupt"
     );
+    assert_eq!(rewritten.len(), 1, "the part was rewritten");
+    assert!(rewritten[0].is_ok(), "with a decodable payload");
+    assert_eq!(
+        backend::program_fingerprint(&again.0.program),
+        backend::program_fingerprint(&cold.0.program)
+    );
+    assert_eq!(again.1.outputs, cold.1.outputs);
 
     // The u64::MAX prefix, planted checksum-valid over every entry of a
     // gated cell's store (every kind): each is recomputed and rewritten.
@@ -448,28 +443,17 @@ fn out_of_range_control_flow_errors_and_recomputes() {
         );
     }
 
-    // Plant a branch past the end, checksum-valid, in every program and
-    // gate entry of a gated cell's store. The manifest still decodes, so
-    // the cell is reassembled from its parts until the program part fails.
+    // Plant a branch past the end, checksum-valid, in every program entry
+    // of a gated cell's store. The manifest still decodes, so the cell is
+    // reassembled from its parts until the program part fails.
     let dir = std::env::temp_dir().join(format!("wire-cfg-{}", std::process::id()));
     let cold = cold_cell_in_store("cfg", &dir);
     let mut planted = 0u64;
-    for (kind, path) in entries(&dir) {
-        let payload = &std::fs::read(&path).unwrap()[HEADER_LEN..];
-        let bytes = match kind.as_str() {
-            "program" => {
-                let mut p = wire::decode::<backend::Program>(payload).unwrap();
-                corrupt_control_flow(&mut p, 3);
-                wire::encode(&p)
-            }
-            "gate" => {
-                let mut g = wire::decode::<stages::GateRef>(payload).unwrap();
-                corrupt_control_flow(&mut g.program, 3);
-                wire::encode(&g)
-            }
-            _ => continue,
-        };
-        plant(&path, &bytes);
+    for (_, path) in entries(&dir).iter().filter(|(kind, _)| kind == "program") {
+        let payload = &std::fs::read(path).unwrap()[HEADER_LEN..];
+        let mut p = wire::decode::<backend::Program>(payload).unwrap();
+        corrupt_control_flow(&mut p, 3);
+        plant(path, &wire::encode(&p));
         planted += 1;
     }
     stages::clear();
@@ -482,8 +466,8 @@ fn out_of_range_control_flow_errors_and_recomputes() {
     stages::clear();
     bench::clear_cache();
 
-    assert_eq!(planted, 2, "one program and one gate entry");
-    assert_eq!(after.corrupt - before.corrupt, planted, "both are corrupt");
+    assert_eq!(planted, 1, "one program entry");
+    assert_eq!(after.corrupt - before.corrupt, planted, "it is corrupt");
     assert_eq!(
         backend::program_fingerprint(&again.0.program),
         backend::program_fingerprint(&cold.0.program)
