@@ -92,7 +92,7 @@ cargo test --release -q -p bench --test pool_order
 cargo test --release -q -p fuzz --test parallel_incremental
 
 # Pass-manager smoke: a gated BITSPEC build with verify-each produces a
-# JSON pass trace naming every registered pass with nonzero timings, the
+# pass trace naming every registered pass with nonzero timings, the
 # golden pass order holds per architecture, and BITSPEC_PRINT_AFTER
 # renders every corpus entry's IR without panicking or changing output.
 cargo test --release -q -p bitspec --test pass_trace --test pass_order

@@ -8,7 +8,7 @@
 //!
 //! This library holds the shared run/format helpers.
 
-use bitspec::memo::{Codec, Memo};
+use bitspec::memo::{Codec, Memo, Source};
 use bitspec::{build, stages, wire, BuildConfig, Compiled, Manifest, Program, SimConfig};
 use bitspec::{SimResult, Workload};
 use std::convert::Infallible;
@@ -57,10 +57,6 @@ fn evaluate(w: &Workload, c: &Compiled, program_fp: Option<u64>, sim_cfg: &SimCo
 
 /// One build+simulate artifact, shared across harness call sites.
 pub type Cell = Arc<(Compiled, SimResult)>;
-
-/// Where a [`run_cached_traced`] cell came from — the provenance the
-/// serve layer streams back per request.
-pub use bitspec::memo::Source as CellSource;
 
 /// One memoized cell: its manifest, and the full cell once this process
 /// computed or reassembled it. A manifest read from the store arrives
@@ -115,8 +111,9 @@ static PROGRAMS: Memo<Program> = Memo::new(
 /// of the same (workload, config) cell — common across harnesses and
 /// within the matrix sweeps — returns the shared artifact instead of
 /// re-running the pipeline. A cell whose manifest came from the store is
-/// reassembled from its parts; a missing or corrupt part counts as store
-/// corruption, and the cell is recomputed and its parts republished.
+/// reassembled from its parts; a missing or corrupt part counts as
+/// `corrupt` under its kind ([`bitspec::memo::Counts`]), and the cell is
+/// recomputed and its parts republished.
 ///
 /// # Panics
 /// Panics on build or simulation failure.
@@ -142,12 +139,12 @@ pub fn run_cached(w: &Workload, cfg: &BuildConfig) -> Cell {
 ///
 /// # Panics
 /// Panics on build or simulation failure.
-pub fn run_cached_traced(w: &Workload, cfg: &BuildConfig) -> (Arc<Manifest>, CellSource) {
+pub fn run_cached_traced(w: &Workload, cfg: &BuildConfig) -> (Arc<Manifest>, Source) {
     let (entry, source) = lookup(w, cfg);
     (Arc::clone(&entry.manifest), source)
 }
 
-fn lookup(w: &Workload, cfg: &BuildConfig) -> (Arc<Entry>, CellSource) {
+fn lookup(w: &Workload, cfg: &BuildConfig) -> (Arc<Entry>, Source) {
     let key = bitspec::fingerprint::cell_key(w, cfg);
     let Ok(found) = CELLS.get(key, false, || {
         let (c, r, parts) = compute(w, cfg);

@@ -187,12 +187,6 @@ impl Workload {
         self
     }
 
-    /// Bounds the profiling run to `fuel` dynamic IR instructions.
-    pub fn with_profile_fuel(mut self, fuel: u64) -> Workload {
-        self.profile_fuel = Some(fuel);
-        self
-    }
-
     fn train(&self) -> &[(String, Vec<u8>)] {
         if self.train_inputs.is_empty() {
             &self.inputs

@@ -29,10 +29,12 @@
 //! computes: a missing part is the caller's to handle.
 //!
 //! **Counters.** One process-wide table keyed by kind name ([`stats`])
-//! holds every memo's [`Counts`]. Bypassed lookups skip both tiers and
-//! leave the counters unchanged.
+//! holds every memo's [`Counts`], the disk tier's included: the store
+//! only reads and writes files, and [`Memo`] classifies each read it
+//! makes. Bypassed lookups skip both tiers and leave the counters
+//! unchanged.
 
-use crate::store;
+use crate::store::{self, Read, Store};
 use crate::wire::WireError;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -82,6 +84,13 @@ pub struct Counts {
     pub disk_hits: u64,
     /// Memory misses that found nothing usable in an active store.
     pub disk_misses: u64,
+    /// Disk misses that found a damaged entry, an undecodable payload, or
+    /// no entry where another artifact named one (a manifest its part).
+    /// Also in `disk_misses`.
+    pub corrupt: u64,
+    /// Entries this memo handed to the store to write (the store drops
+    /// a write that fails, as on a full disk).
+    pub puts: u64,
     /// Lookups that waited on a concurrent leader (also in `hits`, or a
     /// recompute when the leader failed).
     pub waits: u64,
@@ -95,6 +104,8 @@ impl Counts {
             misses: self.misses - before.misses,
             disk_hits: self.disk_hits - before.disk_hits,
             disk_misses: self.disk_misses - before.disk_misses,
+            corrupt: self.corrupt - before.corrupt,
+            puts: self.puts - before.puts,
             waits: self.waits - before.waits,
         }
     }
@@ -198,7 +209,7 @@ impl<V> Memo<V> {
 
     /// Looks up a part another artifact names by `key`, memory → disk,
     /// never computing. `None` when neither tier holds a usable copy; a
-    /// missing store entry then counts as corrupt, like a damaged one,
+    /// missing store entry then counts as `corrupt`, like a damaged one,
     /// since the naming artifact promised it.
     pub fn get_part(&self, key: u64) -> Option<Arc<V>> {
         self.lookup(key, true, || Err(())).ok().map(|(v, _)| v)
@@ -223,15 +234,16 @@ impl<V> Memo<V> {
         }
         let lead = Lead { memo: self, key };
         store.put(self.kind, key, &(codec.enc)(v));
+        count(self.kind, |c| c.puts += 1);
         lead.settle(Slot::Stored);
     }
 
-    /// [`Memo::get`] past the bypass check; `required` marks a part
-    /// lookup ([`Memo::get_part`]).
+    /// [`Memo::get`] past the bypass check; `part` marks a part lookup
+    /// ([`Memo::get_part`]).
     fn lookup<E>(
         &self,
         key: u64,
-        required: bool,
+        part: bool,
         make: impl FnOnce() -> Result<V, E>,
     ) -> Result<(Arc<V>, Source), E> {
         let mut slots = self.lock();
@@ -262,21 +274,46 @@ impl<V> Memo<V> {
         let lead = Lead { memo: self, key };
         let disk = self.codec.as_ref().zip(store::active());
         if let Some((codec, store)) = &disk {
-            if let Some(v) = store::get_decoded(store, self.kind, key, required, codec.dec) {
-                count(self.kind, |c| {
-                    c.hits += 1;
-                    c.disk_hits += 1;
-                });
+            if let Some(v) = self.read(codec, store, key, part) {
                 return Ok((lead.publish(v), Source::Disk));
             }
-            count(self.kind, |c| c.disk_misses += 1);
         }
         let v = lead.publish(make()?);
         count(self.kind, |c| c.misses += 1);
         if let Some((codec, store)) = &disk {
             store.put(self.kind, key, &(codec.enc)(&v));
+            count(self.kind, |c| c.puts += 1);
         }
         Ok((v, Source::Computed))
+    }
+
+    /// Reads `key` from `store` and counts the outcome: a decoded value
+    /// is a disk hit, anything else a disk miss. A damaged entry, a
+    /// payload that does not decode (codec drift within one schema
+    /// version; the entry is deleted) and an absent `part` also count as
+    /// `corrupt`.
+    fn read(&self, codec: &Codec<V>, store: &Store, key: u64, part: bool) -> Option<V> {
+        let (v, corrupt) = match store.read(self.kind, key) {
+            Read::Payload(bytes) => match (codec.dec)(&bytes) {
+                Ok(v) => (Some(v), false),
+                Err(_) => {
+                    store.remove(self.kind, key);
+                    (None, true)
+                }
+            },
+            Read::Absent => (None, part),
+            Read::Damaged => (None, true),
+        };
+        count(self.kind, |c| {
+            if v.is_some() {
+                c.hits += 1;
+                c.disk_hits += 1;
+            } else {
+                c.disk_misses += 1;
+                c.corrupt += u64::from(corrupt);
+            }
+        });
+        v
     }
 }
 
@@ -425,5 +462,116 @@ mod tests {
         let (v, _) = M.get(3, true, || Ok::<_, ()>(9)).unwrap();
         assert_eq!(*v, 9, "bypass never reads the memory tier");
         assert_eq!(stats().get("memo-test-bypass"), before);
+    }
+
+    const U64: Codec<u64> = Codec {
+        enc: crate::wire::encode,
+        dec: crate::wire::decode,
+    };
+
+    /// A private store under the temp dir (the process-wide store stays
+    /// off, so the crate's other tests never see it), removed on drop.
+    struct Scratch(std::path::PathBuf, Store);
+
+    impl Scratch {
+        fn new(name: &str) -> Scratch {
+            let dir = std::env::temp_dir()
+                .join(format!("bitspec-memo-unit-{}-{name}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = Store::open(&dir, None).unwrap();
+            Scratch(dir, store)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Zero counts but for the fields `set` sets.
+    fn only(set: impl FnOnce(&mut Counts)) -> Counts {
+        let mut c = Counts::default();
+        set(&mut c);
+        c
+    }
+
+    /// `kind`'s counters moved by `read`.
+    fn counted<T>(kind: &str, read: impl FnOnce() -> T) -> (T, Counts) {
+        let before = stats().get(kind);
+        let got = read();
+        (got, stats().get(kind).since(before))
+    }
+
+    #[test]
+    fn damaged_entries_count_corrupt_under_their_kind_only() {
+        static A: Memo<u64> = Memo::new("memo-test-damaged", Some(U64));
+        static B: Memo<u64> = Memo::new("memo-test-damaged-other", Some(U64));
+        let s = Scratch::new("damaged");
+        let store = &s.1;
+        // Kind A, key 1: a whole frame whose payload is not a u64. Key 2:
+        // a frame cut short. Kind B holds a whole entry under both keys.
+        store.put(A.kind, 1, b"not a u64");
+        store.put(A.kind, 2, &crate::wire::encode(&7u64));
+        let cut =
+            s.0.join(A.kind)
+                .join(format!("{:016x}.art", store::versioned_key(A.kind, 2)));
+        let bytes = std::fs::read(&cut).unwrap();
+        std::fs::write(&cut, &bytes[..12]).unwrap();
+        for key in [1, 2] {
+            store.put(B.kind, key, &crate::wire::encode(&9u64));
+        }
+
+        for key in [1, 2] {
+            let other = stats().get(B.kind);
+            let (got, moved) = counted(A.kind, || A.read(&U64, store, key, false));
+            assert_eq!(got, None);
+            assert_eq!(
+                moved,
+                only(|c| {
+                    c.disk_misses = 1;
+                    c.corrupt = 1;
+                }),
+                "key {key}: a damaged entry"
+            );
+            assert_eq!(stats().get(B.kind), other, "kind B counted A's read");
+            // The read deleted the entry: the next finds nothing, which a
+            // plain lookup counts as a disk miss only.
+            assert_eq!(store.get(A.kind, key), None);
+            let (_, moved) = counted(A.kind, || A.read(&U64, store, key, false));
+            assert_eq!(moved, only(|c| c.disk_misses = 1), "key {key}: deleted");
+            let (got, moved) = counted(B.kind, || B.read(&U64, store, key, false));
+            assert_eq!(got, Some(9), "B's entry is whole");
+            assert_eq!(
+                moved,
+                only(|c| {
+                    c.hits = 1;
+                    c.disk_hits = 1;
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn missing_part_is_corrupt_and_missing_entry_a_miss() {
+        static M: Memo<u64> = Memo::new("memo-test-missing", Some(U64));
+        let s = Scratch::new("missing");
+        let (got, part) = counted(M.kind, || M.read(&U64, &s.1, 5, true));
+        assert_eq!(got, None);
+        assert_eq!(
+            part,
+            only(|c| {
+                c.disk_misses = 1;
+                c.corrupt = 1;
+            }),
+            "a part its manifest named is missing"
+        );
+        let (got, plain) = counted(M.kind, || M.read(&U64, &s.1, 5, false));
+        assert_eq!(got, None);
+        assert_eq!(
+            plain,
+            only(|c| c.disk_misses = 1),
+            "a plain lookup of a cold key is only a disk miss"
+        );
     }
 }

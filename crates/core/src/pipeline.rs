@@ -6,14 +6,14 @@
 //! [`Tracer`] (`sir::pass`). This module is the manager-facing layer on
 //! top of that substrate:
 //!
-//! * [`registered_passes`] / [`pass_order`] — the registry: which pass
+//! * [`registered_passes`] — the registry: which pass
 //!   names a build of a given configuration runs, in order. Golden tests
 //!   pin these.
 //! * [`policy`] — the per-build [`TracePolicy`], combining the config's
 //!   `verify_each` with the `BITSPEC_PRINT_AFTER` environment variable
 //!   (`all` or a pass name; sub-phases match their parent's name).
 //! * [`BuildTrace`] — the per-build report: one [`PassTrace`] entry per
-//!   executed (or stage-cache-replayed) pass, serializable to JSON.
+//!   executed (or stage-cache-replayed) pass.
 //! * [`first_divergent_pass`] — given two builds' traces, the first pass
 //!   at which their IR fingerprints diverge (the fuzzer's triage probe).
 //!
@@ -74,11 +74,6 @@ pub fn registered_passes(cfg: &BuildConfig) -> Vec<String> {
         names.push("gate-ref.sim".to_string());
     }
     names
-}
-
-/// [`registered_passes`] as `&str`s (convenience for assertions).
-pub fn pass_order(cfg: &BuildConfig) -> Vec<String> {
-    registered_passes(cfg)
 }
 
 thread_local! {
@@ -152,42 +147,6 @@ impl BuildTrace {
     pub fn names(&self) -> Vec<&str> {
         self.passes.iter().map(|p| p.name.as_str()).collect()
     }
-
-    /// Serializes the trace as a JSON array, one object per pass:
-    /// `name`, `wall_ns`, `before`/`after` IR counters, `fingerprint`
-    /// (decimal string — 64-bit values do not survive JSON numbers),
-    /// `cached`, `verified`. Dumps are deliberately not serialized.
-    pub fn to_json(&self) -> String {
-        let stats = |s: &IrStats| {
-            format!(
-                "{{\"funcs\":{},\"blocks\":{},\"insts\":{},\"regions\":{},\"slices\":{}}}",
-                s.funcs, s.blocks, s.insts, s.regions, s.slices
-            )
-        };
-        let mut out = String::from("[");
-        for (i, p) in self.passes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let fp = match p.fingerprint {
-                Some(f) => format!("\"{f}\""),
-                None => "null".to_string(),
-            };
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"wall_ns\":{},\"before\":{},\"after\":{},\
-                 \"fingerprint\":{},\"cached\":{},\"verified\":{}}}",
-                p.name,
-                p.wall_ns,
-                stats(&p.before),
-                stats(&p.after),
-                fp,
-                p.cached,
-                p.verified
-            ));
-        }
-        out.push(']');
-        out
-    }
 }
 
 /// The first pass name at which two builds' IR fingerprints diverge.
@@ -216,19 +175,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_is_wellformed_and_names_pass() {
+    fn total_wall_ns_skips_cached_entries() {
         let mut t = BuildTrace::default();
-        t.passes.push(
-            PassTrace::new("dce", 42)
-                .stats(IrStats::default(), IrStats::default())
-                .fingerprinted(7)
-                .verified(true),
-        );
-        let j = t.to_json();
-        assert!(j.starts_with('[') && j.ends_with(']'));
-        assert!(j.contains("\"name\":\"dce\""));
-        assert!(j.contains("\"fingerprint\":\"7\""));
+        t.passes.push(PassTrace::new("dce", 42));
+        let mut replayed = PassTrace::new("expand", 1000);
+        replayed.cached = true;
+        t.passes.push(replayed);
         assert_eq!(t.total_wall_ns(), 42);
+        assert_eq!(t.names(), ["dce", "expand"]);
+        assert!(t.get("expand").is_some_and(|p| p.cached));
     }
 
     #[test]

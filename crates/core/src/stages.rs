@@ -52,8 +52,9 @@
 //! and dump-laden artifacts must not be published process-wide.
 //!
 //! Every stage cache is a single-flight [`crate::memo::Memo`]: concurrent
-//! builds needing the same artifact compute it once. [`stats`] reports
-//! one counter row per memo kind, and [`clear`] drops the artifacts.
+//! builds needing the same artifact compute it once.
+//! [`crate::memo::stats`] reports one counter row per memo kind, and
+//! [`clear`] drops the artifacts.
 //! Only the `profile` memo also reads and writes the persistent store
 //! ([`crate::store`]): it is a bench cell's profile part. Every other
 //! stage is memory-only.
@@ -67,8 +68,6 @@ use sir::pass::{ir_fingerprint, IrStats, PassTrace, PrintAfter, TracePolicy, Tra
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-pub use crate::memo::stats;
 
 /// Which stages of one build were served from the process-wide cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

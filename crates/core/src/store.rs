@@ -37,6 +37,10 @@
 //! are evicted oldest-first by modification time. Reads touch the mtime
 //! (best-effort), which makes eviction LRU-ish rather than FIFO.
 //!
+//! **Counters.** The store only reads and writes files. The memo that
+//! owns a kind ([`crate::memo`]) classifies each read as a hit, a miss
+//! or corruption and counts it under that kind.
+//!
 //! The store is **off by default** — it activates when
 //! `BITSPEC_STORE_DIR` is set or a harness calls [`configure`].
 
@@ -44,7 +48,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
 use crate::fingerprint::Fnv;
@@ -67,48 +71,6 @@ pub const ENV_DIR: &str = "BITSPEC_STORE_DIR";
 /// Environment variable capping the store size in bytes; accepts plain
 /// byte counts and `k`/`m`/`g` suffixes (see [`parse_cap`]).
 pub const ENV_MAX_BYTES: &str = "BITSPEC_STORE_MAX_BYTES";
-
-/// Cumulative process-wide store counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Reads served from disk.
-    pub hits: u64,
-    /// Reads that found no entry.
-    pub misses: u64,
-    /// Reads that found a corrupt/mismatched entry (deleted + recomputed),
-    /// or no entry where another entry named one (a manifest's part).
-    pub corrupt: u64,
-    /// Artifacts published.
-    pub puts: u64,
-    /// Entries evicted by GC.
-    pub evictions: u64,
-}
-
-#[derive(Default)]
-struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    corrupt: AtomicU64,
-    puts: AtomicU64,
-    evictions: AtomicU64,
-}
-
-fn counters() -> &'static Counters {
-    static C: OnceLock<Counters> = OnceLock::new();
-    C.get_or_init(Counters::default)
-}
-
-/// Snapshot of the cumulative store counters.
-pub fn stats() -> StoreStats {
-    let c = counters();
-    StoreStats {
-        hits: c.hits.load(Ordering::SeqCst),
-        misses: c.misses.load(Ordering::SeqCst),
-        corrupt: c.corrupt.load(Ordering::SeqCst),
-        puts: c.puts.load(Ordering::SeqCst),
-        evictions: c.evictions.load(Ordering::SeqCst),
-    }
-}
 
 /// Parses a size string: a plain byte count, or with a `k`/`m`/`g`
 /// (KiB/MiB/GiB) suffix, case-insensitive. Returns `None` on anything
@@ -152,6 +114,16 @@ pub struct Store {
     tmp_seq: AtomicU64,
 }
 
+/// What [`Store::read`] found under a key.
+pub(crate) enum Read {
+    /// A whole entry's payload.
+    Payload(Vec<u8>),
+    /// No entry.
+    Absent,
+    /// A damaged entry, now deleted.
+    Damaged,
+}
+
 impl Store {
     /// Opens (creating if needed) a store rooted at `root` with an
     /// optional size cap in bytes.
@@ -180,42 +152,40 @@ impl Store {
             .join(format!("{:016x}.art", versioned_key(kind, key)))
     }
 
-    /// Reads the artifact stored under `(kind, key)`, validating the
-    /// header and payload checksum. A missing entry counts a miss; a
-    /// corrupt or mis-versioned entry is deleted, counted, and reported
-    /// as a miss too — the caller recomputes and republishes.
+    /// The payload stored under `(kind, key)`, or `None` when the entry
+    /// is absent or damaged ([`Store::read`]).
     pub fn get(&self, kind: &str, key: u64) -> Option<Vec<u8>> {
-        self.read(kind, key, false)
+        match self.read(kind, key) {
+            Read::Payload(p) => Some(p),
+            Read::Absent | Read::Damaged => None,
+        }
     }
 
-    /// [`Store::get`], where `required` counts a missing entry as corrupt:
-    /// another entry named it (a manifest its part), so its absence is a
-    /// damaged store, not a cold one.
-    fn read(&self, kind: &str, key: u64, required: bool) -> Option<Vec<u8>> {
+    /// Reads the entry under `(kind, key)`, validating the header and
+    /// payload checksum. A damaged entry (truncated, garbage or
+    /// mis-versioned) is deleted, so the caller's recompute rewrites it;
+    /// a whole one has its mtime touched for GC.
+    pub(crate) fn read(&self, kind: &str, key: u64) -> Read {
         let path = self.entry_path(kind, key);
-        let data = match fs::read(&path) {
-            Ok(d) => d,
-            Err(_) => {
-                let c = counters();
-                let missing = if required { &c.corrupt } else { &c.misses };
-                missing.fetch_add(1, Ordering::SeqCst);
-                return None;
-            }
+        let Ok(data) = fs::read(&path) else {
+            return Read::Absent;
         };
         match validate_entry(&data, versioned_key(kind, key)) {
             Some(payload) => {
-                counters().hits.fetch_add(1, Ordering::SeqCst);
                 touch(&path);
-                Some(payload)
+                Read::Payload(payload)
             }
             None => {
-                // Truncated, garbage or mismatched: drop it so the rewrite
-                // below replaces it, and surface the corruption in stats.
                 let _ = fs::remove_file(&path);
-                counters().corrupt.fetch_add(1, Ordering::SeqCst);
-                None
+                Read::Damaged
             }
         }
+    }
+
+    /// Deletes the entry under `(kind, key)`, if any (best-effort): its
+    /// frame was whole but its payload did not decode.
+    pub(crate) fn remove(&self, kind: &str, key: u64) {
+        let _ = fs::remove_file(self.entry_path(kind, key));
     }
 
     /// Publishes `payload` under `(kind, key)` atomically: the entry is
@@ -254,7 +224,6 @@ impl Store {
             let _ = fs::remove_file(&tmp);
             return;
         }
-        counters().puts.fetch_add(1, Ordering::SeqCst);
         if let Some(cap) = self.cap {
             self.gc(cap);
         }
@@ -283,7 +252,6 @@ impl Store {
                 break;
             }
             if fs::remove_file(&path).is_ok() {
-                counters().evictions.fetch_add(1, Ordering::SeqCst);
                 total = total.saturating_sub(len);
             }
         }
@@ -355,30 +323,17 @@ fn touch(path: &Path) {
     }
 }
 
-enum Active {
-    /// Neither env nor harness configured a store.
-    Disabled,
-    Enabled(Arc<Store>),
-}
-
-fn active_slot() -> &'static Mutex<Option<Arc<Active>>> {
-    static ACTIVE: OnceLock<Mutex<Option<Arc<Active>>>> = OnceLock::new();
-    ACTIVE.get_or_init(|| Mutex::new(None))
-}
+/// The process-wide store: `None` until [`configure`] or the first
+/// [`active`] settles it, then `Some(None)` while the disk tier is off.
+static ACTIVE: Mutex<Option<Option<Arc<Store>>>> = Mutex::new(None);
 
 /// Explicitly configures (or with `None` disables) the process-wide
 /// store, overriding the environment. Harnesses call this from
 /// `--store`/`--store-cap` flags; tests use it to point the pipeline at
 /// a scratch directory.
 pub fn configure(dir: Option<&Path>, cap: Option<u64>) {
-    let state = match dir {
-        None => Active::Disabled,
-        Some(d) => match Store::open(d, cap) {
-            Ok(s) => Active::Enabled(Arc::new(s)),
-            Err(_) => Active::Disabled,
-        },
-    };
-    *active_slot().lock().expect("store slot") = Some(Arc::new(state));
+    let store = dir.and_then(|d| Store::open(d, cap).ok()).map(Arc::new);
+    *ACTIVE.lock().expect("store slot") = Some(store);
 }
 
 /// The process-wide store, if one is active. Lazily initialized from
@@ -386,51 +341,17 @@ pub fn configure(dir: Option<&Path>, cap: Option<u64>) {
 /// [`configure`] ran first; `None` means the disk layer is off and the
 /// pipeline behaves exactly as before.
 pub fn active() -> Option<Arc<Store>> {
-    let mut slot = active_slot().lock().expect("store slot");
-    let state = slot.get_or_insert_with(|| {
-        let from_env = std::env::var(ENV_DIR).ok().filter(|d| !d.is_empty());
-        Arc::new(match from_env {
-            None => Active::Disabled,
-            Some(dir) => {
-                let cap = std::env::var(ENV_MAX_BYTES)
-                    .ok()
-                    .and_then(|s| parse_cap(&s));
-                match Store::open(dir, cap) {
-                    Ok(s) => Active::Enabled(Arc::new(s)),
-                    Err(_) => Active::Disabled,
-                }
-            }
+    ACTIVE
+        .lock()
+        .expect("store slot")
+        .get_or_insert_with(|| {
+            let dir = std::env::var(ENV_DIR).ok().filter(|d| !d.is_empty())?;
+            let cap = std::env::var(ENV_MAX_BYTES)
+                .ok()
+                .and_then(|s| parse_cap(&s));
+            Store::open(dir, cap).ok().map(Arc::new)
         })
-    });
-    match &**state {
-        Active::Disabled => None,
-        Active::Enabled(s) => Some(Arc::clone(s)),
-    }
-}
-
-/// Typed read-through: fetch `(kind, key)` from the active store and
-/// decode it; a decode failure (codec drift within one schema version)
-/// counts as corruption and deletes the entry. With `required`, a
-/// missing entry counts as corrupt too ([`Store::read`]).
-pub(crate) fn get_decoded<T>(
-    store: &Store,
-    kind: &str,
-    key: u64,
-    required: bool,
-    dec: impl FnOnce(&[u8]) -> Result<T, crate::wire::WireError>,
-) -> Option<T> {
-    let bytes = store.read(kind, key, required)?;
-    match dec(&bytes) {
-        Ok(v) => Some(v),
-        Err(_) => {
-            let _ = fs::remove_file(store.entry_path(kind, key));
-            counters().corrupt.fetch_add(1, Ordering::SeqCst);
-            // The checksum passed but the payload didn't decode: the hit
-            // was illusory, so reclassify it.
-            counters().hits.fetch_sub(1, Ordering::SeqCst);
-            None
-        }
-    }
+        .clone()
 }
 
 /// Debug/robustness helper used by tests: summarize entry counts per

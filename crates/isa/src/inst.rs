@@ -31,11 +31,6 @@ impl AluOp {
     pub fn sets_flags(self) -> bool {
         matches!(self, AluOp::Adds | AluOp::Subs | AluOp::Sbcs)
     }
-
-    /// Whether the op reads the carry flag.
-    pub fn reads_carry(self) -> bool {
-        matches!(self, AluOp::Adc | AluOp::Sbc | AluOp::Sbcs)
-    }
 }
 
 /// Slice (8-bit) ALU operations — the Table 1 extensions. Speculative

@@ -33,9 +33,10 @@
 //! `verify=0|1`, `dts=0|1`, `compare_elim=0|1`, `bitmask=0|1`,
 //! `unroll=N`.
 
-use bench::{run_cached_traced, suite_configs, CellSource};
+use bench::{run_cached_traced, suite_configs};
 use bitspec::fingerprint::cell_key;
 use bitspec::fingerprint::Fnv;
+use bitspec::memo::Source;
 use bitspec::{pool, Arch, BitwidthHeuristic, BuildConfig, Manifest, Workload};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -305,7 +306,7 @@ pub fn serve_batch(
         served_by[*ui].push(ri);
     }
 
-    let emit_line = |ri: usize, m: &Manifest, source: CellSource| {
+    let emit_line = |ri: usize, m: &Manifest, source: Source| {
         let r = &reqs[ri];
         let (key, _, dedup) = req_cell[ri];
         let build_fp = m.parts.program;
@@ -336,7 +337,7 @@ pub fn serve_batch(
     };
 
     let emit_mutex = Mutex::new(());
-    let results: Vec<(Arc<Manifest>, CellSource)> = pool::run_ordered(uniques.len(), jobs, |ui| {
+    let results: Vec<(Arc<Manifest>, Source)> = pool::run_ordered(uniques.len(), jobs, |ui| {
         let r = uniques[ui];
         let (m, source) = run_cached_traced(&r.workload, &r.cfg);
         if !ordered {
@@ -379,9 +380,9 @@ pub fn serve_batch(
     };
     for (_, source) in &results {
         match source {
-            CellSource::Memory => stats.memory_hits += 1,
-            CellSource::Disk => stats.disk_hits += 1,
-            CellSource::Computed => stats.computed += 1,
+            Source::Memory => stats.memory_hits += 1,
+            Source::Disk => stats.disk_hits += 1,
+            Source::Computed => stats.computed += 1,
         }
     }
     stats

@@ -10,8 +10,8 @@
 //! use tag-unique sources. The child-process tests are independent of
 //! this process's globals but still serialize to keep wall-clock sane.
 
-use bench::{clear_cache, run_cached, run_cached_traced, CellSource};
-use bitspec::memo::{self, Counts};
+use bench::{clear_cache, run_cached, run_cached_traced};
+use bitspec::memo::{self, Counts, Source, Stats};
 use bitspec::{stages, store, wire, BuildConfig, Workload};
 use serve::{serve_batch, suite_requests, Op, Request};
 use std::collections::HashMap;
@@ -80,9 +80,9 @@ fn cell_cache_walks_memory_then_disk_then_compute() {
     let cfg = BuildConfig::bitspec();
 
     let (cold, src) = run_cached_traced(&w, &cfg);
-    assert_eq!(src, CellSource::Computed);
+    assert_eq!(src, Source::Computed);
     let (mem, src) = run_cached_traced(&w, &cfg);
-    assert_eq!(src, CellSource::Memory);
+    assert_eq!(src, Source::Memory);
     assert!(std::sync::Arc::ptr_eq(&cold, &mem), "memory tier shares");
     let cell = run_cached(&w, &cfg);
     assert_eq!(
@@ -92,7 +92,7 @@ fn cell_cache_walks_memory_then_disk_then_compute() {
 
     wipe_memory();
     let (disk, src) = run_cached_traced(&w, &cfg);
-    assert_eq!(src, CellSource::Disk, "fresh memory must fall to disk");
+    assert_eq!(src, Source::Disk, "fresh memory must fall to disk");
     assert_eq!(disk.sim.outputs, cold.sim.outputs);
     assert_eq!(disk.sim.cycles, cold.sim.cycles);
     assert_eq!(disk.parts, cold.parts);
@@ -104,7 +104,12 @@ fn cell_cache_walks_memory_then_disk_then_compute() {
     );
     // And the disk hit re-seeded memory.
     let (_, src) = run_cached_traced(&w, &cfg);
-    assert_eq!(src, CellSource::Memory);
+    assert_eq!(src, Source::Memory);
+}
+
+/// The sum of one counter over every kind of a stats delta.
+fn total(delta: &Stats, field: fn(Counts) -> u64) -> u64 {
+    delta.iter().map(|(_, c)| field(c)).sum()
 }
 
 /// Flips the last payload byte of every `kind` entry under `root`;
@@ -131,19 +136,21 @@ fn corrupt_cell_entry_falls_back_to_compute_and_rewrites() {
     let cfg = BuildConfig::bitspec();
     let (cold, _) = run_cached_traced(&w, &cfg);
 
-    assert!(stomp(scratch.path(), "manifest") > 0);
+    assert_eq!(stomp(scratch.path(), "manifest"), 1);
 
     wipe_memory();
-    let before = store::stats();
+    let before = memo::stats();
     let (again, src) = run_cached_traced(&w, &cfg);
-    assert_eq!(src, CellSource::Computed, "corrupt entry must not serve");
-    assert!(store::stats().corrupt > before.corrupt);
+    let moved = memo::stats().since(&before);
+    assert_eq!(src, Source::Computed, "corrupt entry must not serve");
+    assert_eq!(moved.get("manifest").corrupt, 1);
+    assert_eq!(total(&moved, |c| c.corrupt), 1, "only the manifest");
     assert_eq!(again.sim.outputs, cold.sim.outputs);
 
     // The recompute republished a clean entry.
     wipe_memory();
     let (_, src) = run_cached_traced(&w, &cfg);
-    assert_eq!(src, CellSource::Disk, "fallback must rewrite the entry");
+    assert_eq!(src, Source::Disk, "fallback must rewrite the entry");
 }
 
 #[test]
@@ -160,22 +167,28 @@ fn undecodable_cell_entry_counts_as_corrupt_and_rewrites() {
         .expect("store configured")
         .put("manifest", key, b"garbage");
 
-    let before = store::stats();
+    let before = memo::stats();
     let (_, src) = run_cached_traced(&w, &cfg);
-    let after = store::stats();
-    assert_eq!(src, CellSource::Computed, "garbage must not serve");
+    let moved = memo::stats().since(&before);
+    assert_eq!(src, Source::Computed, "garbage must not serve");
     assert_eq!(
-        after.corrupt,
-        before.corrupt + 1,
+        moved.get("manifest").corrupt,
+        1,
         "decode failure is corruption"
     );
-    assert_eq!(after.hits, before.hits, "an undecodable read is not a hit");
+    assert_eq!(total(&moved, |c| c.corrupt), 1, "only the manifest");
+    assert_eq!(
+        total(&moved, |c| c.disk_hits),
+        0,
+        "an undecodable read is not a hit"
+    );
 
     // The recompute replaced the garbage with a clean entry.
     wipe_memory();
+    let after = memo::stats();
     let (_, src) = run_cached_traced(&w, &cfg);
-    assert_eq!(src, CellSource::Disk, "fallback must rewrite the entry");
-    assert_eq!(store::stats().corrupt, after.corrupt);
+    assert_eq!(src, Source::Disk, "fallback must rewrite the entry");
+    assert_eq!(total(&memo::stats().since(&after), |c| c.corrupt), 0);
 }
 
 /// One `sim` request for `w` under `cfg`.
@@ -230,13 +243,11 @@ fn damaged_part_is_recomputed(tag: &str, kind: &str, damage: fn(&Path)) {
         cold_line
     );
 
-    let before = store::stats();
+    let before = memo::stats();
     let again = run_cached(&w, &cfg);
-    assert_eq!(
-        store::stats().corrupt,
-        before.corrupt + 1,
-        "the {kind} part"
-    );
+    let moved = memo::stats().since(&before);
+    assert_eq!(moved.get(kind).corrupt, 1, "the {kind} part");
+    assert_eq!(total(&moved, |c| c.corrupt), 1, "only the {kind} part");
     assert_eq!(
         backend::program_fingerprint(&again.0.program),
         backend::program_fingerprint(&cold.0.program)
@@ -245,16 +256,13 @@ fn damaged_part_is_recomputed(tag: &str, kind: &str, damage: fn(&Path)) {
     assert_eq!(fs::read_dir(&part_dir).unwrap().count(), 1, "rewritten");
 
     wipe_memory();
-    let before = (store::stats(), memo::stats());
+    let before = memo::stats();
     let (_, src) = run_cached_traced(&w, &cfg);
-    assert_eq!(src, CellSource::Disk);
+    assert_eq!(src, Source::Disk);
     let rebuilt = run_cached(&w, &cfg);
-    assert_eq!(
-        store::stats().corrupt,
-        before.0.corrupt,
-        "the part is whole"
-    );
-    assert_eq!(memo::stats().since(&before.1).get(kind).disk_hits, 1);
+    let moved = memo::stats().since(&before);
+    assert_eq!(total(&moved, |c| c.corrupt), 0, "the part is whole");
+    assert_eq!(moved.get(kind).disk_hits, 1);
     assert_eq!(wire::encode_cell(&rebuilt.0, &rebuilt.1), cold_bytes);
 }
 
@@ -285,7 +293,9 @@ fn disk_warm_suite_serve_reads_only_manifests() {
     store::configure(Some(scratch.path()), None);
     wipe_memory();
     let reqs = suite_requests(0);
+    let before = memo::stats();
     let cold = serve_batch(&reqs, 2, true, &|_| {});
+    let wrote = memo::stats().since(&before);
     assert_eq!(cold.computed, reqs.len());
     // The store holds the cells and nothing else: one manifest per cell
     // plus the distinct module, program and profile parts they name.
@@ -299,6 +309,16 @@ fn disk_warm_suite_serve_reads_only_manifests() {
     assert_eq!(
         stored,
         HashMap::from(cell_kinds.map(|(k, n)| (k.to_string(), n)))
+    );
+    // Each entry was written once, and counted under its kind.
+    for (kind, n) in cell_kinds {
+        assert_eq!(wrote.get(kind).puts, n as u64, "{kind} writes");
+    }
+    let entries: usize = cell_kinds.iter().map(|(_, n)| n).sum();
+    assert_eq!(
+        total(&wrote, |c| c.puts),
+        entries as u64,
+        "no other kind writes"
     );
 
     wipe_memory();

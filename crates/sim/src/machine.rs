@@ -221,11 +221,6 @@ impl<'p> Simulator<'p> {
         self.mem.write_bytes(addr, data);
     }
 
-    /// Reads back memory (host-side result checking).
-    pub fn read_mem(&self, addr: u32, len: u32) -> Vec<u8> {
-        self.mem.read_bytes(addr, len).to_vec()
-    }
-
     /// Runs to `Halt`.
     ///
     /// # Errors

@@ -2,7 +2,7 @@
 
 use crate::func::Function;
 use crate::inst::{BinOp, Cc, Inst, Terminator};
-use crate::types::{BlockId, FuncId, GlobalId, ValueId, Width};
+use crate::types::{BlockId, FuncId, ValueId, Width};
 
 /// A cursor-style builder over a [`Function`].
 ///
@@ -76,11 +76,6 @@ impl FunctionBuilder {
         })
     }
 
-    /// Address of global `g`.
-    pub fn global_addr(&mut self, g: GlobalId) -> ValueId {
-        self.push(Inst::GlobalAddr { global: g })
-    }
-
     /// Stack allocation of `size` bytes.
     pub fn alloca(&mut self, size: u32) -> ValueId {
         self.push(Inst::Alloca { size })
@@ -132,16 +127,6 @@ impl FunctionBuilder {
             width,
             addr,
             volatile: false,
-            speculative: false,
-        })
-    }
-
-    /// Volatile memory load (non-idempotent).
-    pub fn load_volatile(&mut self, width: Width, addr: ValueId) -> ValueId {
-        self.push(Inst::Load {
-            width,
-            addr,
-            volatile: true,
             speculative: false,
         })
     }

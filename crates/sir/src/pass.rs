@@ -403,15 +403,10 @@ impl Tracer {
         &self.entries
     }
 
-    /// Entries recorded from index `mark` on (for carving out one
-    /// sub-compile, e.g. an empirical-gate leg).
+    /// The number of entries recorded so far: the index the next one
+    /// gets, so `entries()[mark..]` are those recorded after the call.
     pub fn mark(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Splits off every entry from `mark` on.
-    pub fn take_from(&mut self, mark: usize) -> Vec<PassTrace> {
-        self.entries.split_off(mark)
     }
 
     /// Consumes the tracer, returning the full trace.

@@ -16,8 +16,9 @@
 //! first, and so its `StageHits` flags) legitimately varies with the
 //! worker count. The process-wide counters do not: every cache is a
 //! single-flight memo, so each artifact is computed once at any `-j`, and
-//! the `stages::stats()` deltas of the `-j1` and `-j8` sweeps must agree
-//! for every kind on both the memory and the disk tier.
+//! the `memo::stats()` deltas of the `-j1` and `-j8` sweeps must agree
+//! for every kind on both the memory and the disk tier, store writes and
+//! corrupt reads included.
 //!
 //! Every artifact is also computed *once*: on a slice of the expander
 //! tuner's grid, where several corners expand a workload to the same
@@ -32,7 +33,7 @@
 //! The stage caches and store configuration are process-global, so the
 //! tests take a file-wide lock.
 
-use bitspec::memo::Stats;
+use bitspec::memo::{self, Stats};
 use bitspec::{
     build, build_matrix, pipeline, program_fingerprint, resolve_inputs, simulate_with, stages,
     Arch, BuildConfig, BuildError, Compiled, ExpanderConfig, SimConfig, Workload,
@@ -83,7 +84,7 @@ type Sweep = (Vec<Snapshot>, u64, Stats);
 /// memory caches.
 fn sweep(workloads: &[Workload], cfgs: &[BuildConfig], jobs: usize) -> Sweep {
     stages::clear();
-    let before = stages::stats();
+    let before = memo::stats();
     stages::set_codegen_workers(jobs);
     let mut snaps = Vec::new();
     let mut suite_fp = 0xcbf2_9ce4_8422_2325u64;
@@ -102,7 +103,7 @@ fn sweep(workloads: &[Workload], cfgs: &[BuildConfig], jobs: usize) -> Sweep {
         }
     }
     stages::set_codegen_workers(1);
-    (snaps, suite_fp, stages::stats().since(&before))
+    (snaps, suite_fp, memo::stats().since(&before))
 }
 
 fn assert_sweeps_identical(
@@ -125,9 +126,21 @@ fn assert_sweeps_identical(
 
 /// Every counter but waits, kind by kind. Waits are the one
 /// scheduling-dependent counter (a -j1 sweep never waits).
-fn accounting(s: &Stats) -> Vec<(&'static str, [u64; 4])> {
+fn accounting(s: &Stats) -> Vec<(&'static str, [u64; 6])> {
     s.iter()
-        .map(|(k, c)| (k, [c.hits, c.misses, c.disk_hits, c.disk_misses]))
+        .map(|(k, c)| {
+            (
+                k,
+                [
+                    c.hits,
+                    c.misses,
+                    c.disk_hits,
+                    c.disk_misses,
+                    c.puts,
+                    c.corrupt,
+                ],
+            )
+        })
         .collect()
 }
 
@@ -240,11 +253,11 @@ fn expander_grid_computes_each_profile_and_sim_once_at_any_job_count() {
     for jobs in [1, 8] {
         stages::clear();
         bench::clear_cache();
-        let before = stages::stats();
+        let before = memo::stats();
         stages::set_codegen_workers(jobs);
         let rows = bench::run_matrix(&workloads, &cfgs, jobs);
         stages::set_codegen_workers(1);
-        let delta = stages::stats().since(&before);
+        let delta = memo::stats().since(&before);
         let cells: Vec<_> = rows.iter().flatten().collect();
         // BASELINE codegens the expanded module itself.
         let expanded: BTreeSet<u64> = cells
@@ -358,11 +371,11 @@ fn gated_suite_slice_simulates_each_distinct_run_once_at_any_job_count() {
     for jobs in [1, 8] {
         stages::clear();
         bench::clear_cache();
-        let before = stages::stats();
+        let before = memo::stats();
         stages::set_codegen_workers(jobs);
         let rows = bench::run_matrix(&workloads, &cfgs, jobs);
         stages::set_codegen_workers(1);
-        let delta = stages::stats().since(&before);
+        let delta = memo::stats().since(&before);
         let mut runs = BTreeSet::new();
         let mut gated_cells = 0;
         let mut programs = Vec::new();
@@ -420,9 +433,9 @@ fn gated_suite_slice_simulates_each_distinct_run_once_at_any_job_count() {
         {
             stages::clear();
             bench::clear_cache();
-            let before = stages::stats();
+            let before = memo::stats();
             let (c, _) = bench::run(w, cfg);
-            let sims = stages::stats().since(&before).get("sim");
+            let sims = memo::stats().since(&before).get("sim");
             if gated(&c) {
                 let legs = gate_runs(w, cfg);
                 let distinct = if legs[0] == legs[1] { 1 } else { 2 };

@@ -24,7 +24,7 @@ fn snapshot(cfg: &BuildConfig, label: &str) {
     let c = build(&w, cfg).unwrap_or_else(|e| panic!("{label}: build failed: {e}"));
     assert_eq!(
         c.trace.names(),
-        pipeline::pass_order(cfg),
+        pipeline::registered_passes(cfg),
         "{label}: trace order diverges from the registry"
     );
 }

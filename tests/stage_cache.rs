@@ -18,7 +18,9 @@
 //! otherwise race the counter deltas.
 
 use bitspec::pipeline::{PrintAfter, TracePolicy, Tracer};
-use bitspec::{build, stages, Arch, BitwidthHeuristic, BuildConfig, ExpanderConfig, Workload};
+use bitspec::{
+    build, memo, stages, Arch, BitwidthHeuristic, BuildConfig, ExpanderConfig, Workload,
+};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -165,9 +167,9 @@ fn expander_change_to_the_same_module_reuses_profile_and_gate_leg() {
     );
     let a = build(&w, &first).unwrap();
     assert!(a.squeeze.narrowed > 0, "the gate must actually run");
-    let before = stages::stats();
+    let before = memo::stats();
     let b = build(&w, &second).unwrap();
-    let moved = stages::stats().since(&before);
+    let moved = memo::stats().since(&before);
     assert!(!b.stage_hits.expand, "the expand key still sees the knobs");
     assert!(b.stage_hits.profile, "same module, same profile");
     assert_eq!(moved.get("profile").misses, 0);
@@ -259,10 +261,10 @@ fn reference_profiler_flag_shares_the_profile_cell() {
 fn gated_sweep_shares_the_unsqueezed_reference_leg() {
     let _g = serial();
     let w = unique_workload("gateleg");
-    let before = stages::stats();
+    let before = memo::stats();
     let a = build(&w, &BuildConfig::bitspec()).unwrap();
     assert!(a.squeeze.narrowed > 0, "gate must actually run");
-    let mid = stages::stats();
+    let mid = memo::stats();
     assert!(
         mid.get("gate").misses > before.get("gate").misses,
         "first gate leg is cold"
@@ -281,15 +283,15 @@ fn gated_sweep_shares_the_unsqueezed_reference_leg() {
             ..BuildConfig::bitspec()
         },
     ] {
-        let h = stages::stats().get("gate").hits;
+        let h = memo::stats().get("gate").hits;
         build(&w, &cfg).unwrap();
         assert!(
-            stages::stats().get("gate").hits > h,
+            memo::stats().get("gate").hits > h,
             "gate leg recomputed under {cfg:?}"
         );
     }
     // A backend-option change is part of the leg's key and must miss.
-    let m = stages::stats().get("gate").misses;
+    let m = memo::stats().get("gate").misses;
     build(
         &w,
         &BuildConfig {
@@ -299,7 +301,7 @@ fn gated_sweep_shares_the_unsqueezed_reference_leg() {
     )
     .unwrap();
     assert!(
-        stages::stats().get("gate").misses > m,
+        memo::stats().get("gate").misses > m,
         "backend opts must split the cell"
     );
 }
@@ -308,14 +310,14 @@ fn gated_sweep_shares_the_unsqueezed_reference_leg() {
 fn counters_move_and_results_are_unchanged_by_caching() {
     let _g = serial();
     let w = unique_workload("counters");
-    let before = stages::stats();
+    let before = memo::stats();
     let cold = build(&w, &BuildConfig::bitspec()).unwrap();
-    let mid = stages::stats();
+    let mid = memo::stats();
     for kind in ["front", "expand", "profile"] {
         assert!(mid.get(kind).misses > before.get(kind).misses, "{kind}");
     }
     let warm = build(&w, &BuildConfig::bitspec()).unwrap();
-    let warm_hits = stages::stats().since(&mid);
+    let warm_hits = memo::stats().since(&mid);
     assert!(["front", "expand", "profile"]
         .iter()
         .any(|kind| warm_hits.get(kind).hits > 0));

@@ -2,14 +2,15 @@
 //! build pipeline, corruption robustness, publish races and GC.
 //!
 //! The store (`bitspec::store`) is process-global once configured, and
-//! the stage caches plus the store counters are process-global too, so
-//! every test takes a file-wide lock (same pattern as
-//! `tests/stage_cache.rs`) and each test uses a tag-unique source so no
-//! two tests can share cells. Tests that exercise [`Store`] directly
-//! (GC, publish races) open private scratch stores and do not need the
-//! global configuration, but still serialize: the cumulative counters
-//! are shared.
+//! the stage caches plus the memo counters (`bitspec::memo::stats`) are
+//! process-global too, so every test takes a file-wide lock (same
+//! pattern as `tests/stage_cache.rs`) and each test uses a tag-unique
+//! source so no two tests can share cells. Tests that exercise
+//! [`store::Store`] directly (GC, publish races) open private scratch
+//! stores and do not need the global configuration, but still
+//! serialize.
 
+use bitspec::memo::{self, Stats};
 use bitspec::{build, stages, store, BuildConfig, Workload};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -63,6 +64,11 @@ impl Drop for Scratch {
     }
 }
 
+/// The sum of one counter over every kind of a stats delta.
+fn total(delta: &Stats, field: fn(memo::Counts) -> u64) -> u64 {
+    delta.iter().map(|(_, c)| field(c)).sum()
+}
+
 /// Every published entry file under the store root (any kind).
 fn entry_files(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
@@ -91,13 +97,14 @@ fn disk_tier_survives_memory_wipe() {
     stages::clear();
     let w = unique_workload("survive");
 
-    let before = store::stats();
+    let before = memo::stats();
     let cold = build(&w, &BuildConfig::bitspec()).unwrap();
-    let mid = store::stats();
+    let wrote = memo::stats().since(&before);
     assert!(!cold.stage_hits.expand && !cold.stage_hits.profile);
     // A bare build is no bench cell: of its stages only the profile
     // persists (expand, the gate leg and codegen stay in memory).
-    assert_eq!(mid.puts, before.puts + 1, "only the profile publishes");
+    assert_eq!(wrote.get("profile").puts, 1, "the profile publishes");
+    assert_eq!(total(&wrote, |c| c.puts), 1, "only the profile publishes");
     assert_eq!(
         store::entry_counts(&store::active().expect("store configured")),
         [("profile".to_string(), 1)].into_iter().collect()
@@ -106,14 +113,17 @@ fn disk_tier_survives_memory_wipe() {
     // Wipe memory: the profile comes off disk, the memory-only expand
     // stage (and the frontend below it) is recomputed.
     stages::clear();
-    let stats = stages::stats();
+    let stats = memo::stats();
     let warm = build(&w, &BuildConfig::bitspec()).unwrap();
-    let after = store::stats();
-    let moved = stages::stats().since(&stats);
+    let moved = memo::stats().since(&stats);
     assert!(warm.stage_hits.profile, "profile must hit via disk");
     assert!(!warm.stage_hits.expand, "expand is recomputed");
-    assert_eq!(after.hits, mid.hits + 1, "one disk hit, the profile");
     assert_eq!(moved.get("profile").disk_hits, 1);
+    assert_eq!(
+        total(&moved, |c| c.disk_hits),
+        1,
+        "one disk hit, the profile"
+    );
     assert_eq!(moved.get("expand").misses, 1);
     assert_eq!(
         moved.get("expand").disk_misses,
@@ -146,24 +156,32 @@ fn truncated_entries_recompute_and_rewrite() {
     }
 
     stages::clear();
-    let before = store::stats();
+    let before = memo::stats();
     let again = build(&w, &BuildConfig::bitspec()).unwrap();
-    let after = store::stats();
-    assert!(
-        after.corrupt > before.corrupt,
+    let moved = memo::stats().since(&before);
+    assert_eq!(files.len(), 1, "the profile is the one entry");
+    assert_eq!(
+        moved.get("profile").corrupt,
+        1,
         "truncated entries must be classified corrupt"
     );
+    assert_eq!(total(&moved, |c| c.corrupt), 1);
     assert!(!again.stage_hits.profile, "corrupt entry cannot hit");
     assert_eq!(cold.profile, again.profile, "recompute must be identical");
 
     // The recompute republished: a third, memory-wiped build hits disk
     // without any further corruption.
     stages::clear();
-    let mid = store::stats();
+    let mid = memo::stats();
     let warm = build(&w, &BuildConfig::bitspec()).unwrap();
-    let end = store::stats();
+    let moved = memo::stats().since(&mid);
     assert!(warm.stage_hits.profile);
-    assert_eq!(end.corrupt, mid.corrupt, "rewritten entries are clean");
+    assert_eq!(moved.get("profile").disk_hits, 1);
+    assert_eq!(
+        total(&moved, |c| c.corrupt),
+        0,
+        "rewritten entries are clean"
+    );
 }
 
 #[test]
@@ -196,17 +214,18 @@ fn garbage_and_schema_mismatch_detected() {
     }
 
     stages::clear();
-    let before = store::stats();
+    let before = memo::stats();
     for (w, cold) in ws.iter().zip(&cold) {
         let again = build(w, &BuildConfig::bitspec()).unwrap();
         assert_eq!(cold.profile, again.profile);
     }
-    let after = store::stats();
+    let moved = memo::stats().since(&before);
     assert_eq!(
-        after.corrupt,
-        before.corrupt + 2,
+        moved.get("profile").corrupt,
+        2,
         "both corruption styles must be caught"
     );
+    assert_eq!(total(&moved, |c| c.corrupt), 2);
     // Corrupt entries were deleted and replaced by the recompute — none
     // of the planted bytes survive.
     for f in entry_files(scratch.path()) {
@@ -232,10 +251,8 @@ fn gc_keeps_store_under_cap_and_serves_survivors() {
         // Distinct mtimes so the LRU-ish eviction order is well defined.
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
-    let before = store::stats();
-    assert!(before.evictions > 0, "a capped store must have evicted");
     // Three ~1 KiB entries fit under the 4 KiB cap: the newest three
-    // (9, 10, 11) survive, everything older is gone.
+    // (9, 10, 11) survive, everything older is gone (so GC evicted).
     assert!(s.get("cell", 11).is_some(), "newest entry must survive GC");
     assert!(s.get("cell", 0).is_none(), "oldest entry must be evicted");
     // Reads touch mtime (LRU-ish, not FIFO): touch the oldest survivor,

@@ -20,7 +20,7 @@
 
 use bitspec::fingerprint::Fnv;
 use bitspec::pipeline::PassTrace;
-use bitspec::{stages, store, wire, Compiled, Manifest, SimResult};
+use bitspec::{memo, stages, store, wire, Compiled, Manifest, SimResult};
 use mibench::{names, workload, Input};
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -547,16 +547,23 @@ fn suite_cells_reassemble_byte_exact_from_the_store() {
         .collect();
     stages::clear();
     bench::clear_cache();
-    let before = store::stats();
+    let before = memo::stats();
     let rebuilt = bench::run_matrix(&workloads, &cfgs, 2);
-    let after = store::stats();
+    let moved = memo::stats().since(&before);
     store::configure(None, None);
     let _ = std::fs::remove_dir_all(&dir);
     stages::clear();
     bench::clear_cache();
 
-    assert_eq!(after.corrupt, before.corrupt, "every part was whole");
-    assert_eq!(after.misses, before.misses, "every cell came off the store");
+    for (kind, c) in moved.iter() {
+        assert_eq!(c.corrupt, 0, "every {kind} part was whole");
+        assert_eq!(c.disk_misses, 0, "every {kind} lookup came off the store");
+    }
+    assert_eq!(
+        moved.get("manifest").disk_hits,
+        computed.len() as u64,
+        "every cell came off the store"
+    );
     for (k, (cell, bytes)) in rebuilt.iter().flatten().zip(&computed).enumerate() {
         let (w, cfg) = (names()[k / CONFIGS.len()], CONFIGS[k % CONFIGS.len()]);
         assert!(

@@ -8,6 +8,7 @@
 //! caches it clears between builds are process-global.
 
 use bitspec::fingerprint::Fnv;
+use bitspec::memo::{self, Stats};
 use bitspec::{build, simulate, stages, store, wire, BuildConfig, Manifest, Workload};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -195,6 +196,11 @@ fn plant(path: &Path, payload: &[u8]) {
     std::fs::write(path, framed).unwrap();
 }
 
+/// The sum of one counter over every kind of a stats delta.
+fn total(delta: &Stats, field: fn(memo::Counts) -> u64) -> u64 {
+    delta.iter().map(|(_, c)| field(c)).sum()
+}
+
 /// A cold gated BITSPEC cell of `tag`'s workload against a fresh store in
 /// `dir`, which then holds one entry or more of every kind.
 fn cold_cell_in_store(tag: &str, dir: &Path) -> bench::Cell {
@@ -238,9 +244,9 @@ fn huge_fn_length_prefix_errors_and_recomputes() {
     }
     stages::clear();
     bench::clear_cache();
-    let before = store::stats();
+    let before = memo::stats();
     let again = bench::run_cached(&workload("fncount"), &BuildConfig::bitspec());
-    let after = store::stats();
+    let moved = memo::stats().since(&before);
     let rewritten: Vec<_> = entries(&dir)
         .into_iter()
         .filter(|(kind, _)| kind == "module")
@@ -252,11 +258,8 @@ fn huge_fn_length_prefix_errors_and_recomputes() {
     bench::clear_cache();
 
     assert_eq!(planted, 1, "one module part");
-    assert_eq!(
-        after.corrupt - before.corrupt,
-        planted,
-        "the part is corrupt"
-    );
+    assert_eq!(moved.get("module").corrupt, planted, "the part is corrupt");
+    assert_eq!(total(&moved, |c| c.corrupt), planted, "and nothing else");
     assert_eq!(rewritten.len(), 1, "the part was rewritten");
     assert!(rewritten[0].is_ok(), "with a decodable payload");
     assert_eq!(
@@ -278,9 +281,9 @@ fn huge_fn_length_prefix_errors_and_recomputes() {
     }
     stages::clear();
     bench::clear_cache();
-    let before = store::stats();
+    let before = memo::stats();
     let again = bench::run_cached(&workload("hostile"), &BuildConfig::bitspec());
-    let after = store::stats();
+    let moved = memo::stats().since(&before);
     let rewritten: Vec<_> = entries(&dir)
         .into_iter()
         .map(|(kind, path)| reencode(&kind, &std::fs::read(path).unwrap()[HEADER_LEN..]))
@@ -290,16 +293,25 @@ fn huge_fn_length_prefix_errors_and_recomputes() {
     stages::clear();
     bench::clear_cache();
 
-    let read_back = planted
-        .iter()
-        .filter(|(kind, _)| kind != "module" && kind != "program")
-        .count();
+    let read_back = |kind: &str| kind != "module" && kind != "program";
+    for kind in KINDS {
+        let of_kind = planted.iter().filter(|(k, _)| k == kind).count() as u64;
+        assert_eq!(
+            moved.get(kind).corrupt,
+            if read_back(kind) { of_kind } else { 0 },
+            "every planted {kind} entry read back is corrupt"
+        );
+    }
     assert_eq!(
-        after.corrupt - before.corrupt,
-        read_back as u64,
-        "every planted entry read back is corrupt"
+        total(&moved, |c| c.corrupt),
+        planted.iter().filter(|(k, _)| read_back(k)).count() as u64,
+        "no other kind counts corruption"
     );
-    assert_eq!(after.hits, before.hits, "nothing was served from disk");
+    assert_eq!(
+        total(&moved, |c| c.disk_hits),
+        0,
+        "nothing was served from disk"
+    );
     assert_eq!(rewritten.len(), planted.len(), "every entry was rewritten");
     assert!(
         rewritten.iter().all(Result::is_ok),
@@ -458,16 +470,17 @@ fn out_of_range_control_flow_errors_and_recomputes() {
     }
     stages::clear();
     bench::clear_cache();
-    let before = store::stats();
+    let before = memo::stats();
     let again = bench::run_cached(&workload("cfg"), &BuildConfig::bitspec());
-    let after = store::stats();
+    let moved = memo::stats().since(&before);
     store::configure(None, None);
     let _ = std::fs::remove_dir_all(&dir);
     stages::clear();
     bench::clear_cache();
 
     assert_eq!(planted, 1, "one program entry");
-    assert_eq!(after.corrupt - before.corrupt, planted, "it is corrupt");
+    assert_eq!(moved.get("program").corrupt, planted, "it is corrupt");
+    assert_eq!(total(&moved, |c| c.corrupt), planted, "and nothing else");
     assert_eq!(
         backend::program_fingerprint(&again.0.program),
         backend::program_fingerprint(&cold.0.program)
