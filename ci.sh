@@ -105,15 +105,15 @@ cargo run --release -p fuzz --bin fuzzer -- --seed 42 --iters 50 --no-save
 cargo test --release -q -p fuzz --test fuzz_corpus
 
 # Artifact store round-trip: the store/codec integration tests (corrupt
-# entries recompute + rewrite, publish races, GC cap), then a bitspecd
+# entries recompute + rewrite, write races, GC cap), then a bitspecd
 # smoke — build a batch against a scratch store, re-serve it from a
 # second cold process (memory caches necessarily empty, so every cell
 # must come off disk bit-identically), and diff the result streams.
 cargo test --release -q -p bitspec --test store --test wire_roundtrip
-# Wire golden: every suite cell's encoding and every entry a cold suite
-# sweep publishes (its kind, file name — the versioned store key — and
-# re-encoded payload, wall-clock fields zeroed) keep their golden hashes,
-# so a codec refactor that claims to be byte-neutral is one.
+# Wire golden: every suite cell's encoding and every manifest a cold suite
+# sweep writes (its file name — the versioned store key — and re-encoded
+# payload, wall-clock fields zeroed) keep their golden hashes, so a codec
+# refactor that claims to be byte-neutral is one.
 cargo test --release -q -p bitspec --test wire_golden
 # The serve layer: its store integration tests, and 2,000 seeded hostile
 # mutations of a request batch that must parse or fail on a line of the
@@ -129,6 +129,8 @@ cargo run --release -p serve --bin bitspecd -- \
   --store "$STORE_DIR/store" --ordered --file "$STORE_DIR/batch.txt" \
   | grep -v '"summary"' | sed 's/"source": "[a-z-]*"/"source": "-"/' \
   > "$STORE_DIR/cold.jsonl"
+# The store keeps manifests only: besides tmp/, one kind directory.
+test "$(ls "$STORE_DIR/store" | grep -v '^tmp$')" = manifest
 cargo run --release -p serve --bin bitspecd -- \
   --store "$STORE_DIR/store" --ordered --file "$STORE_DIR/batch.txt" \
   | tee "$STORE_DIR/warm.raw" \
@@ -145,6 +147,7 @@ FIG_STORE=$(mktemp -d)
 BITSPEC_STORE_DIR="$FIG_STORE" cargo run --release -q -p bench --bin fig09 \
   > "$FIG_STORE/cold.txt"
 MANIFESTS=$(ls "$FIG_STORE/manifest" | wc -l)
+test "$(ls "$FIG_STORE" | grep -v -e '^tmp$' -e '\.txt$')" = manifest
 BITSPEC_STORE_DIR="$FIG_STORE" cargo run --release -q -p bench --bin fig09 \
   > "$FIG_STORE/warm.txt"
 cmp "$FIG_STORE/cold.txt" results/fig09.txt

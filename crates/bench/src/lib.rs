@@ -9,7 +9,7 @@
 //! This library holds the shared run/format helpers.
 
 use bitspec::memo::{Codec, Memo, Source};
-use bitspec::{build, stages, wire, BuildConfig, Compiled, Manifest, Program, SimConfig};
+use bitspec::{build, stages, wire, BuildConfig, Compiled, Manifest, SimConfig};
 use bitspec::{SimResult, Workload};
 use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
@@ -59,8 +59,8 @@ fn evaluate(w: &Workload, c: &Compiled, program_fp: Option<u64>, sim_cfg: &SimCo
 pub type Cell = Arc<(Compiled, SimResult)>;
 
 /// One memoized cell: its manifest, and the full cell once this process
-/// computed or reassembled it. A manifest read from the store arrives
-/// without the cell; [`run_cached`] reassembles it from the parts.
+/// computed it. A manifest read from the store arrives without the cell;
+/// [`run_cached`] recomputes it.
 struct Entry {
     manifest: Arc<Manifest>,
     cell: OnceLock<Cell>,
@@ -79,7 +79,7 @@ fn decode_entry(bytes: &[u8]) -> Result<Entry, wire::WireError> {
 
 /// Cells, keyed by the structural [`bitspec::fingerprint::cell_key`]
 /// (workload contents plus every `BuildConfig` field); the store holds
-/// each as a manifest (`manifest` kind) naming its parts.
+/// each as a manifest (`manifest` kind).
 static CELLS: Memo<Entry> = Memo::new(
     "manifest",
     Some(Codec {
@@ -88,42 +88,19 @@ static CELLS: Memo<Entry> = Memo::new(
     }),
 );
 
-/// Final modules by [`stages::content_key`]: a cell's module part.
-static MODULES: Memo<sir::Module> = Memo::new(
-    "module",
-    Some(Codec {
-        enc: wire::encode,
-        dec: wire::decode,
-    }),
-);
-
-/// Linked programs by [`bitspec::program_fingerprint`]: a cell's program
-/// part.
-static PROGRAMS: Memo<Program> = Memo::new(
-    "program",
-    Some(Codec {
-        enc: wire::encode,
-        dec: wire::decode,
-    }),
-);
-
 /// Like [`run`], but memoized in a process-wide artifact cache: a repeat
 /// of the same (workload, config) cell — common across harnesses and
 /// within the matrix sweeps — returns the shared artifact instead of
 /// re-running the pipeline. A cell whose manifest came from the store is
-/// reassembled from its parts; a missing or corrupt part counts as
-/// `corrupt` under its kind ([`bitspec::memo::Counts`]), and the cell is
-/// recomputed and its parts republished.
+/// recomputed, once per process: concurrent callers wait for it.
 ///
 /// # Panics
 /// Panics on build or simulation failure.
 pub fn run_cached(w: &Workload, cfg: &BuildConfig) -> Cell {
     let (entry, _) = lookup(w, cfg);
     let cell = entry.cell.get_or_init(|| {
-        materialize(&entry.manifest).unwrap_or_else(|| {
-            let (c, r, _) = compute(w, cfg);
-            Arc::new((c, r))
-        })
+        let (c, r, _) = compute(w, cfg);
+        Arc::new((c, r))
     });
     Arc::clone(cell)
 }
@@ -131,11 +108,10 @@ pub fn run_cached(w: &Workload, cfg: &BuildConfig) -> Cell {
 /// A cell's manifest with hit/miss provenance, looked up memory → disk →
 /// compute through a single-flight memo ([`bitspec::memo`]): concurrent
 /// requests for one cell compute it once. With an active persistent store
-/// ([`bitspec::store::active`]) a computed cell publishes its module and
-/// program parts, then its manifest, so a fresh process re-sweeping a
-/// warmed store serves disk hits that read and decode manifests only. A
-/// corrupt or undecodable manifest is counted as corrupt, deleted, and
-/// recomputed + republished.
+/// ([`bitspec::store::active`]) a computed cell writes its manifest, so a
+/// fresh process re-sweeping a warmed store serves disk hits that read
+/// and decode manifests only. A corrupt or undecodable manifest is
+/// counted as corrupt, deleted, and recomputed + republished.
 ///
 /// # Panics
 /// Panics on build or simulation failure.
@@ -147,40 +123,22 @@ pub fn run_cached_traced(w: &Workload, cfg: &BuildConfig) -> (Arc<Manifest>, Sou
 fn lookup(w: &Workload, cfg: &BuildConfig) -> (Arc<Entry>, Source) {
     let key = bitspec::fingerprint::cell_key(w, cfg);
     let Ok(found) = CELLS.get(key, false, || {
-        let (c, r, parts) = compute(w, cfg);
+        let (c, r, program_fp) = compute(w, cfg);
         Ok::<_, Infallible>(Entry {
-            manifest: Arc::new(Manifest::of(&c, &r, parts)),
+            manifest: Arc::new(Manifest::of(&c, &r, program_fp)),
             cell: OnceLock::from(Arc::new((c, r))),
         })
     });
     found
 }
 
-/// [`run`], also returning the cell's part keys (the evaluation sim reuses
-/// the program's), after publishing its module and program parts, each
-/// once per process. Its profile part is the `profile` stage's own store
-/// entry. The cell memo writes the manifest after this returns, so a
-/// manifest on disk names parts already there.
-fn compute(w: &Workload, cfg: &BuildConfig) -> (Compiled, SimResult, bitspec::PartKeys) {
-    let (c, parts) =
-        bitspec::build_keyed(w, cfg).unwrap_or_else(|e| panic!("{}: build failed: {e}", w.name));
-    let r = evaluate(w, &c, Some(parts.program), &SimConfig::default());
-    MODULES.publish(parts.module, &c.module);
-    PROGRAMS.publish(parts.program, &c.program);
-    (c, r, parts)
-}
-
-/// Reassembles the cell a manifest describes from its parts, or `None`
-/// when a part is missing or corrupt.
-fn materialize(m: &Manifest) -> Option<Cell> {
-    let module = MODULES.get_part(m.parts.module)?;
-    let program = PROGRAMS.get_part(m.parts.program)?;
-    let profile = stages::stored_profile(m.parts.profile)?;
-    Some(Arc::new(m.cell(
-        module,
-        (*program).clone(),
-        Arc::clone(&profile.profile),
-    )))
+/// [`run`], also returning the linked program's fingerprint (the
+/// manifest's `program_fp`), which the evaluation sim reuses.
+fn compute(w: &Workload, cfg: &BuildConfig) -> (Compiled, SimResult, u64) {
+    let c = build(w, cfg).unwrap_or_else(|e| panic!("{}: build failed: {e}", w.name));
+    let program_fp = bitspec::program_fingerprint(&c.program);
+    let r = evaluate(w, &c, Some(program_fp), &SimConfig::default());
+    (c, r, program_fp)
 }
 
 /// The full evaluation matrix the sweep harnesses share: the fig09 pair
@@ -218,12 +176,10 @@ pub fn suite_configs() -> Vec<BuildConfig> {
     cfgs
 }
 
-/// Drops every cached cell, cell part and simulation (tests use this to
-/// force rebuilds).
+/// Drops every cached cell and simulation (tests use this to force
+/// rebuilds).
 pub fn clear_cache() {
     CELLS.clear();
-    MODULES.clear();
-    PROGRAMS.clear();
     stages::clear_sims();
 }
 
@@ -243,7 +199,7 @@ pub fn run_matrix(workloads: &[Workload], cfgs: &[BuildConfig], workers: usize) 
 /// [`run_matrix`] for harnesses that read only each cell's evaluation
 /// result: `out[wi][ci]` is the [`SimResult`] of the cell's manifest
 /// ([`run_cached_traced`]), so a disk-warm run reads manifests alone and
-/// no module, program or profile part.
+/// recomputes no cell.
 pub fn run_matrix_sims(
     workloads: &[Workload],
     cfgs: &[BuildConfig],

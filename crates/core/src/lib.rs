@@ -248,23 +248,10 @@ pub struct Compiled {
     pub trace: BuildTrace,
 }
 
-/// The store keys of a bench cell's three heavy parts, each stored once
-/// under its own kind and named from the cell's [`Manifest`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartKeys {
-    /// [`stages::content_key`] of the final module (`module` kind).
-    pub module: u64,
-    /// [`program_fingerprint`] of the linked program (`program` kind):
-    /// the cell's build fingerprint.
-    pub program: u64,
-    /// The `profile` stage key of the build's profile (`profile` kind).
-    pub profile: u64,
-}
-
 /// A bench cell as the persistent store holds it (`manifest` kind): every
 /// field of its [`Compiled`] and evaluation [`SimResult`] except the
-/// module, program and profile, which it names by [`PartKeys`]. Serving a
-/// cell reads nothing else.
+/// module, program and profile, plus the linked program's fingerprint.
+/// Serving a cell reads nothing else.
 #[derive(Debug, Clone)]
 pub struct Manifest {
     pub config: BuildConfig,
@@ -275,12 +262,15 @@ pub struct Manifest {
     pub trace: BuildTrace,
     /// The evaluation-input simulation result.
     pub sim: SimResult,
-    pub parts: PartKeys,
+    /// [`program_fingerprint`] of the linked program: the cell's build
+    /// fingerprint.
+    pub program_fp: u64,
 }
 
 impl Manifest {
-    /// The manifest of the cell `(c, sim)` whose parts have keys `parts`.
-    pub fn of(c: &Compiled, sim: &SimResult, parts: PartKeys) -> Manifest {
+    /// The manifest of the cell `(c, sim)`, whose program fingerprint is
+    /// `program_fp`.
+    pub fn of(c: &Compiled, sim: &SimResult, program_fp: u64) -> Manifest {
         Manifest {
             config: c.config.clone(),
             used_squeezed: c.used_squeezed,
@@ -289,30 +279,8 @@ impl Manifest {
             stage_hits: c.stage_hits,
             trace: c.trace.clone(),
             sim: sim.clone(),
-            parts,
+            program_fp,
         }
-    }
-
-    /// Reassembles the cell from its parts: the inverse of
-    /// [`Manifest::of`], field for field.
-    pub fn cell(
-        &self,
-        module: Arc<sir::Module>,
-        program: Program,
-        profile: Arc<Profile>,
-    ) -> (Compiled, SimResult) {
-        let c = Compiled {
-            module,
-            program,
-            profile,
-            squeeze: self.squeeze,
-            config: self.config.clone(),
-            profile_dyn_insts: self.profile_dyn_insts,
-            used_squeezed: self.used_squeezed,
-            stage_hits: self.stage_hits,
-            trace: self.trace.clone(),
-        };
-        (c, self.sim.clone())
     }
 }
 
@@ -329,43 +297,11 @@ impl Manifest {
 /// bug) post-transformation verification failures — the latter naming
 /// the failing pass and carrying the last-good IR.
 pub fn build(workload: &Workload, cfg: &BuildConfig) -> Result<Compiled, BuildError> {
-    compile(workload, cfg).map(|(c, _, _)| c)
-}
-
-/// [`build`], also returning the store keys of the build's parts. The
-/// module and profile keys come from fingerprints the pipeline already
-/// took; the program's is hashed here.
-///
-/// # Errors
-/// As [`build`].
-pub fn build_keyed(
-    workload: &Workload,
-    cfg: &BuildConfig,
-) -> Result<(Compiled, PartKeys), BuildError> {
-    let (c, module, profile) = compile(workload, cfg)?;
-    let program = program_fingerprint(&c.program);
-    Ok((
-        c,
-        PartKeys {
-            module,
-            program,
-            profile,
-        },
-    ))
-}
-
-/// [`build`] plus the module and profile part keys.
-fn compile(workload: &Workload, cfg: &BuildConfig) -> Result<(Compiled, u64, u64), BuildError> {
     let mut tr = Tracer::new(pipeline::policy(cfg.verify_each));
     // Stages 1–3 (frontend, expander, profiler) are memoized process-wide;
     // sweeps differing only in downstream knobs share them (see `stages`).
-    let stages::Profiled {
-        module: expanded,
-        content: expanded_key,
-        data: pdata,
-        key: profile_key,
-        hits: mut stage_hits,
-    } = stages::profiled(workload, &cfg.expander, cfg.reference_profiler, &mut tr)?;
+    let (expanded, pdata, mut stage_hits) =
+        stages::profile(workload, &cfg.expander, cfg.reference_profiler, &mut tr)?;
     let profile = Arc::clone(&pdata.profile);
     let profile_dyn_insts = pdata.dyn_insts;
     let opts = backend::CodegenOpts {
@@ -416,11 +352,6 @@ fn compile(workload: &Workload, cfg: &BuildConfig) -> Result<(Compiled, u64, u64
         })
         .map_err(BuildError::Verify)?;
     }
-    // The squeezed module's content key reuses the squeeze's fingerprint.
-    let squeezed = squeezed.map(|m| {
-        let key = stages::content_key_of(pre_fp, &m);
-        (m, key)
-    });
 
     // Empirical gate (BITSPEC only): simulate both codegens on the training
     // input and keep whichever consumes less energy. Profile-guided
@@ -432,8 +363,8 @@ fn compile(workload: &Workload, cfg: &BuildConfig) -> Result<(Compiled, u64, u64
     // (`stages::gate_ref`) and shared across every gated config in a sweep.
     // Both training runs go through the shared `stages::sim` stage, where
     // an evaluation run on the same inputs finds them.
-    let (module, program, used_squeezed, module_key) = match squeezed {
-        Some((module, squeezed_key)) if cfg.empirical_gate && squeeze.narrowed > 0 => {
+    let (module, program, used_squeezed) = match squeezed {
+        Some(module) if cfg.empirical_gate && squeeze.narrowed > 0 => {
             let train = workload.train();
             let policy = tr.policy.clone();
             type Leg = (Program, f64, Vec<PassTrace>, bool, stages::FnHits);
@@ -480,27 +411,27 @@ fn compile(workload: &Workload, cfg: &BuildConfig) -> Result<(Compiled, u64, u64
             tr.replay(&cand_traces, false);
             tr.replay(&ref_traces, ref_cached);
             if es <= eb {
-                (Arc::new(module), program, true, squeezed_key)
+                (Arc::new(module), program, true)
             } else {
                 // The unsqueezed winner is exactly the shared expanded
                 // module — no clone needed.
-                (expanded, base_program, false, expanded_key)
+                (expanded, base_program, false)
             }
         }
-        Some((module, squeezed_key)) => {
+        Some(module) => {
             let (program, fns) =
                 stages::codegen(&module, &opts, &mut tr).map_err(BuildError::Verify)?;
             stage_hits.add_fns(fns);
-            (Arc::new(module), program, false, squeezed_key)
+            (Arc::new(module), program, false)
         }
         None => {
             let (program, fns) =
                 stages::codegen(&expanded, &opts, &mut tr).map_err(BuildError::Verify)?;
             stage_hits.add_fns(fns);
-            (expanded, program, false, expanded_key)
+            (expanded, program, false)
         }
     };
-    let c = Compiled {
+    Ok(Compiled {
         module,
         program,
         profile,
@@ -512,8 +443,7 @@ fn compile(workload: &Workload, cfg: &BuildConfig) -> Result<(Compiled, u64, u64
         trace: BuildTrace {
             passes: tr.finish(),
         },
-    };
-    Ok((c, module_key, profile_key))
+    })
 }
 
 /// One empirical-gate leg's training-input run of `p` (compiled from `m`)

@@ -18,15 +18,7 @@
 //! `gate → {fnmir, sim}`, `manifest → all`, so no chain of waits can
 //! close a cycle. (Content-keyed kinds such as `profile` and `gate` look
 //! their upstream artifact up *before* leading, to compute the key, never
-//! inside `make`.) A part lookup ([`Memo::get_part`]) and a
-//! [`Memo::publish`] lead with no `make` at all: only a disk read or
-//! write.
-//!
-//! **Parts.** A value computed inside another artifact's `make` — a bench
-//! cell's module and program — is written to the store with
-//! [`Memo::publish`], once per key per process and without being held in
-//! memory, and read back by key with [`Memo::get_part`], which never
-//! computes: a missing part is the caller's to handle.
+//! inside `make`.)
 //!
 //! **Counters.** One process-wide table keyed by kind name ([`stats`])
 //! holds every memo's [`Counts`], the disk tier's included: the store
@@ -84,8 +76,7 @@ pub struct Counts {
     pub disk_hits: u64,
     /// Memory misses that found nothing usable in an active store.
     pub disk_misses: u64,
-    /// Disk misses that found a damaged entry, an undecodable payload, or
-    /// no entry where another artifact named one (a manifest its part).
+    /// Disk misses that found a damaged entry or an undecodable payload.
     /// Also in `disk_misses`.
     pub corrupt: u64,
     /// Entries this memo handed to the store to write (the store drops
@@ -150,11 +141,8 @@ fn count(kind: &'static str, bump: impl FnOnce(&mut Counts)) {
 
 enum Slot<V> {
     Ready(Arc<V>),
-    /// A leader is computing this key (or publishing it).
+    /// A leader is computing this key.
     Running,
-    /// Published to the store by [`Memo::publish`], not held in memory:
-    /// lookups go to the disk tier as for an absent key.
-    Stored,
 }
 
 /// A process-wide single-flight memo for one kind of value.
@@ -204,48 +192,6 @@ impl<V> Memo<V> {
         if bypass {
             return Ok((Arc::new(make()?), Source::Computed));
         }
-        self.lookup(key, false, make)
-    }
-
-    /// Looks up a part another artifact names by `key`, memory → disk,
-    /// never computing. `None` when neither tier holds a usable copy; a
-    /// missing store entry then counts as `corrupt`, like a damaged one,
-    /// since the naming artifact promised it.
-    pub fn get_part(&self, key: u64) -> Option<Arc<V>> {
-        self.lookup(key, true, || Err(())).ok().map(|(v, _)| v)
-    }
-
-    /// Writes `v`, computed inside another artifact, to the store under
-    /// `key` unless this process already wrote or read that key since the
-    /// last [`Memo::clear`]. The value is not kept in memory. A no-op
-    /// without a codec or an active store.
-    pub fn publish(&self, key: u64, v: &V) {
-        let Some((codec, store)) = self.codec.as_ref().zip(store::active()) else {
-            return;
-        };
-        {
-            let mut slots = self.lock();
-            if slots.contains_key(&key) {
-                return;
-            }
-            // Running until the entry is on disk, so a concurrent
-            // `get_part` of this key waits for it instead of missing.
-            slots.insert(key, Slot::Running);
-        }
-        let lead = Lead { memo: self, key };
-        store.put(self.kind, key, &(codec.enc)(v));
-        count(self.kind, |c| c.puts += 1);
-        lead.settle(Slot::Stored);
-    }
-
-    /// [`Memo::get`] past the bypass check; `part` marks a part lookup
-    /// ([`Memo::get_part`]).
-    fn lookup<E>(
-        &self,
-        key: u64,
-        part: bool,
-        make: impl FnOnce() -> Result<V, E>,
-    ) -> Result<(Arc<V>, Source), E> {
         let mut slots = self.lock();
         let mut waited = false;
         loop {
@@ -266,7 +212,7 @@ impl<V> Memo<V> {
                         .wait(slots)
                         .unwrap_or_else(PoisonError::into_inner);
                 }
-                Some(Slot::Stored) | None => break,
+                None => break,
             }
         }
         slots.insert(key, Slot::Running);
@@ -274,11 +220,11 @@ impl<V> Memo<V> {
         let lead = Lead { memo: self, key };
         let disk = self.codec.as_ref().zip(store::active());
         if let Some((codec, store)) = &disk {
-            if let Some(v) = self.read(codec, store, key, part) {
-                return Ok((lead.publish(v), Source::Disk));
+            if let Some(v) = self.read(codec, store, key) {
+                return Ok((lead.fill(v), Source::Disk));
             }
         }
-        let v = lead.publish(make()?);
+        let v = lead.fill(make()?);
         count(self.kind, |c| c.misses += 1);
         if let Some((codec, store)) = &disk {
             store.put(self.kind, key, &(codec.enc)(&v));
@@ -288,11 +234,10 @@ impl<V> Memo<V> {
     }
 
     /// Reads `key` from `store` and counts the outcome: a decoded value
-    /// is a disk hit, anything else a disk miss. A damaged entry, a
+    /// is a disk hit, anything else a disk miss. A damaged entry and a
     /// payload that does not decode (codec drift within one schema
-    /// version; the entry is deleted) and an absent `part` also count as
-    /// `corrupt`.
-    fn read(&self, codec: &Codec<V>, store: &Store, key: u64, part: bool) -> Option<V> {
+    /// version; the entry is deleted) also count as `corrupt`.
+    fn read(&self, codec: &Codec<V>, store: &Store, key: u64) -> Option<V> {
         let (v, corrupt) = match store.read(self.kind, key) {
             Read::Payload(bytes) => match (codec.dec)(&bytes) {
                 Ok(v) => (Some(v), false),
@@ -301,7 +246,7 @@ impl<V> Memo<V> {
                     (None, true)
                 }
             },
-            Read::Absent => (None, part),
+            Read::Absent => (None, false),
             Read::Damaged => (None, true),
         };
         count(self.kind, |c| {
@@ -326,16 +271,14 @@ struct Lead<'a, V> {
 }
 
 impl<V> Lead<'_, V> {
-    fn publish(self, v: V) -> Arc<V> {
+    /// Replaces the in-flight slot with `v` (the drop then wakes the
+    /// waiters).
+    fn fill(self, v: V) -> Arc<V> {
         let v = Arc::new(v);
-        self.settle(Slot::Ready(Arc::clone(&v)));
+        self.memo
+            .lock()
+            .insert(self.key, Slot::Ready(Arc::clone(&v)));
         v
-    }
-
-    /// Replaces the in-flight slot with its outcome (the drop then wakes
-    /// the waiters).
-    fn settle(self, slot: Slot<V>) {
-        self.memo.lock().insert(self.key, slot);
     }
 }
 
@@ -524,7 +467,7 @@ mod tests {
 
         for key in [1, 2] {
             let other = stats().get(B.kind);
-            let (got, moved) = counted(A.kind, || A.read(&U64, store, key, false));
+            let (got, moved) = counted(A.kind, || A.read(&U64, store, key));
             assert_eq!(got, None);
             assert_eq!(
                 moved,
@@ -538,9 +481,9 @@ mod tests {
             // The read deleted the entry: the next finds nothing, which a
             // plain lookup counts as a disk miss only.
             assert_eq!(store.get(A.kind, key), None);
-            let (_, moved) = counted(A.kind, || A.read(&U64, store, key, false));
+            let (_, moved) = counted(A.kind, || A.read(&U64, store, key));
             assert_eq!(moved, only(|c| c.disk_misses = 1), "key {key}: deleted");
-            let (got, moved) = counted(B.kind, || B.read(&U64, store, key, false));
+            let (got, moved) = counted(B.kind, || B.read(&U64, store, key));
             assert_eq!(got, Some(9), "B's entry is whole");
             assert_eq!(
                 moved,
@@ -553,20 +496,10 @@ mod tests {
     }
 
     #[test]
-    fn missing_part_is_corrupt_and_missing_entry_a_miss() {
+    fn missing_entry_is_a_plain_miss() {
         static M: Memo<u64> = Memo::new("memo-test-missing", Some(U64));
         let s = Scratch::new("missing");
-        let (got, part) = counted(M.kind, || M.read(&U64, &s.1, 5, true));
-        assert_eq!(got, None);
-        assert_eq!(
-            part,
-            only(|c| {
-                c.disk_misses = 1;
-                c.corrupt = 1;
-            }),
-            "a part its manifest named is missing"
-        );
-        let (got, plain) = counted(M.kind, || M.read(&U64, &s.1, 5, false));
+        let (got, plain) = counted(M.kind, || M.read(&U64, &s.1, 5));
         assert_eq!(got, None);
         assert_eq!(
             plain,

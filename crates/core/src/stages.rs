@@ -54,13 +54,12 @@
 //! Every stage cache is a single-flight [`crate::memo::Memo`]: concurrent
 //! builds needing the same artifact compute it once.
 //! [`crate::memo::stats`] reports one counter row per memo kind, and
-//! [`clear`] drops the artifacts.
-//! Only the `profile` memo also reads and writes the persistent store
-//! ([`crate::store`]): it is a bench cell's profile part. Every other
-//! stage is memory-only.
+//! [`clear`] drops the artifacts. Every stage is memory-only: the
+//! persistent store ([`crate::store`]) holds bench cells' manifests, and
+//! no later process reads a stage artifact back.
 
 use crate::fingerprint::{eat_inputs, Fnv};
-use crate::memo::{Codec, Memo};
+use crate::memo::Memo;
 use crate::{BuildError, SimConfig, SimResult, Workload};
 use interp::{Interpreter, Profile};
 use opt::ExpanderConfig;
@@ -131,15 +130,9 @@ impl SirStage {
 /// sizes one slot per arena entry, dead or not), which the fingerprint
 /// alone does not.
 pub fn content_key(m: &sir::Module) -> u64 {
-    content_key_of(ir_fingerprint(m), m)
-}
-
-/// [`content_key`] of `m` given its [`ir_fingerprint`] `fp`, which the
-/// pass manager records after every SIR pass.
-pub(crate) fn content_key_of(fp: u64, m: &sir::Module) -> u64 {
     let mut h = Fnv::new();
     h.str("content");
-    h.u64(fp);
+    h.u64(ir_fingerprint(m));
     h.u64(m.funcs.len() as u64);
     for f in &m.funcs {
         h.u64(f.insts.len() as u64);
@@ -181,15 +174,7 @@ pub struct SimRun {
 
 static FRONT: Memo<SirStage> = Memo::new("front", None);
 static EXPAND: Memo<SirStage> = Memo::new("expand", None);
-/// Training-input profiles, the one stage artifact the store keeps: a
-/// bench cell's manifest names its profile part by this memo's key.
-static PROFILE: Memo<ProfileData> = Memo::new(
-    "profile",
-    Some(Codec {
-        enc: crate::wire::encode::<ProfileData>,
-        dec: crate::wire::decode::<ProfileData>,
-    }),
-);
+static PROFILE: Memo<ProfileData> = Memo::new("profile", None);
 static GATE: Memo<GateRef> = Memo::new("gate", None);
 static FNS: Memo<backend::FnArtifact> = Memo::new("fnmir", None);
 /// Simulation runs, memory only: a run is cheap next to a store round
@@ -437,33 +422,9 @@ pub fn profile(
     reference: bool,
     tr: &mut Tracer,
 ) -> Result<(Arc<sir::Module>, Arc<ProfileData>, StageHits), BuildError> {
-    let p = profiled(w, ecfg, reference, tr)?;
-    Ok((p.module, p.data, p.hits))
-}
-
-/// What [`profile`] returns, plus the keys a cell's manifest names the
-/// expanded module and the profile by ([`crate::PartKeys`]).
-pub(crate) struct Profiled {
-    pub module: Arc<sir::Module>,
-    /// [`content_key`] of `module`.
-    pub content: u64,
-    pub data: Arc<ProfileData>,
-    /// The `profile` stage key of `data`.
-    pub key: u64,
-    pub hits: StageHits,
-}
-
-/// [`profile`], returning the keys too.
-pub(crate) fn profiled(
-    w: &Workload,
-    ecfg: &ExpanderConfig,
-    reference: bool,
-    tr: &mut Tracer,
-) -> Result<Profiled, BuildError> {
     let policy = tr.policy.clone();
     let (art, mut hits) = expand_art(w, ecfg, &policy)?;
-    let key = profile_key(art.content, w);
-    let (data, src) = PROFILE.get(key, bypass(&policy), || {
+    let (data, src) = PROFILE.get(profile_key(art.content, w), bypass(&policy), || {
         let t = Instant::now();
         let (prof, dyn_insts) = profile_run(&art.module, w.train(), reference, w.profile_fuel)?;
         let wall = t.elapsed().as_nanos() as u64;
@@ -477,20 +438,7 @@ pub(crate) fn profiled(
     hits.profile = src.hit();
     tr.replay(&art.traces, hits.expand);
     tr.replay(&data.traces, hits.profile);
-    Ok(Profiled {
-        module: Arc::clone(&art.module),
-        content: art.content,
-        data,
-        key,
-        hits,
-    })
-}
-
-/// The profile stage artifact stored under profile key `key` — a cell
-/// manifest's profile part — from memory or the store, never computed
-/// ([`crate::memo::Memo::get_part`]).
-pub fn stored_profile(key: u64) -> Option<Arc<ProfileData>> {
-    PROFILE.get_part(key)
+    Ok((Arc::clone(&art.module), data, hits))
 }
 
 /// Stage 4 (gated builds only): the empirical gate's unsqueezed

@@ -12,14 +12,12 @@
 //! crate version) changes every key, so stale artifacts self-invalidate:
 //! they simply stop being addressed and age out via GC.
 //!
-//! **Layout.** Four kinds persist, exactly what a bench cell is: its
-//! `manifest` (the sim result, the build's metadata and the keys of its
-//! parts) plus the three parts it names, `module`, `program` and
-//! `profile`. A warm serve reads the manifests alone; the parts let a
-//! later process reassemble a whole cell. The expand, gate and
-//! function-codegen memos stay in memory, because no later process reads
-//! them back and every entry costs a file creation on the write path.
-//! Each entry is `root/<kind>/<16-hex-key>.art`, one file per artifact,
+//! **Layout.** One kind persists: a bench cell's `manifest` (its sim
+//! result, the build's metadata and the program's fingerprint), the only
+//! thing a warm serve reads. A later process that needs a whole cell
+//! recomputes it. Every stage memo stays in memory, because no later
+//! process reads a stage artifact back and every entry costs a file
+//! creation on the write path. Each entry is `root/<kind>/<16-hex-key>.art`, one file per artifact,
 //! framed by a fixed header: magic `BSST`, schema version, the full
 //! 64-bit key, the payload length and an FNV-1a payload checksum (all
 //! little-endian). Any mismatch on read — truncation, garbage, a key
@@ -56,7 +54,7 @@ use crate::fingerprint::Fnv;
 /// On-disk format version. Bump on any incompatible change to the entry
 /// framing *or* to the wire codec ([`crate::wire`]); every key changes
 /// and old entries become unreachable (then unreferenced, then GC'd).
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Entry file magic.
 const MAGIC: [u8; 4] = *b"BSST";
@@ -330,7 +328,9 @@ static ACTIVE: Mutex<Option<Option<Arc<Store>>>> = Mutex::new(None);
 /// Explicitly configures (or with `None` disables) the process-wide
 /// store, overriding the environment. Harnesses call this from
 /// `--store`/`--store-cap` flags; tests use it to point the pipeline at
-/// a scratch directory.
+/// a scratch directory. A directory that cannot be opened leaves the
+/// store off; a caller that must report that opens it with
+/// [`Store::open`] first.
 pub fn configure(dir: Option<&Path>, cap: Option<u64>) {
     let store = dir.and_then(|d| Store::open(d, cap).ok()).map(Arc::new);
     *ACTIVE.lock().expect("store slot") = Some(store);
@@ -355,7 +355,7 @@ pub fn active() -> Option<Arc<Store>> {
 }
 
 /// Debug/robustness helper used by tests: summarize entry counts per
-/// kind, e.g. `{"manifest": 8, "profile": 1}`.
+/// kind, e.g. `{"manifest": 8}`.
 pub fn entry_counts(store: &Store) -> HashMap<String, usize> {
     let mut out: HashMap<String, usize> = HashMap::new();
     for (path, _, _) in store.walk_entries() {
@@ -400,11 +400,11 @@ mod tests {
 
     #[test]
     fn versioned_keys_separate_kinds() {
-        let a = versioned_key("module", 42);
-        let b = versioned_key("profile", 42);
+        let a = versioned_key("manifest", 42);
+        let b = versioned_key("cell", 42);
         assert_ne!(a, b);
         // And the same kind+key is stable.
-        assert_eq!(a, versioned_key("module", 42));
+        assert_eq!(a, versioned_key("manifest", 42));
     }
 
     #[test]

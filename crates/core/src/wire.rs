@@ -29,8 +29,8 @@
 //!   [`WireError`], which the store treats as a corrupt entry (recompute +
 //!   rewrite).
 
-use crate::stages::{ProfileData, StageHits};
-use crate::{Arch, BuildConfig, BuildTrace, Compiled, Manifest, PartKeys, SimResult};
+use crate::stages::StageHits;
+use crate::{Arch, BuildConfig, BuildTrace, Compiled, Manifest, SimResult};
 use backend::Program;
 use interp::profile::VarStats;
 use interp::{Heuristic, Profile};
@@ -894,18 +894,9 @@ wire_struct! {
         module, program, profile, squeeze, config, profile_dyn_insts, used_squeezed,
         stage_hits, trace,
     }
-    PartKeys { module, program, profile }
     Manifest {
-        config, used_squeezed, squeeze, profile_dyn_insts, stage_hits, trace, sim, parts,
+        config, used_squeezed, squeeze, profile_dyn_insts, stage_hits, trace, sim, program_fp,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Stage artifacts
-// ---------------------------------------------------------------------------
-
-wire_struct! {
-    ProfileData { profile, dyn_insts, traces }
 }
 
 #[cfg(test)]

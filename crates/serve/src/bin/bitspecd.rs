@@ -35,12 +35,19 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// A worker count: a positive integer, or the usage text and exit 2.
+fn parse_jobs(v: Option<&str>) -> usize {
+    v.and_then(|v| v.parse().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| usage())
+}
+
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut a = Args {
         store: None,
         store_cap: None,
-        jobs: bitspec::pool::jobs_for(&argv),
+        jobs: bitspec::pool::jobs(),
         codegen_jobs: None,
         ordered: false,
         file: None,
@@ -59,19 +66,11 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--codegen-jobs" => {
-                a.codegen_jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .or_else(|| usage());
-            }
+            "--codegen-jobs" => a.codegen_jobs = Some(parse_jobs(it.next().map(String::as_str))),
             "--ordered" => a.ordered = true,
             "--file" => a.file = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            "-j" | "--jobs" => {
-                it.next();
-            }
-            s if s.starts_with("-j") && s[2..].parse::<usize>().is_ok() => {}
+            "-j" | "--jobs" => a.jobs = parse_jobs(it.next().map(String::as_str)),
+            s if s.starts_with("-j") => a.jobs = parse_jobs(Some(&s[2..])),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("bitspecd: unknown argument `{other}`");
@@ -137,6 +136,10 @@ fn main() {
     // --store/--store-cap override the BITSPEC_STORE_DIR /
     // BITSPEC_STORE_MAX_BYTES environment for this process.
     if let Some(dir) = &a.store {
+        if let Err(e) = bitspec::store::Store::open(dir, a.store_cap) {
+            eprintln!("bitspecd: cannot open store {}: {e}", dir.display());
+            std::process::exit(2);
+        }
         bitspec::store::configure(Some(dir), a.store_cap);
     }
     // `-j` fans requests across pool workers; `--codegen-jobs` further

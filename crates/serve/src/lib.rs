@@ -7,9 +7,9 @@
 //! Artifact lookups go memory → persistent store → compute via
 //! [`bench::run_cached_traced`], which returns each cell's
 //! [`bitspec::Manifest`]. A result line and the batch's `suite_fp` read
-//! only the manifest (`build_fp` is its program key), so a warmed store
-//! turns a whole batch into reads of small manifests: the cells' modules,
-//! programs and profiles stay on disk, undecoded.
+//! only the manifest (`build_fp` is its program fingerprint), so a warmed
+//! store turns a whole batch into reads of small manifests, and no cell
+//! is rebuilt.
 //!
 //! ## Request protocol
 //!
@@ -309,7 +309,7 @@ pub fn serve_batch(
     let emit_line = |ri: usize, m: &Manifest, source: Source| {
         let r = &reqs[ri];
         let (key, _, dedup) = req_cell[ri];
-        let build_fp = m.parts.program;
+        let build_fp = m.program_fp;
         let mut line = format!(
             "{{\"id\": {}, \"op\": \"{}\", \"workload\": \"{}\", \"config\": \"{}\", \
              \"key\": \"{key:016x}\", \"source\": \"{}\", \"dedup\": {dedup}, \
@@ -364,7 +364,7 @@ pub fn serve_batch(
     for (ui, r) in uniques.iter().enumerate() {
         let (m, _) = &results[ui];
         h.u64(cell_key(&r.workload, &r.cfg));
-        h.u64(m.parts.program);
+        h.u64(m.program_fp);
         h.u64(outputs_fnv(&m.sim.outputs));
         h.u64(m.sim.cycles);
     }

@@ -1,9 +1,8 @@
 //! Serve-layer integration: the cell-level cache tiers under
 //! [`bench::run_cached_traced`], corrupt manifests falling back to
-//! compute, damaged module and program parts (served from the manifest,
-//! recomputed by the harness path), and real `bitspecd` child processes
-//! — concurrent children racing one store, and fresh-store children
-//! agreeing bit-for-bit.
+//! compute, and real `bitspecd` child processes — concurrent children
+//! racing one store, fresh-store children agreeing bit-for-bit, and bad
+//! arguments rejected with the usage exit code.
 //!
 //! The store configuration, cell cache and stage caches are all
 //! process-global, so the in-process tests take a file-wide lock and
@@ -13,7 +12,7 @@
 use bench::{clear_cache, run_cached, run_cached_traced};
 use bitspec::memo::{self, Counts, Source, Stats};
 use bitspec::{stages, store, wire, BuildConfig, Workload};
-use serve::{serve_batch, suite_requests, Op, Request};
+use serve::{serve_batch, suite_requests};
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -86,7 +85,7 @@ fn cell_cache_walks_memory_then_disk_then_compute() {
     assert!(std::sync::Arc::ptr_eq(&cold, &mem), "memory tier shares");
     let cell = run_cached(&w, &cfg);
     assert_eq!(
-        cold.parts.program,
+        cold.program_fp,
         backend::program_fingerprint(&cell.0.program)
     );
 
@@ -95,13 +94,14 @@ fn cell_cache_walks_memory_then_disk_then_compute() {
     assert_eq!(src, Source::Disk, "fresh memory must fall to disk");
     assert_eq!(disk.sim.outputs, cold.sim.outputs);
     assert_eq!(disk.sim.cycles, cold.sim.cycles);
-    assert_eq!(disk.parts, cold.parts);
+    assert_eq!(disk.program_fp, cold.program_fp);
     let rebuilt = run_cached(&w, &cfg);
     assert_eq!(
-        wire::encode_cell(&rebuilt.0, &rebuilt.1),
-        wire::encode_cell(&cell.0, &cell.1),
-        "the cell reassembled from its parts is the computed cell"
+        backend::program_fingerprint(&rebuilt.0.program),
+        cold.program_fp,
+        "the cell recomputed for a disk manifest is the computed cell"
     );
+    assert_eq!(wire::encode(&rebuilt.1), wire::encode(&cell.1));
     // And the disk hit re-seeded memory.
     let (_, src) = run_cached_traced(&w, &cfg);
     assert_eq!(src, Source::Memory);
@@ -191,105 +191,14 @@ fn undecodable_cell_entry_counts_as_corrupt_and_rewrites() {
     assert_eq!(total(&memo::stats().since(&after), |c| c.corrupt), 0);
 }
 
-/// One `sim` request for `w` under `cfg`.
-fn request(w: &Workload, cfg: &BuildConfig) -> Vec<Request> {
-    vec![Request {
-        id: 0,
-        op: Op::Sim,
-        workload: w.clone(),
-        cfg: cfg.clone(),
-        label: "bitspec".to_string(),
-    }]
-}
-
-/// `serve_batch`'s result lines for `reqs`, in request order.
-fn serve_lines(reqs: &[Request]) -> Vec<String> {
-    let lines = Mutex::new(Vec::new());
-    serve_batch(reqs, 1, true, &|l| {
-        lines.lock().unwrap().push(l.to_string())
-    });
-    lines.into_inner().unwrap()
-}
-
-/// Damages the one `kind` part of a cold cell with `damage`, then checks
-/// both paths: `serve_batch` still answers from the manifest, off disk,
-/// with the cold line; `run_cached` counts the part as corrupt, recomputes
-/// the cell and rewrites the part, so the next fresh-memory `run_cached`
-/// reassembles the computed cell from disk.
-fn damaged_part_is_recomputed(tag: &str, kind: &str, damage: fn(&Path)) {
-    let _g = serial();
-    let scratch = Scratch::new(tag);
-    store::configure(Some(scratch.path()), None);
-    wipe_memory();
-    let w = unique_workload(tag);
-    let cfg = BuildConfig::bitspec();
-    let reqs = request(&w, &cfg);
-    let cold_line = serve_lines(&reqs).remove(0);
-    let cold = run_cached(&w, &cfg);
-    let cold_bytes = wire::encode_cell(&cold.0, &cold.1);
-    let part_dir = scratch.path().join(kind);
-    assert_eq!(
-        fs::read_dir(&part_dir).unwrap().count(),
-        1,
-        "one {kind} part"
-    );
-    damage(&part_dir);
-
-    wipe_memory();
-    let warm_line = serve_lines(&reqs).remove(0);
-    assert!(warm_line.contains("\"source\": \"disk\""), "{warm_line}");
-    assert_eq!(
-        warm_line.replace("\"source\": \"disk\"", "\"source\": \"computed\""),
-        cold_line
-    );
-
-    let before = memo::stats();
-    let again = run_cached(&w, &cfg);
-    let moved = memo::stats().since(&before);
-    assert_eq!(moved.get(kind).corrupt, 1, "the {kind} part");
-    assert_eq!(total(&moved, |c| c.corrupt), 1, "only the {kind} part");
-    assert_eq!(
-        backend::program_fingerprint(&again.0.program),
-        backend::program_fingerprint(&cold.0.program)
-    );
-    assert_eq!(again.1.outputs, cold.1.outputs);
-    assert_eq!(fs::read_dir(&part_dir).unwrap().count(), 1, "rewritten");
-
-    wipe_memory();
-    let before = memo::stats();
-    let (_, src) = run_cached_traced(&w, &cfg);
-    assert_eq!(src, Source::Disk);
-    let rebuilt = run_cached(&w, &cfg);
-    let moved = memo::stats().since(&before);
-    assert_eq!(total(&moved, |c| c.corrupt), 0, "the part is whole");
-    assert_eq!(moved.get(kind).disk_hits, 1);
-    assert_eq!(wire::encode_cell(&rebuilt.0, &rebuilt.1), cold_bytes);
-}
-
-#[test]
-fn corrupt_program_part_is_recomputed_and_rewritten() {
-    damaged_part_is_recomputed("program-part", "program", |dir| {
-        assert_eq!(stomp(dir.parent().unwrap(), "program"), 1);
-    });
-}
-
-#[test]
-fn deleted_module_part_is_recomputed_and_rewritten() {
-    damaged_part_is_recomputed("module-part", "module", |dir| {
-        for f in fs::read_dir(dir).unwrap().flatten() {
-            fs::remove_file(f.path()).unwrap();
-        }
-    });
-}
-
-/// A cold serve of the full suite stores exactly its cells (manifests
-/// and their parts), and a disk-warm serve reads manifests and nothing
-/// else: no module, program or stage artifact is looked up. A re-serve of the
-/// suite twice over is then all memory hits, one cell per duplicate pair.
+/// A cold serve of the full suite stores exactly its cells' manifests,
+/// and a disk-warm serve reads manifests and nothing else: no stage
+/// artifact is looked up. A re-serve of the suite twice over is then all
+/// memory hits, one cell per duplicate pair.
 #[test]
 fn disk_warm_suite_serve_reads_only_manifests() {
     let _g = serial();
-    let scratch = Scratch::new("suite-parts");
+    let scratch = Scratch::new("suite-manifests");
     store::configure(Some(scratch.path()), None);
     wipe_memory();
     let reqs = suite_requests(0);
@@ -297,29 +206,12 @@ fn disk_warm_suite_serve_reads_only_manifests() {
     let cold = serve_batch(&reqs, 2, true, &|_| {});
     let wrote = memo::stats().since(&before);
     assert_eq!(cold.computed, reqs.len());
-    // The store holds the cells and nothing else: one manifest per cell
-    // plus the distinct module, program and profile parts they name.
+    // The store holds one manifest per cell and nothing else, each
+    // written once.
     let stored = store::entry_counts(&store::active().expect("store configured"));
-    let cell_kinds = [
-        ("manifest", 112),
-        ("module", 58),
-        ("program", 66),
-        ("profile", 14),
-    ];
-    assert_eq!(
-        stored,
-        HashMap::from(cell_kinds.map(|(k, n)| (k.to_string(), n)))
-    );
-    // Each entry was written once, and counted under its kind.
-    for (kind, n) in cell_kinds {
-        assert_eq!(wrote.get(kind).puts, n as u64, "{kind} writes");
-    }
-    let entries: usize = cell_kinds.iter().map(|(_, n)| n).sum();
-    assert_eq!(
-        total(&wrote, |c| c.puts),
-        entries as u64,
-        "no other kind writes"
-    );
+    assert_eq!(stored, HashMap::from([("manifest".to_string(), 112)]));
+    assert_eq!(wrote.get("manifest").puts, 112, "manifest writes");
+    assert_eq!(total(&wrote, |c| c.puts), 112, "no other kind writes");
 
     wipe_memory();
     let before = memo::stats();
@@ -449,4 +341,56 @@ fn fresh_store_children_are_bit_identical() {
     assert!(b.1.contains("\"disk_hits\": 0"));
     assert_eq!(suite_fp_of(&a.1), suite_fp_of(&b.1));
     assert_eq!(a.0.replace(&a.1, ""), b.0.replace(&b.1, ""));
+}
+
+/// `bitspecd` with `args` and an empty stdin batch; returns its exit code.
+fn bitspecd_status(args: &[&std::ffi::OsStr]) -> Option<i32> {
+    Command::new(env!("CARGO_BIN_EXE_bitspecd"))
+        .args(args)
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("spawn bitspecd")
+        .status
+        .code()
+}
+
+#[test]
+fn bad_jobs_and_unopenable_store_exit_with_usage() {
+    let _g = serial();
+    let scratch = Scratch::new("bad-args");
+    fs::create_dir_all(scratch.path()).unwrap();
+    let os = |s: &'static str| std::ffi::OsStr::new(s);
+    for bad in [
+        &[os("-j"), os("0")][..],
+        &[os("-j0")],
+        &[os("-j"), os("abc")],
+        &[os("-jabc")],
+        &[os("--jobs"), os("0")],
+        &[os("-j")],
+    ] {
+        assert_eq!(bitspecd_status(bad), Some(2), "{bad:?} must be refused");
+    }
+    // A store directory that is a regular file cannot be opened.
+    let file = scratch.path().join("not-a-dir");
+    fs::write(&file, b"x").unwrap();
+    assert_eq!(
+        bitspecd_status(&[os("--store"), file.as_os_str()]),
+        Some(2),
+        "an unopenable store must be refused"
+    );
+
+    // A good worker count still serves.
+    let batch = scratch.path().join("batch.txt");
+    fs::write(&batch, "sim crc32 config=baseline\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_bitspecd"))
+        .args(["-j", "2", "--store"])
+        .arg(scratch.path().join("store"))
+        .arg("--file")
+        .arg(&batch)
+        .output()
+        .expect("spawn bitspecd");
+    assert!(out.status.success(), "-j 2 must serve");
+    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
+    assert!(stdout.contains("\"workload\": \"crc32\""), "{stdout}");
+    assert!(stdout.contains("\"computed\": 1"), "{stdout}");
 }

@@ -8,9 +8,9 @@
 //! and `-jN` (pool workers *and* per-function codegen workers) and assert
 //! the results are bit-identical: per-program fingerprints, instruction
 //! addresses, function tables, Δ-skeleton layout tables, and the folded
-//! suite fingerprint. The sweep then repeats against a persistent store
-//! (`BITSPEC_STORE_DIR` tier) to prove disk-served artifacts link the
-//! same images.
+//! suite fingerprint. The sweep then repeats as bench cells against a
+//! persistent store (`BITSPEC_STORE_DIR` tier) to prove that cells
+//! recomputed for disk-served manifests link the same images.
 //!
 //! Per-build provenance (which cell's build computed a shared artifact
 //! first, and so its `StageHits` flags) legitimately varies with the
@@ -81,26 +81,41 @@ struct Snapshot {
 type Sweep = (Vec<Snapshot>, u64, Stats);
 
 /// One full suite × config sweep at the given worker count, from cold
-/// memory caches.
-fn sweep(workloads: &[Workload], cfgs: &[BuildConfig], jobs: usize) -> Sweep {
+/// memory caches: bare builds, or with `cells` bench cells
+/// (`bench::run_matrix`), whose manifests an active store holds.
+fn sweep(workloads: &[Workload], cfgs: &[BuildConfig], jobs: usize, cells: bool) -> Sweep {
     stages::clear();
+    bench::clear_cache();
     let before = memo::stats();
     stages::set_codegen_workers(jobs);
+    let built: Vec<Compiled> = if cells {
+        bench::run_matrix(workloads, cfgs, jobs)
+            .iter()
+            .flatten()
+            .map(|cell| cell.0.clone())
+            .collect()
+    } else {
+        workloads
+            .iter()
+            .flat_map(|w| {
+                build_matrix(w, cfgs, jobs)
+                    .into_iter()
+                    .map(|r| r.unwrap_or_else(|e| panic!("{}: build failed: {e}", w.name)))
+            })
+            .collect()
+    };
     let mut snaps = Vec::new();
     let mut suite_fp = 0xcbf2_9ce4_8422_2325u64;
-    for w in workloads {
-        for r in build_matrix(w, cfgs, jobs) {
-            let c = r.unwrap_or_else(|e| panic!("{}: build failed: {e}", w.name));
-            let fp = program_fingerprint(&c.program);
-            suite_fp = suite_fp.rotate_left(13) ^ fp;
-            snaps.push(Snapshot {
-                fingerprint: fp,
-                addrs: c.program.addrs.clone(),
-                func_entries: c.program.func_entries.clone(),
-                func_names: c.program.func_names.clone(),
-                spec_targets: c.program.spec_targets.clone(),
-            });
-        }
+    for c in built {
+        let fp = program_fingerprint(&c.program);
+        suite_fp = suite_fp.rotate_left(13) ^ fp;
+        snaps.push(Snapshot {
+            fingerprint: fp,
+            addrs: c.program.addrs,
+            func_entries: c.program.func_entries,
+            func_names: c.program.func_names,
+            spec_targets: c.program.spec_targets,
+        });
     }
     stages::set_codegen_workers(1);
     (snaps, suite_fp, memo::stats().since(&before))
@@ -158,8 +173,8 @@ fn suite_parallel_builds_match_serial() {
     let _g = serial();
     let workloads: Vec<_> = names().iter().map(|n| workload(n, Input::Large)).collect();
     let cfgs = arch_gate_configs();
-    let serial_sweep = sweep(&workloads, &cfgs, 1);
-    let parallel_sweep = sweep(&workloads, &cfgs, 8);
+    let serial_sweep = sweep(&workloads, &cfgs, 1, false);
+    let parallel_sweep = sweep(&workloads, &cfgs, 8, false);
     assert_sweeps_identical("memory", &workloads, &cfgs, &serial_sweep, &parallel_sweep);
     assert_same_accounting("memory", &serial_sweep, &parallel_sweep);
     stages::clear();
@@ -179,16 +194,16 @@ fn suite_parallel_builds_match_serial_through_disk_store() {
     let dir = std::env::temp_dir().join(format!("pdet-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Cold sweeps into an empty store compute and publish everything;
-    // each gets a store of its own.
+    // Cold sweeps of bench cells into an empty store compute everything
+    // and write each cell's manifest; each gets a store of its own.
     bitspec::store::configure(Some(&dir.join("j1")), None);
-    let serial_cold = sweep(&workloads, &cfgs, 1);
+    let serial_cold = sweep(&workloads, &cfgs, 1, true);
     bitspec::store::configure(Some(&dir.join("j8")), None);
-    let parallel_cold = sweep(&workloads, &cfgs, 8);
-    // Disk-warm sweeps start with empty memory tiers, so their artifacts
-    // come off the populated store.
-    let serial_disk = sweep(&workloads, &cfgs, 1);
-    let parallel_disk = sweep(&workloads, &cfgs, 8);
+    let parallel_cold = sweep(&workloads, &cfgs, 8, true);
+    // Disk-warm sweeps start with empty memory tiers, so their manifests
+    // come off the populated store and their cells are recomputed.
+    let serial_disk = sweep(&workloads, &cfgs, 1, true);
+    let parallel_disk = sweep(&workloads, &cfgs, 8, true);
 
     bitspec::store::configure(None, None);
     let _ = std::fs::remove_dir_all(&dir);
@@ -210,9 +225,10 @@ fn suite_parallel_builds_match_serial_through_disk_store() {
             "{kind}: the disk-warm sweep missed the store"
         );
     }
-    assert!(
-        parallel_disk.2.get("profile").disk_hits > 0,
-        "the disk-warm -jN sweep must be served by the store"
+    assert_eq!(
+        parallel_disk.2.get("manifest").disk_hits,
+        serial_cold.0.len() as u64,
+        "the disk-warm -jN sweep must read every cell's manifest off the store"
     );
 }
 

@@ -1,5 +1,6 @@
 //! Persistent artifact store integration: the disk tier under the real
-//! build pipeline, corruption robustness, publish races and GC.
+//! build pipeline and bench cells, corruption robustness, publish races
+//! and GC.
 //!
 //! The store (`bitspec::store`) is process-global once configured, and
 //! the stage caches plus the memo counters (`bitspec::memo::stats`) are
@@ -10,12 +11,12 @@
 //! stores and do not need the global configuration, but still
 //! serialize.
 
-use bitspec::memo::{self, Stats};
-use bitspec::{build, stages, store, BuildConfig, Workload};
+use bitspec::memo::{self, Source, Stats};
+use bitspec::{build, stages, store, wire, BuildConfig, Manifest, Workload};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -89,53 +90,114 @@ fn entry_files(root: &Path) -> Vec<PathBuf> {
     out
 }
 
+/// Wipes the in-process caches (cells, simulations and stage artifacts),
+/// leaving the configured store untouched.
+fn wipe_memory() {
+    bench::clear_cache();
+    stages::clear();
+}
+
 #[test]
 fn disk_tier_survives_memory_wipe() {
     let _g = serial();
     let scratch = Scratch::new("survive");
     store::configure(Some(scratch.path()), None);
-    stages::clear();
+    wipe_memory();
     let w = unique_workload("survive");
+    let cfg = BuildConfig::bitspec();
 
+    // A bare build is no bench cell: every stage stays in memory.
     let before = memo::stats();
-    let cold = build(&w, &BuildConfig::bitspec()).unwrap();
+    let bare = build(&w, &cfg).unwrap();
     let wrote = memo::stats().since(&before);
-    assert!(!cold.stage_hits.expand && !cold.stage_hits.profile);
-    // A bare build is no bench cell: of its stages only the profile
-    // persists (expand, the gate leg and codegen stay in memory).
-    assert_eq!(wrote.get("profile").puts, 1, "the profile publishes");
-    assert_eq!(total(&wrote, |c| c.puts), 1, "only the profile publishes");
+    assert_eq!(total(&wrote, |c| c.puts), 0, "a bare build writes nothing");
+    assert_eq!(total(&wrote, |c| c.disk_misses), 0, "nor reads the store");
+    assert!(entry_files(scratch.path()).is_empty(), "no entry on disk");
+
+    // A cell writes its manifest, and nothing else.
+    wipe_memory();
+    let before = memo::stats();
+    let (cold, src) = bench::run_cached_traced(&w, &cfg);
+    let wrote = memo::stats().since(&before);
+    assert_eq!(src, Source::Computed);
+    assert_eq!(wrote.get("manifest").puts, 1, "the manifest is written");
+    assert_eq!(total(&wrote, |c| c.puts), 1, "only the manifest");
     assert_eq!(
         store::entry_counts(&store::active().expect("store configured")),
-        [("profile".to_string(), 1)].into_iter().collect()
+        [("manifest".to_string(), 1)].into_iter().collect()
     );
 
-    // Wipe memory: the profile comes off disk, the memory-only expand
-    // stage (and the frontend below it) is recomputed.
-    stages::clear();
+    // Wipe memory: the manifest comes off disk and nothing else is looked
+    // up; the full cell is then recomputed from the profile stage down.
+    wipe_memory();
     let stats = memo::stats();
-    let warm = build(&w, &BuildConfig::bitspec()).unwrap();
+    let (warm, src) = bench::run_cached_traced(&w, &cfg);
     let moved = memo::stats().since(&stats);
-    assert!(warm.stage_hits.profile, "profile must hit via disk");
-    assert!(!warm.stage_hits.expand, "expand is recomputed");
-    assert_eq!(moved.get("profile").disk_hits, 1);
+    assert_eq!(src, Source::Disk, "the manifest must hit via disk");
+    assert_eq!(moved.get("manifest").disk_hits, 1);
+    assert_eq!(total(&moved, |c| c.hits), 1, "one lookup, the manifest");
+    assert_eq!(total(&moved, |c| c.misses), 0, "nothing is computed");
+    assert_eq!(warm.program_fp, cold.program_fp);
+    assert_eq!(warm.sim.outputs, cold.sim.outputs);
+
+    let stats = memo::stats();
+    let cell = bench::run_cached(&w, &cfg);
+    let moved = memo::stats().since(&stats);
+    assert_eq!(moved.get("profile").misses, 1, "the cell is rebuilt");
+    assert_eq!(total(&moved, |c| c.disk_misses), 0, "from memory tiers");
+    assert_eq!(cell.0.profile, bare.profile);
     assert_eq!(
-        total(&moved, |c| c.disk_hits),
-        1,
-        "one disk hit, the profile"
+        backend::program_fingerprint(&cell.0.program),
+        cold.program_fp,
+        "a recomputed cell must be bit-identical to its manifest's"
     );
-    assert_eq!(moved.get("expand").misses, 1);
+    assert_eq!(backend::program_fingerprint(&bare.program), cold.program_fp);
+}
+
+/// Eight threads ask for one disk-warm cell at once: its manifest is read
+/// once, the cell is rebuilt once, and every thread gets that one cell.
+#[test]
+fn disk_warm_cell_is_recomputed_once_under_contention() {
+    const THREADS: usize = 8;
+    let _g = serial();
+    let scratch = Scratch::new("contend");
+    store::configure(Some(scratch.path()), None);
+    wipe_memory();
+    let w = unique_workload("contend");
+    let cfg = BuildConfig::bitspec();
+    let (cold, _) = bench::run_cached_traced(&w, &cfg);
+
+    wipe_memory();
+    let before = memo::stats();
+    let barrier = Barrier::new(THREADS);
+    let cells: Vec<bench::Cell> = std::thread::scope(|s| {
+        let hs: Vec<_> = (0..THREADS)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    bench::run_cached(&w, &cfg)
+                })
+            })
+            .collect();
+        hs.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let moved = memo::stats().since(&before);
+    assert_eq!(moved.get("manifest").disk_hits, 1, "one manifest read");
+    assert_eq!(moved.get("manifest").misses, 0);
+    assert_eq!(moved.get("profile").misses, 1, "the cell is rebuilt once");
+    assert!(
+        cells.iter().all(|c| Arc::ptr_eq(c, &cells[0])),
+        "every caller shares the one rebuilt cell"
+    );
     assert_eq!(
-        moved.get("expand").disk_misses,
-        0,
-        "expand has no disk tier"
+        backend::program_fingerprint(&cells[0].0.program),
+        cold.program_fp
     );
-    assert_eq!(cold.profile, warm.profile);
-    assert_eq!(
-        backend::program_fingerprint(&cold.program),
-        backend::program_fingerprint(&warm.program),
-        "a build on a disk-served profile must be bit-identical"
-    );
+}
+
+/// Builds `tag`'s cell into the configured store and returns its manifest.
+fn cold_manifest(tag: &str) -> Arc<Manifest> {
+    bench::run_cached_traced(&unique_workload(tag), &BuildConfig::bitspec()).0
 }
 
 #[test]
@@ -143,40 +205,40 @@ fn truncated_entries_recompute_and_rewrite() {
     let _g = serial();
     let scratch = Scratch::new("truncate");
     store::configure(Some(scratch.path()), None);
-    stages::clear();
+    wipe_memory();
     let w = unique_workload("truncate");
-    let cold = build(&w, &BuildConfig::bitspec()).unwrap();
+    let cold = cold_manifest("truncate");
 
     // Plant truncation in every published entry (header cut short).
     let files = entry_files(scratch.path());
-    assert!(!files.is_empty());
+    assert_eq!(files.len(), 1, "the manifest is the one entry");
     for f in &files {
         let bytes = fs::read(f).unwrap();
         fs::write(f, &bytes[..bytes.len().min(11)]).unwrap();
     }
 
-    stages::clear();
+    wipe_memory();
     let before = memo::stats();
-    let again = build(&w, &BuildConfig::bitspec()).unwrap();
+    let (again, src) = bench::run_cached_traced(&w, &BuildConfig::bitspec());
     let moved = memo::stats().since(&before);
-    assert_eq!(files.len(), 1, "the profile is the one entry");
     assert_eq!(
-        moved.get("profile").corrupt,
+        moved.get("manifest").corrupt,
         1,
         "truncated entries must be classified corrupt"
     );
     assert_eq!(total(&moved, |c| c.corrupt), 1);
-    assert!(!again.stage_hits.profile, "corrupt entry cannot hit");
-    assert_eq!(cold.profile, again.profile, "recompute must be identical");
+    assert_eq!(src, Source::Computed, "corrupt entry cannot hit");
+    assert_eq!(again.program_fp, cold.program_fp, "recompute is identical");
+    assert_eq!(wire::encode(&again.sim), wire::encode(&cold.sim));
 
-    // The recompute republished: a third, memory-wiped build hits disk
+    // The recompute republished: a third, memory-wiped lookup hits disk
     // without any further corruption.
-    stages::clear();
+    wipe_memory();
     let mid = memo::stats();
-    let warm = build(&w, &BuildConfig::bitspec()).unwrap();
+    let (_, src) = bench::run_cached_traced(&w, &BuildConfig::bitspec());
     let moved = memo::stats().since(&mid);
-    assert!(warm.stage_hits.profile);
-    assert_eq!(moved.get("profile").disk_hits, 1);
+    assert_eq!(src, Source::Disk);
+    assert_eq!(moved.get("manifest").disk_hits, 1);
     assert_eq!(
         total(&moved, |c| c.corrupt),
         0,
@@ -189,13 +251,10 @@ fn garbage_and_schema_mismatch_detected() {
     let _g = serial();
     let scratch = Scratch::new("garbage");
     store::configure(Some(scratch.path()), None);
-    stages::clear();
-    // Two workloads, so the store holds two profile entries.
-    let ws = [unique_workload("garbage"), unique_workload("garbage-2")];
-    let cold: Vec<_> = ws
-        .iter()
-        .map(|w| build(w, &BuildConfig::bitspec()).unwrap())
-        .collect();
+    wipe_memory();
+    // Two workloads, so the store holds two manifests.
+    let tags = ["garbage", "garbage-2"];
+    let cold: Vec<_> = tags.iter().map(|t| cold_manifest(t)).collect();
 
     // Alternate two corruptions across the published entries: flip a
     // payload byte (checksum mismatch) and patch the schema version
@@ -213,15 +272,16 @@ fn garbage_and_schema_mismatch_detected() {
         fs::write(f, &bytes).unwrap();
     }
 
-    stages::clear();
+    wipe_memory();
     let before = memo::stats();
-    for (w, cold) in ws.iter().zip(&cold) {
-        let again = build(w, &BuildConfig::bitspec()).unwrap();
-        assert_eq!(cold.profile, again.profile);
+    for (tag, cold) in tags.iter().zip(&cold) {
+        let (again, src) = bench::run_cached_traced(&unique_workload(tag), &BuildConfig::bitspec());
+        assert_eq!(src, Source::Computed);
+        assert_eq!(again.program_fp, cold.program_fp);
     }
     let moved = memo::stats().since(&before);
     assert_eq!(
-        moved.get("profile").corrupt,
+        moved.get("manifest").corrupt,
         2,
         "both corruption styles must be caught"
     );
@@ -231,6 +291,7 @@ fn garbage_and_schema_mismatch_detected() {
     for f in entry_files(scratch.path()) {
         let bytes = fs::read(&f).unwrap();
         assert_eq!(&bytes[0..4], b"BSST");
+        assert_eq!(&bytes[4..8], &store::SCHEMA_VERSION.to_le_bytes());
     }
 }
 

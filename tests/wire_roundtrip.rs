@@ -104,29 +104,28 @@ fn stage_payloads_roundtrip() {
     let w = workload("stage");
     stages::clear();
     let c = build(&w, &BuildConfig::bitspec()).unwrap();
-    // The profile stage payload: data → bytes → data must be lossless.
-    let pd = stages::ProfileData {
-        profile: c.profile.clone(),
-        dyn_insts: c.profile_dyn_insts,
-        traces: Vec::new(),
-    };
-    let pbytes = wire::encode(&pd);
-    let p2: stages::ProfileData = wire::decode(&pbytes).unwrap();
-    assert_eq!(p2.profile, c.profile);
-    assert_eq!(p2.dyn_insts, c.profile_dyn_insts);
+    // The profile and final-module stage payloads: data → bytes → data
+    // must be lossless.
+    let pbytes = wire::encode(&*c.profile);
+    let p2: interp::Profile = wire::decode(&pbytes).unwrap();
+    assert_eq!(p2, *c.profile);
     assert_eq!(wire::encode(&p2), pbytes);
+    let mbytes = wire::encode(&*c.module);
+    let m2: sir::Module = wire::decode(&mbytes).unwrap();
+    assert_eq!(stages::content_key(&m2), stages::content_key(&c.module));
+    assert_eq!(wire::encode(&m2), mbytes);
     // Truncation anywhere inside the payload must error, not panic or
     // silently succeed.
     for cut in [0, 1, pbytes.len() / 2, pbytes.len() - 1] {
         assert!(
-            wire::decode::<stages::ProfileData>(&pbytes[..cut]).is_err(),
+            wire::decode::<interp::Profile>(&pbytes[..cut]).is_err(),
             "truncation at {cut} must be a decode error"
         );
     }
     // Trailing garbage is rejected too (full-consumption check).
     let mut extended = pbytes.clone();
     extended.push(0);
-    assert!(wire::decode::<stages::ProfileData>(&extended).is_err());
+    assert!(wire::decode::<interp::Profile>(&extended).is_err());
 }
 
 /// A `module` payload (the name `"f"`) whose function count claims far
@@ -146,21 +145,22 @@ fn huge_fn_count_module() -> Vec<u8> {
 /// the decoder's bounds check (a panic instead of an error).
 const HOSTILE: [u8; 10] = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
 
-/// The store's kinds: a bench cell's manifest and the parts it names.
-const KINDS: [&str; 4] = ["manifest", "module", "program", "profile"];
+/// The payload types the hostile-decode tests feed: the store's one
+/// kind, a bench cell's `manifest`, and the codecs a whole cell is made of.
+const KINDS: [&str; 5] = ["manifest", "cell", "module", "program", "profile"];
 
-/// Decodes `bytes` as the artifact type of store kind `kind` and
-/// re-encodes it.
+/// Decodes `bytes` as the payload type `kind` names and re-encodes it.
 fn reencode(kind: &str, bytes: &[u8]) -> Result<Vec<u8>, wire::WireError> {
     fn re<T: wire::Wire>(bytes: &[u8]) -> Result<Vec<u8>, wire::WireError> {
         wire::decode::<T>(bytes).map(|v| wire::encode(&v))
     }
     match kind {
-        "profile" => re::<stages::ProfileData>(bytes),
         "manifest" => re::<Manifest>(bytes),
+        "cell" => wire::decode_cell(bytes).map(|(c, r)| wire::encode_cell(&c, &r)),
         "module" => re::<sir::Module>(bytes),
         "program" => re::<backend::Program>(bytes),
-        _ => panic!("unexpected store kind {kind}"),
+        "profile" => re::<interp::Profile>(bytes),
+        _ => panic!("unexpected payload kind {kind}"),
     }
 }
 
@@ -202,7 +202,7 @@ fn total(delta: &Stats, field: fn(memo::Counts) -> u64) -> u64 {
 }
 
 /// A cold gated BITSPEC cell of `tag`'s workload against a fresh store in
-/// `dir`, which then holds one entry or more of every kind.
+/// `dir`, which then holds the cell's manifest and nothing else.
 fn cold_cell_in_store(tag: &str, dir: &Path) -> bench::Cell {
     let _ = std::fs::remove_dir_all(dir);
     store::configure(Some(dir), None);
@@ -210,9 +210,7 @@ fn cold_cell_in_store(tag: &str, dir: &Path) -> bench::Cell {
     bench::clear_cache();
     let cell = bench::run_cached(&workload(tag), &BuildConfig::bitspec());
     let kinds: Vec<_> = entries(dir).into_iter().map(|(k, _)| k).collect();
-    for kind in KINDS {
-        assert!(kinds.iter().any(|k| k == kind), "no {kind} entry published");
-    }
+    assert_eq!(kinds, ["manifest"], "the store holds one manifest");
     cell
 }
 
@@ -231,48 +229,24 @@ fn huge_fn_length_prefix_errors_and_recomputes() {
         );
     }
 
-    // Plant the payload, checksum-valid, over a gated cell's module part.
-    // Its manifest still decodes, so the cell is reassembled from its
-    // parts until the module fails: the memo must count it as corrupt,
-    // recompute the cell and rewrite the part.
-    let dir = std::env::temp_dir().join(format!("wire-fncount-{}", std::process::id()));
-    let cold = cold_cell_in_store("fncount", &dir);
-    let mut planted = 0u64;
-    for (_, path) in entries(&dir).iter().filter(|(kind, _)| kind == "module") {
-        plant(path, &bad);
-        planted += 1;
-    }
-    stages::clear();
-    bench::clear_cache();
-    let before = memo::stats();
-    let again = bench::run_cached(&workload("fncount"), &BuildConfig::bitspec());
-    let moved = memo::stats().since(&before);
-    let rewritten: Vec<_> = entries(&dir)
-        .into_iter()
-        .filter(|(kind, _)| kind == "module")
-        .map(|(kind, path)| reencode(&kind, &std::fs::read(path).unwrap()[HEADER_LEN..]))
-        .collect();
-    store::configure(None, None);
-    let _ = std::fs::remove_dir_all(&dir);
-    stages::clear();
-    bench::clear_cache();
-
-    assert_eq!(planted, 1, "one module part");
-    assert_eq!(moved.get("module").corrupt, planted, "the part is corrupt");
-    assert_eq!(total(&moved, |c| c.corrupt), planted, "and nothing else");
-    assert_eq!(rewritten.len(), 1, "the part was rewritten");
-    assert!(rewritten[0].is_ok(), "with a decodable payload");
-    assert_eq!(
-        backend::program_fingerprint(&again.0.program),
-        backend::program_fingerprint(&cold.0.program)
+    // A cell whose module is that payload: the cell encoding leads with
+    // its module, so splice the hostile module in front of the rest.
+    let w = workload("fncount");
+    let c = build(&w, &BuildConfig::bitspec()).unwrap();
+    let r = simulate(&c, &w).unwrap();
+    let cell = wire::encode_cell(&c, &r);
+    let module_len = wire::encode(&*c.module).len();
+    assert!(wire::decode_cell(&cell).is_ok());
+    let mut spliced = bad.clone();
+    spliced.extend_from_slice(&cell[module_len..]);
+    assert!(
+        wire::decode_cell(&spliced).is_err(),
+        "a cell with a 2^40-function module must be a decode error"
     );
-    assert_eq!(again.1.outputs, cold.1.outputs);
 
-    // The u64::MAX prefix, planted checksum-valid over every entry of a
-    // gated cell's store (every kind): each is recomputed and rewritten.
-    // The recompute reads every kind but the cell's module and program
-    // parts, which it republishes without reading, so those are the
-    // planted entries it counts as corrupt.
+    // The u64::MAX prefix, planted checksum-valid over a gated cell's
+    // manifest: the memo counts it as corrupt, recomputes the cell and
+    // rewrites the entry.
     let dir = std::env::temp_dir().join(format!("wire-hostile-{}", std::process::id()));
     let cold = cold_cell_in_store("hostile", &dir);
     let planted = entries(&dir);
@@ -293,30 +267,16 @@ fn huge_fn_length_prefix_errors_and_recomputes() {
     stages::clear();
     bench::clear_cache();
 
-    let read_back = |kind: &str| kind != "module" && kind != "program";
-    for kind in KINDS {
-        let of_kind = planted.iter().filter(|(k, _)| k == kind).count() as u64;
-        assert_eq!(
-            moved.get(kind).corrupt,
-            if read_back(kind) { of_kind } else { 0 },
-            "every planted {kind} entry read back is corrupt"
-        );
-    }
-    assert_eq!(
-        total(&moved, |c| c.corrupt),
-        planted.iter().filter(|(k, _)| read_back(k)).count() as u64,
-        "no other kind counts corruption"
-    );
+    assert_eq!(planted.len(), 1, "one manifest");
+    assert_eq!(moved.get("manifest").corrupt, 1, "the manifest is corrupt");
+    assert_eq!(total(&moved, |c| c.corrupt), 1, "and nothing else");
     assert_eq!(
         total(&moved, |c| c.disk_hits),
         0,
         "nothing was served from disk"
     );
-    assert_eq!(rewritten.len(), planted.len(), "every entry was rewritten");
-    assert!(
-        rewritten.iter().all(Result::is_ok),
-        "with a decodable payload"
-    );
+    assert_eq!(rewritten.len(), 1, "the manifest was rewritten");
+    assert!(rewritten[0].is_ok(), "with a decodable payload");
     assert_eq!(
         backend::program_fingerprint(&again.0.program),
         backend::program_fingerprint(&cold.0.program)
@@ -362,20 +322,23 @@ fn mutate(payload: &[u8], rng: &mut Rng) -> Vec<u8> {
 
 /// Decoding is canonical and panic-free on hostile bytes: every mutated
 /// payload of every kind either fails to decode or decodes to a value that
-/// re-encodes to exactly the mutated bytes.
+/// re-encodes to exactly the mutated bytes. The manifest comes off the
+/// store; the module, program and profile are the cell's own.
 #[test]
 fn mutated_payloads_error_or_reencode_identically() {
     let _g = serial();
     let dir = std::env::temp_dir().join(format!("wire-mutate-{}", std::process::id()));
-    cold_cell_in_store("mutate", &dir);
-    let mut payloads = Vec::new();
-    for kind in KINDS {
-        let (_, path) = entries(&dir)
-            .into_iter()
-            .find(|(k, _)| k == kind)
-            .expect("entry of every kind");
-        payloads.push((kind, std::fs::read(path).unwrap()[HEADER_LEN..].to_vec()));
-    }
+    let cell = cold_cell_in_store("mutate", &dir);
+    let (_, manifest) = entries(&dir).remove(0);
+    let payloads = [
+        (
+            "manifest",
+            std::fs::read(manifest).unwrap()[HEADER_LEN..].to_vec(),
+        ),
+        ("module", wire::encode(&*cell.0.module)),
+        ("program", wire::encode(&cell.0.program)),
+        ("profile", wire::encode(&*cell.0.profile)),
+    ];
     store::configure(None, None);
     let _ = std::fs::remove_dir_all(&dir);
     stages::clear();
@@ -430,12 +393,11 @@ fn corrupt_control_flow(p: &mut backend::Program, what: usize) {
     }
 }
 
-/// A checksum-valid program whose branch target, entry, halt, function
-/// entry or cover index lies outside the image is a decode error, not a
-/// simulator panic later; a store entry holding one is counted corrupt and
-/// recomputed.
+/// A program whose branch target, entry, halt, function entry or cover
+/// index lies outside the image is a decode error, alone or inside a cell,
+/// not a simulator panic later.
 #[test]
-fn out_of_range_control_flow_errors_and_recomputes() {
+fn out_of_range_control_flow_is_a_decode_error() {
     let _g = serial();
     let w = workload("cfg");
     let cfg = BuildConfig {
@@ -450,41 +412,12 @@ fn out_of_range_control_flow_errors_and_recomputes() {
         let mut bad = c.clone();
         corrupt_control_flow(&mut bad.program, what);
         assert!(
+            wire::decode::<backend::Program>(&wire::encode(&bad.program)).is_err(),
+            "corruption {what} must be a program decode error"
+        );
+        assert!(
             wire::decode_cell(&wire::encode_cell(&bad, &r)).is_err(),
-            "corruption {what} must be a decode error"
+            "corruption {what} must be a cell decode error"
         );
     }
-
-    // Plant a branch past the end, checksum-valid, in every program entry
-    // of a gated cell's store. The manifest still decodes, so the cell is
-    // reassembled from its parts until the program part fails.
-    let dir = std::env::temp_dir().join(format!("wire-cfg-{}", std::process::id()));
-    let cold = cold_cell_in_store("cfg", &dir);
-    let mut planted = 0u64;
-    for (_, path) in entries(&dir).iter().filter(|(kind, _)| kind == "program") {
-        let payload = &std::fs::read(path).unwrap()[HEADER_LEN..];
-        let mut p = wire::decode::<backend::Program>(payload).unwrap();
-        corrupt_control_flow(&mut p, 3);
-        plant(path, &wire::encode(&p));
-        planted += 1;
-    }
-    stages::clear();
-    bench::clear_cache();
-    let before = memo::stats();
-    let again = bench::run_cached(&workload("cfg"), &BuildConfig::bitspec());
-    let moved = memo::stats().since(&before);
-    store::configure(None, None);
-    let _ = std::fs::remove_dir_all(&dir);
-    stages::clear();
-    bench::clear_cache();
-
-    assert_eq!(planted, 1, "one program entry");
-    assert_eq!(moved.get("program").corrupt, planted, "it is corrupt");
-    assert_eq!(total(&moved, |c| c.corrupt), planted, "and nothing else");
-    assert_eq!(
-        backend::program_fingerprint(&again.0.program),
-        backend::program_fingerprint(&cold.0.program)
-    );
-    assert_eq!(again.1.outputs, cold.1.outputs);
-    assert_eq!(again.1.cycles, cold.1.cycles);
 }
